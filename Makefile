@@ -84,5 +84,10 @@ crash-smoke:
 fuzz-smoke:
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParse$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParsePredicate$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/randx -run=NONE -fuzz='FuzzSampleWithoutReplacement$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/engine -run=NONE -fuzz='FuzzFloatKernelParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/engine -run=NONE -fuzz='FuzzFloatBetweenKernelParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/engine -run=NONE -fuzz='FuzzFloatInKernelParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/engine -run=NONE -fuzz='FuzzStringKernelParity$$' -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race test bench-smoke serve-smoke crash-smoke fuzz-smoke

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"runtime"
-	"sort"
 
 	"repro/internal/freqstats"
 	"repro/internal/parallelx"
@@ -38,6 +37,14 @@ import (
 // scheme replaced a single sequential stream when the grid was
 // parallelized; fixed-seed results are stable going forward but differ
 // from the pre-parallel implementation.)
+//
+// The output depends on each run's stream only through randx's sampler
+// contract: one ExpFloat64 key per positive weight in index order, the k
+// smallest (key, index) pairs winning. The sampler selects those k with a
+// heap instead of sorting all theta_N keys, and each cell builds its
+// weights, sampler, RNG and count buffers once and reuses them for every
+// run, counting-sorting the simulated profile; none of this moves a bit of
+// the estimate.
 //
 // The zero value is ready to use with the paper's defaults.
 type MonteCarlo struct {
@@ -182,27 +189,53 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // simulateDistance is Algorithm 2: the average smoothed KL divergence over
 // the configured number of runs between the observed occurrence profile
 // and profiles simulated with population size thetaN and skew lambda.
-// Every run draws from its own rand.Rand derived from (Seed, cell, run),
-// so the simulation is reproducible under any parallel schedule.
+// Every run re-seeds the cell's rand.Rand from (Seed, cell, run), so the
+// simulation is reproducible under any parallel schedule. The weights, the
+// sampler and the count buffers are built once per cell and reused by
+// every run.
 func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
-	weights := randx.ExponentialWeights(thetaN, lambda)
+	sampler, err := randx.NewKeySampler(randx.ExponentialWeights(thetaN, lambda))
+	if err != nil {
+		return math.Inf(1)
+	}
+	rng := randx.New(0)
+	counts := make([]int, thetaN)
+	// A source names an item at most once, so no count exceeds len(sizes).
+	hist := make([]int, len(sizes)+1)
+	var profile, idx []int
 	var total float64
 	runs := m.runs()
 	for r := 0; r < runs; r++ {
-		rng := randx.New(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
-		counts := make([]int, thetaN)
+		rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
+		clear(counts)
 		for _, nj := range sizes {
-			idx, err := randx.SampleWithoutReplacement(rng, weights, nj)
-			if err != nil {
+			if idx, err = sampler.Sample(rng, nj, idx[:0]); err != nil {
 				return math.Inf(1)
 			}
 			for _, j := range idx {
 				counts[j]++
 			}
 		}
-		total += profileDistance(observed, counts)
+		profile = sortedProfile(counts, hist, profile[:0])
+		total += profileDistance(observed, profile)
 	}
 	return total / float64(runs)
+}
+
+// sortedProfile appends the nonzero counts to dst in descending order — the
+// simulated occurrence profile without its unseen items. It counting-sorts
+// through hist, which must have room for the largest count.
+func sortedProfile(counts, hist, dst []int) []int {
+	clear(hist)
+	for _, c := range counts {
+		hist[c]++
+	}
+	for v := len(hist) - 1; v > 0; v-- {
+		for n := hist[v]; n > 0; n-- {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }
 
 // profileDistance indexes the observed and simulated occurrence profiles
@@ -210,37 +243,44 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 // descending, padded to a common length — so the i-th most frequent
 // observed entity is compared with the i-th most frequent simulated one —
 // normalized, smoothed, and compared with KL divergence D(F'_S || F_Q).
-func profileDistance(observed []int, simulated []int) float64 {
-	simSorted := make([]int, len(simulated))
-	copy(simSorted, simulated)
-	sort.Sort(sort.Reverse(sort.IntSlice(simSorted)))
-	// Trim trailing zeros from the simulation (unseen simulated items).
-	simLen := len(simSorted)
-	for simLen > 0 && simSorted[simLen-1] == 0 {
-		simLen--
-	}
-	simSorted = simSorted[:simLen]
-
-	width := len(observed)
-	if simLen > width {
-		width = simLen
-	}
+//
+// It computes stats.SmoothedKLDivergence(fs, fq, 0) on the padded profiles
+// with the same float operations in the same order, without materializing
+// them. Smoothed cells are positive, so neither Normalize's uniform
+// fallback nor KLDivergence's negative-entry error can apply.
+func profileDistance(observed, simulated []int) float64 {
+	width := max(len(observed), len(simulated))
 	if width == 0 {
 		return 0
 	}
-	fs := make([]float64, width)
-	fq := make([]float64, width)
+	var sumS, sumQ float64
 	for i := 0; i < width; i++ {
-		if i < len(observed) {
-			fs[i] = float64(observed[i])
-		}
-		if i < simLen {
-			fq[i] = float64(simSorted[i])
-		}
+		sumS += smoothedCell(observed, i)
+		sumQ += smoothedCell(simulated, i)
 	}
-	d, err := stats.SmoothedKLDivergence(fs, fq, 0)
-	if err != nil {
-		return math.Inf(1)
+	var d float64
+	for i := 0; i < width; i++ {
+		p := smoothedCell(observed, i) / sumS
+		q := smoothedCell(simulated, i) / sumQ
+		if p == 0 {
+			continue
+		}
+		if q == 0 {
+			return math.Inf(1)
+		}
+		d += p * math.Log(p/q)
+	}
+	if d < 0 && d > -1e-12 {
+		d = 0
 	}
 	return d
+}
+
+// smoothedCell is cell i of a zero-padded profile after the smoothing step:
+// empty cells get stats.DefaultSmoothingEpsilon.
+func smoothedCell(profile []int, i int) float64 {
+	if i < len(profile) && profile[i] > 0 {
+		return float64(profile[i])
+	}
+	return stats.DefaultSmoothingEpsilon
 }

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/freqstats"
 	"repro/internal/randx"
 	"repro/internal/sim"
+	"repro/internal/species"
+	"repro/internal/stats"
 )
 
 func TestMonteCarloEmptyAndDegenerate(t *testing.T) {
@@ -107,6 +112,72 @@ func TestMonteCarloParallelBitwiseDeterministic(t *testing.T) {
 	}
 }
 
+// crowdCut returns the USTechEmployment observations with employees > k as
+// a sample: the filtered sub-populations a crowd SUM/COUNT query feeds the
+// Monte-Carlo estimator.
+func crowdCut(t *testing.T, d *dataset.Dataset, k float64) *freqstats.Sample {
+	t.Helper()
+	s := freqstats.NewSample()
+	for _, o := range d.Stream.Observations {
+		if o.Value > k {
+			if err := s.Add(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// The Monte-Carlo output bits are pinned for a fixed seed: EstimateN and
+// EstimateSum, plus three raw grid-cell distances (the crowd estimates sit
+// on the Chao92 edge of the grid, so the end results alone would not notice
+// a changed simulation). Any change to the RNG stream, the sampler's
+// selection or the profile distance arithmetic moves these bits.
+func TestMonteCarloPinnedBits(t *testing.T) {
+	d, err := dataset.USTechEmployment(1, 500, 10, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cellBits [3]uint64 // cells (3, c, -0.4), (10, mid, 0), (17, chao, 0.3)
+	cases := []struct {
+		k        float64
+		mc       MonteCarlo
+		n, sum   uint64
+		distance cellBits
+	}{
+		{-1, MonteCarlo{}, 0x40760df2272f40bf, 0x4154b43ae1e991e0,
+			cellBits{0x40054962ff1d33de, 0x3fbafaa23838fccb, 0x3fe779b62757c547}},
+		{-1, MonteCarlo{Runs: 3, Seed: 42}, 0x40760df2272f40bf, 0x4154b43ae1e991e0,
+			cellBits{0x40056c939c85c6f4, 0x3fd6435e17db4d9d, 0x3fe57de089a41c70}},
+		{100, MonteCarlo{}, 0x407500de6ab34ef5, 0x41543e155c020e0d,
+			cellBits{0x40042c2dda6f771a, 0x3fd0e0af95e51f54, 0x3fe4b845543e0969}},
+		{100, MonteCarlo{Runs: 3, Seed: 42}, 0x407500de6ab34ef5, 0x41543e155c020e0d,
+			cellBits{0x4004afa829c25efb, 0x3fd06fbf9b829f81, 0x3febc0d2033a08f8}},
+		{1000, MonteCarlo{}, 0x406ea8c4704a9af6, 0x4151ffbfe2942c5d,
+			cellBits{0x4002b4bb7cedbebd, 0x3fcfb15e6d267ea0, 0x3fed5e86160a48b3}},
+		{1000, MonteCarlo{Runs: 3, Seed: 42}, 0x406ea8c4704a9af6, 0x4151ffbfe2942c5d,
+			cellBits{0x40020239c6764f08, 0x3fc4d552746f6f77, 0x3fec0de262e4182b}},
+	}
+	for _, tc := range cases {
+		s := crowdCut(t, d, tc.k)
+		name := fmt.Sprintf("employees>%g/runs=%d/seed=%d", tc.k, tc.mc.Runs, tc.mc.Seed)
+		if got := math.Float64bits(tc.mc.EstimateN(s)); got != tc.n {
+			t.Errorf("%s: EstimateN bits %#016x, want %#016x", name, got, tc.n)
+		}
+		if got := math.Float64bits(tc.mc.EstimateSum(s).Estimated); got != tc.sum {
+			t.Errorf("%s: EstimateSum bits %#016x, want %#016x", name, got, tc.sum)
+		}
+		c, chao := float64(s.C()), species.Chao92(s).N
+		for i, lam := range []float64{-0.4, 0, 0.3} {
+			thetaN := int(math.Round(c + float64(i)*(chao-c)/2))
+			z := tc.mc.simulateDistance(7*i+3, thetaN, lam, s.SourceSizes(), s.OccurrenceCounts())
+			if got := math.Float64bits(z); got != tc.distance[i] {
+				t.Errorf("%s: cell %d distance bits %#016x, want %#016x", name, 7*i+3, got, tc.distance[i])
+			}
+		}
+	}
+}
+
 // The headline robustness claim (Section 6.3): under the successive-
 // exhaustive-streakers scenario the Chao92-based estimators blow up while
 // Monte-Carlo stays near the observed sum.
@@ -170,9 +241,14 @@ func TestMonteCarloConservativeBias(t *testing.T) {
 	}
 }
 
+// profileOf is the simulated profile of raw per-item counts.
+func profileOf(counts []int) []int {
+	return sortedProfile(counts, make([]int, slices.Max(append([]int{0}, counts...))+1), nil)
+}
+
 func TestProfileDistance(t *testing.T) {
 	// Identical profiles: zero distance.
-	if d := profileDistance([]int{3, 2, 1}, []int{1, 2, 3}); d > 1e-6 {
+	if d := profileDistance([]int{3, 2, 1}, profileOf([]int{1, 0, 2, 3})); d > 1e-6 {
 		t.Errorf("identical profiles distance = %g", d)
 	}
 	// A longer simulated profile must cost more than a matching one.
@@ -184,6 +260,60 @@ func TestProfileDistance(t *testing.T) {
 	// Empty inputs do not blow up.
 	if d := profileDistance(nil, nil); d != 0 {
 		t.Errorf("empty profiles distance = %g", d)
+	}
+}
+
+// referenceProfileDistance is the materializing formulation: sort the raw
+// counts descending, trim unseen items, pad both profiles to a common width
+// and hand them to stats.SmoothedKLDivergence.
+func referenceProfileDistance(observed, counts []int) float64 {
+	sim := slices.Clone(counts)
+	slices.SortFunc(sim, func(a, b int) int { return b - a })
+	for len(sim) > 0 && sim[len(sim)-1] == 0 {
+		sim = sim[:len(sim)-1]
+	}
+	width := max(len(observed), len(sim))
+	if width == 0 {
+		return 0
+	}
+	fs := make([]float64, width)
+	fq := make([]float64, width)
+	for i := range fs {
+		if i < len(observed) {
+			fs[i] = float64(observed[i])
+		}
+		if i < len(sim) {
+			fq[i] = float64(sim[i])
+		}
+	}
+	d, err := stats.SmoothedKLDivergence(fs, fq, 0)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return d
+}
+
+// The counting-sorted, non-materializing distance is bit-identical to the
+// reference on random observed/simulated profiles of every relative width.
+func TestProfileDistanceMatchesSmoothedKL(t *testing.T) {
+	rng := randx.New(5)
+	for trial := 0; trial < 2000; trial++ {
+		sources := 1 + rng.Intn(12)
+		observed := make([]int, rng.Intn(60))
+		for i := range observed {
+			observed[i] = 1 + rng.Intn(sources)
+		}
+		slices.SortFunc(observed, func(a, b int) int { return b - a })
+		counts := make([]int, rng.Intn(80))
+		for i := range counts {
+			counts[i] = rng.Intn(sources + 1)
+		}
+		got := profileDistance(observed, sortedProfile(counts, make([]int, sources+1), nil))
+		want := referenceProfileDistance(observed, counts)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: distance %v, reference %v (observed %v, counts %v)",
+				trial, got, want, observed, counts)
+		}
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 //     (schema, canonical predicate text); the schema is fixed at table
 //     creation, so per table each predicate compiles exactly once and is
 //     shared by every subsequent query (programs are stateless at eval
-//     time). The cache carries the table's schema version so a future
-//     ALTER TABLE only has to bump the version to invalidate everything.
+//     time).
 //  2. Per-shard selection bitmaps. The bitmap a program produces over a
 //     shard depends only on the shard's rows, which change exactly when
 //     the shard's write epoch changes: every mutating Insert bumps the
@@ -166,8 +165,7 @@ type partialEntry struct {
 // One mutex guards all LRU structures; hit/miss counters are atomics so
 // CacheStats reads do not need the lock.
 type scanCache struct {
-	mu            sync.Mutex
-	schemaVersion uint64
+	mu sync.Mutex
 
 	progs    map[string]*list.Element // of *progEntry
 	progLRU  list.List
@@ -210,23 +208,6 @@ func (c *scanCache) setLimits(maxProgs, maxBytes, maxPartBytes int) {
 	c.maxBytes = maxBytes
 	c.maxPartBytes = maxPartBytes
 	c.evictLocked()
-}
-
-// bumpSchemaVersion invalidates both layers. Nothing calls it today —
-// schemas are immutable after NewTable — but it is the seam an ALTER
-// TABLE implementation must go through.
-func (c *scanCache) bumpSchemaVersion() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.schemaVersion++
-	c.progs = make(map[string]*list.Element)
-	c.progLRU.Init()
-	c.bitmaps = make(map[bitmapKey]*list.Element)
-	c.bmLRU.Init()
-	c.bmBytes = 0
-	c.partials = make(map[partialKey]*list.Element)
-	c.pLRU.Init()
-	c.pBytes = 0
 }
 
 // lookupProgram returns the cached compiled program for a predicate key.

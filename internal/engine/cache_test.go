@@ -402,24 +402,6 @@ func TestResultCacheDistinguishesEstimatorConfig(t *testing.T) {
 	}
 }
 
-func TestSchemaVersionBumpClearsScanCache(t *testing.T) {
-	_, tbl := buildCacheTable(t, 1200)
-	pred := mustPredicate(t, "v < 600")
-	if _, err := tbl.Sample("v", pred); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.CacheStats().BitmapBytes == 0 {
-		t.Fatal("expected cached bitmaps before the version bump")
-	}
-	tbl.cache.bumpSchemaVersion()
-	if got := tbl.CacheStats().BitmapBytes; got != 0 {
-		t.Fatalf("schema version bump left %d bitmap bytes cached", got)
-	}
-	if _, ok := tbl.cache.lookupProgram(filterKey(pred)); ok {
-		t.Fatal("schema version bump left a compiled program cached")
-	}
-}
-
 // TestConcurrentInsertNeverServesStaleEpoch hammers a cached table with
 // writers while readers repeatedly run the same filtered query (maximum
 // bitmap-cache traffic) and a result-cached query. Run under -race. Each

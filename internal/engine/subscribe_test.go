@@ -281,7 +281,15 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 	const perWriter = 160
 	const entityPool = 80
 
-	// Consumer: every emission is checked for internal consistency.
+	// Consumer: the only reader of Updates. Every emission is checked for
+	// internal consistency; the newest is kept for the convergence check,
+	// and arrived is signalled after each one. (A second reader would race
+	// the consumer for the converged emission on the latest-wins channel.)
+	var (
+		mu     sync.Mutex
+		latest *Result
+	)
+	arrived := make(chan struct{}, 1)
 	consumed := make(chan int, 1)
 	go func() {
 		n := 0
@@ -290,6 +298,13 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 				if err := res.Sample.CheckInvariants(); err != nil {
 					t.Errorf("emission %d: %v", n, err)
 				}
+			}
+			mu.Lock()
+			latest = res
+			mu.Unlock()
+			select {
+			case arrived <- struct{}{}:
+			default:
 			}
 			n++
 		}
@@ -332,7 +347,24 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := awaitEmission(t, sub, fresh.Sample.Fingerprint())
+	want := fresh.Sample.Fingerprint()
+	deadline := time.After(10 * time.Second)
+	var res *Result
+	for {
+		mu.Lock()
+		if latest != nil && latest.Sample != nil && latest.Sample.Fingerprint() == want {
+			res = latest
+		}
+		mu.Unlock()
+		if res != nil {
+			break
+		}
+		select {
+		case <-arrived:
+		case <-deadline:
+			t.Fatalf("no emission matching fingerprint %x within deadline (err=%v)", want, sub.Err())
+		}
+	}
 	if !reflect.DeepEqual(res.Estimates, fresh.Estimates) {
 		t.Fatalf("converged emission differs from fresh query:\n  got  %+v\n  want %+v", res.Estimates, fresh.Estimates)
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -115,38 +116,121 @@ func SampleWithReplacement(rng *rand.Rand, weights []float64, k int) ([]int, err
 // index i gets key Exp(1)/w_i and the k smallest keys win. This models a
 // data source that mentions an entity at most once (paper Section 2.2).
 // k is clamped to len(weights).
+//
+// RNG-stream contract: exactly one rng.ExpFloat64() is drawn per positive
+// weight, in index order, whatever k is (zero weights draw nothing and are
+// never returned). The winners are the k smallest (key, index) pairs, so an
+// exact key tie goes to the lower index, and they are returned in that
+// (key, index) order: ascending key, i.e. the order in which an
+// exponential-clock source would emit them. It is KeySampler.Sample on a
+// fresh KeySampler; callers drawing repeatedly from one weight vector
+// should hold a KeySampler instead.
 func SampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) ([]int, error) {
+	s, err := NewKeySampler(weights)
+	if err != nil {
+		return nil, err
+	}
+	return s.Sample(rng, k, nil)
+}
+
+// KeySampler is the exponential-keys sampler behind
+// SampleWithoutReplacement, bound to one validated weight vector so that
+// repeated draws skip validation and reuse its selection buffer. It follows
+// the SampleWithoutReplacement contract draw for draw. A KeySampler is not
+// safe for concurrent use, and the weights must not change while it is in
+// use.
+type KeySampler struct {
+	weights []float64
+	heap    []keyed // max-heap of the current k smallest (key, index) pairs
+}
+
+type keyed struct {
+	key float64
+	idx int
+}
+
+// after reports whether a sorts after b in (key, index) order.
+func (a keyed) after(b keyed) bool {
+	return a.key > b.key || (a.key == b.key && a.idx > b.idx)
+}
+
+// NewKeySampler validates the weights once for every later Sample call.
+func NewKeySampler(weights []float64) (*KeySampler, error) {
 	if err := validateWeights(weights); err != nil {
 		return nil, err
 	}
+	return &KeySampler{weights: weights}, nil
+}
+
+// Sample appends k sampled indices to dst and returns the extended slice.
+// Only the k winning keys are kept (a size-k max-heap) and only they are
+// sorted, so a draw costs O(n log k) instead of a full sort of n keys.
+func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("randx: negative sample size %d", k)
 	}
-	if k > len(weights) {
-		k = len(weights)
-	}
-	type keyed struct {
-		key float64
-		idx int
-	}
-	keys := make([]keyed, len(weights))
-	for i, w := range weights {
+	k = min(k, len(s.weights))
+	h := s.heap[:0]
+	for i, w := range s.weights {
 		if w <= 0 {
-			// Zero-weight items can never be drawn: push them to the end.
-			keys[i] = keyed{key: math.Inf(1), idx: i}
 			continue
 		}
-		keys[i] = keyed{key: rng.ExpFloat64() / w, idx: i}
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
-	out := make([]int, 0, k)
-	for _, kv := range keys[:k] {
-		if math.IsInf(kv.key, 1) {
-			break // only zero-weight items remain
+		key := rng.ExpFloat64() / w
+		switch {
+		case len(h) < k:
+			// A weight so small its key overflows is never drawn, like a
+			// zero weight. (Once the heap is full its finite top keeps
+			// such keys out.)
+			if !math.IsInf(key, 1) {
+				h = append(h, keyed{key: key, idx: i})
+				siftUp(h, len(h)-1)
+			}
+		case k > 0 && key < h[0].key:
+			// Indices arrive in ascending order, so an equal key loses
+			// the tie to the heap top and only a smaller key displaces it.
+			h[0] = keyed{key: key, idx: i}
+			siftDown(h, 0)
 		}
-		out = append(out, kv.idx)
 	}
-	return out, nil
+	// Heapsort the winners in place into ascending (key, index) order.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	s.heap = h
+	dst = slices.Grow(dst, len(h))
+	for _, kv := range h {
+		dst = append(dst, kv.idx)
+	}
+	return dst, nil
+}
+
+func siftUp(h []keyed, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].after(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []keyed, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].after(h[c]) {
+			c++
+		}
+		if !h[c].after(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Shuffle permutes xs in place.

@@ -1,7 +1,11 @@
 package randx
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -182,6 +186,152 @@ func TestSampleWithoutReplacementBiased(t *testing.T) {
 	if hit < 190 {
 		t.Errorf("top-weight item appeared in only %d/200 samples", hit)
 	}
+}
+
+// referenceSampleWithoutReplacement is the original full-sort
+// implementation: one key per index, sort.Slice over all n keys, take the
+// first k finite ones. It is the oracle for the k-smallest selection. The
+// original comparator left exact key ties to the unstable sort; here they
+// go to the lower index, the documented tie rule. ExpFloat64 has about
+// 2^32 distinct fast-path values, so ties do occur at n in the thousands.
+func referenceSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) ([]int, error) {
+	if err := validateWeights(weights); err != nil {
+		return nil, err
+	}
+	if k < 0 {
+		return nil, fmt.Errorf("randx: negative sample size %d", k)
+	}
+	if k > len(weights) {
+		k = len(weights)
+	}
+	keys := make([]keyed, len(weights))
+	for i, w := range weights {
+		if w <= 0 {
+			keys[i] = keyed{key: math.Inf(1), idx: i}
+			continue
+		}
+		keys[i] = keyed{key: rng.ExpFloat64() / w, idx: i}
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		return keys[a].key < keys[b].key || (keys[a].key == keys[b].key && keys[a].idx < keys[b].idx)
+	})
+	out := make([]int, 0, k)
+	for _, kv := range keys[:k] {
+		if math.IsInf(kv.key, 1) {
+			break
+		}
+		out = append(out, kv.idx)
+	}
+	return out, nil
+}
+
+// checkAgainstReference runs the sampler and the reference on identical
+// streams and requires the same indices in the same order, the same error
+// outcome, and the same number of RNG draws consumed.
+func checkAgainstReference(t *testing.T, seed int64, weights []float64, k int) {
+	t.Helper()
+	rngGot, rngWant := New(seed), New(seed)
+	got, gotErr := SampleWithoutReplacement(rngGot, weights, k)
+	want, wantErr := referenceSampleWithoutReplacement(rngWant, weights, k)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("n=%d k=%d: error %v, reference error %v", len(weights), k, gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d seed=%d:\n got %v\nwant %v", len(weights), k, seed, got, want)
+	}
+	if rngGot.Int63() != rngWant.Int63() {
+		t.Fatalf("n=%d k=%d: RNG stream consumed differently from the reference", len(weights), k)
+	}
+}
+
+func TestSampleWithoutReplacementMatchesFullSort(t *testing.T) {
+	for _, n := range []int{1, 2, 50, 1000, 5000} {
+		for _, k := range []int{0, 1, n - 1, n, n + 7} {
+			for li := -4; li <= 4; li++ { // the Monte-Carlo lambda grid
+				lambda := float64(li) / 10
+				w := ExponentialWeights(n, lambda)
+				seed := Derive(int64(n), int64(k), int64(li))
+				checkAgainstReference(t, seed, w, k)
+
+				// Interleaved zero weights: every third item is unpublicized.
+				zw := slices.Clone(w)
+				for i := 1; i < len(zw); i += 3 {
+					zw[i] = 0
+				}
+				checkAgainstReference(t, seed+1, zw, k)
+			}
+		}
+	}
+}
+
+// constSource makes every Int63 draw the same value, so every ExpFloat64
+// (hence every key under equal weights) is identical.
+type constSource int64
+
+func (c constSource) Int63() int64 { return int64(c) }
+func (constSource) Seed(int64)     {}
+
+// Exact key ties are broken by index: the lowest indices win and come out
+// in index order.
+func TestSampleWithoutReplacementTiesGoToLowestIndex(t *testing.T) {
+	for _, src := range []constSource{0, 12345 << 31} {
+		rng := rand.New(src)
+		w := UniformWeights(20)
+		w[3] = 0 // skipped, not counted as a tie
+		got, err := SampleWithoutReplacement(rng, w, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
+			t.Fatalf("source %d: tied sample %v, want %v", src, got, want)
+		}
+	}
+}
+
+// Reusing one KeySampler across draws gives exactly what fresh calls give.
+func TestKeySamplerReuseMatchesFreshCalls(t *testing.T) {
+	w := ExponentialWeights(300, 0.3)
+	s, err := NewKeySampler(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rngA, rngB := New(17), New(17)
+	var buf []int
+	for _, k := range []int{40, 3, 0, 300, 12} {
+		buf, err = s.Sample(rngA, k, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SampleWithoutReplacement(rngB, w, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(buf, want) {
+			t.Fatalf("k=%d: reused sampler %v, fresh call %v", k, buf, want)
+		}
+	}
+	if _, err := s.Sample(rngA, -1, nil); err == nil {
+		t.Error("negative k not reported")
+	}
+}
+
+func FuzzSampleWithoutReplacement(f *testing.F) {
+	f.Add(int64(1), uint16(50), int16(10), 0.2, uint64(0))
+	f.Add(int64(2), uint16(1), int16(0), -0.4, uint64(0))
+	f.Add(int64(3), uint16(1000), int16(1007), 0.4, uint64(0xAAAA))
+	f.Add(int64(4), uint16(64), int16(63), 4.0, ^uint64(0)>>1)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, k int16, lambda float64, zeroMask uint64) {
+		if n == 0 || n > 5000 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+			return
+		}
+		w := ExponentialWeights(int(n), lambda)
+		for i := range w {
+			if zeroMask>>(i%64)&1 == 1 {
+				w[i] = 0
+			}
+		}
+		checkAgainstReference(t, seed, w, int(k))
+	})
 }
 
 func TestShuffle(t *testing.T) {
