@@ -89,5 +89,6 @@ fuzz-smoke:
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatBetweenKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatInKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzStringKernelParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race test bench-smoke serve-smoke crash-smoke fuzz-smoke

@@ -189,12 +189,8 @@ func BenchmarkMultiPassScanWarm(b *testing.B) {
 
 // BenchmarkMultiBucketQuery runs a query whose estimator set carries two
 // bucket passes with identical boundaries (same strategy, different
-// inner estimators) — the configuration the per-query sample-filter
-// cache targets: the second pass's sub-range restrictions are served
-// from the cache instead of re-filtering the root sample, and the
-// singleflight inside the cache keeps concurrent passes from building
-// the same sub-sample twice. Filter hits/misses appear in
-// DB.CacheStats (and `uuquery -cache-stats`).
+// inner estimators). Each pass builds all its buckets in one partition
+// pass over the root sample, so two passes cost two partitions.
 func BenchmarkMultiBucketQuery(b *testing.B) {
 	db, _ := buildColumnarBenchTable(b)
 	db.Estimators = []core.SumEstimator{
@@ -212,10 +208,4 @@ func BenchmarkMultiBucketQuery(b *testing.B) {
 			b.Fatal("empty result")
 		}
 	}
-	b.StopTimer()
-	s := db.CacheStats()
-	if s.FilterHits == 0 {
-		b.Fatal("sample-filter cache saw no hits")
-	}
-	b.ReportMetric(float64(s.FilterHits)/float64(s.FilterHits+s.FilterMisses), "filter-hit-rate")
 }

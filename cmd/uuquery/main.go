@@ -423,8 +423,6 @@ func printCacheStats(db *engine.DB, tbl *engine.Table, enabled bool) {
 		s.ResultHits, s.ResultMisses, s.ResultBytes, s.ResultEvictions)
 	fmt.Printf("           partials %d hits / %d misses (%d bytes, %d evictions; incremental per-shard requery)\n",
 		s.PartialHits, s.PartialMisses, s.PartialBytes, s.PartialEvictions)
-	fmt.Printf("           sample filters %d hits / %d misses (per-query bucket sub-range sharing)\n",
-		s.FilterHits, s.FilterMisses)
 	fmt.Printf("           string dicts %d entries (%d bytes resident)\n",
 		s.DictEntries, s.DictBytes)
 }

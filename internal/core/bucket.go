@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/freqstats"
@@ -111,14 +113,32 @@ type BucketStrategy interface {
 // carries per-entity source attribution with it, so a bucket's sub-sample
 // reports the exact per-source sizes n_j of its value range: an inner
 // Monte-Carlo estimator (or a streaker diagnosis) sees the true per-range
-// source profile, including sources concentrated in a single range.
-// FilterRange consults the sample's attached per-query filter cache (if
-// any): every bucket strategy of a query partitions the same population,
-// and a dynamic split re-tries boundaries its siblings already built, so
-// repeated sub-range restrictions become lookups instead of rebuilds.
+// source profile, including sources concentrated in a single range. Only
+// the materializing dynamic search of generic inners filters bucket by
+// bucket; every other strategy builds its buckets with rangeBuckets.
 func rangeSample(s *freqstats.Sample, inner SumEstimator, lo, hi float64, last bool) BucketResult {
 	sub := s.FilterRange(lo, hi, last)
 	return BucketResult{Lo: lo, Hi: hi, Sample: sub, Est: inner.EstimateSum(sub)}
+}
+
+// rangeBuckets builds the buckets [los[b], los[b+1]), the last one closed
+// at hi, in one partition pass over s and estimates each with inner. Each
+// bucket's sub-sample is exactly rangeSample's. Empty buckets are dropped
+// when dropEmpty is set.
+func rangeBuckets(s *freqstats.Sample, inner SumEstimator, los []float64, hi float64, dropEmpty bool) []BucketResult {
+	parts := s.PartitionRanges(los, hi)
+	out := make([]BucketResult, 0, len(parts))
+	for b, sub := range parts {
+		if dropEmpty && sub.C() == 0 {
+			continue
+		}
+		bHi := hi
+		if b+1 < len(los) {
+			bHi = los[b+1]
+		}
+		out = append(out, BucketResult{Lo: los[b], Hi: bHi, Sample: sub, Est: inner.EstimateSum(sub)})
+	}
+	return out
 }
 
 // EquiWidth is the static equi-width strategy of Section 3.3.1: the
@@ -150,17 +170,13 @@ func (w EquiWidth) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult
 	if lo == hi {
 		k = 1
 	}
-	out := make([]BucketResult, 0, k)
-	for i := 0; i < k; i++ {
-		bLo := lo + (hi-lo)*float64(i)/float64(k)
-		bHi := lo + (hi-lo)*float64(i+1)/float64(k)
-		br := rangeSample(s, inner, bLo, bHi, i == k-1)
-		if br.Sample.C() == 0 {
-			continue
-		}
-		out = append(out, br)
+	los := make([]float64, k)
+	for i := range los {
+		los[i] = lo + (hi-lo)*float64(i)/float64(k)
 	}
-	return out
+	// The top edge comes from the same formula as the others (i = k), not
+	// from hi, so every edge is exactly equation 12's.
+	return rangeBuckets(s, inner, los, lo+(hi-lo)*float64(k)/float64(k), true)
 }
 
 // EquiHeight is the static equi-height strategy of Appendix B: the sorted
@@ -183,21 +199,11 @@ func (h EquiHeight) k() int {
 
 // Split implements BucketStrategy.
 func (h EquiHeight) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult {
-	values := s.Values()
-	edges, err := stats.EquiHeightEdges(values, h.k())
+	edges, err := stats.EquiHeightEdges(s.Values(), h.k())
 	if err != nil || len(edges) < 2 {
 		return nil
 	}
-	out := make([]BucketResult, 0, len(edges)-1)
-	for i := 0; i+1 < len(edges); i++ {
-		last := i+2 == len(edges)
-		br := rangeSample(s, inner, edges[i], edges[i+1], last)
-		if br.Sample.C() == 0 {
-			continue
-		}
-		out = append(out, br)
-	}
-	return out
+	return rangeBuckets(s, inner, edges[:len(edges)-1], edges[len(edges)-1], true)
 }
 
 // Dynamic is the dynamic bucketing strategy of Algorithm 1 (Section
@@ -208,6 +214,13 @@ func (h EquiHeight) Split(s *freqstats.Sample, inner SumEstimator) []BucketResul
 // (equations 13-14), so a decrease in |Delta| signals that the finer value
 // resolution genuinely improved the estimate — the conservative
 // "only split to underestimate" rule.
+//
+// With the Naive or Frequency inner estimator the search runs on index
+// ranges of one value-sorted entity array (see splitRanges) and only the
+// final buckets are materialized, in one partition pass; any other inner
+// estimator is searched by materializing every candidate sub-sample. Both
+// give the same buckets. The root bucket spans [min, max] of the values
+// with stats.Min/Max semantics, so NaN-valued entities fall in no bucket.
 type Dynamic struct{}
 
 // Name implements BucketStrategy.
@@ -215,6 +228,12 @@ func (Dynamic) Name() string { return "dynamic" }
 
 // Split implements BucketStrategy.
 func (Dynamic) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult {
+	switch inner.(type) {
+	case Naive:
+		return splitRanges(s, inner, naiveSplitCost)
+	case Frequency:
+		return splitRanges(s, inner, freqSplitCost)
+	}
 	values := s.Values()
 	lo, ok := stats.Min(values)
 	if !ok {
@@ -265,19 +284,10 @@ func costSum(bs []BucketResult) float64 {
 
 // bestSplit searches every unique attribute value in b as a split point
 // and returns the sub-bucket pair minimizing rest + cost(t1) + cost(t2),
-// provided it strictly improves on keeping b whole. With the Naive or
-// Frequency inner estimators the candidate costs are computed by an
-// O(unique values) prefix-statistics sweep instead of materializing two
-// filtered samples per candidate, which turns the dynamic strategy from
-// quadratic to near-linear on large buckets; only the winning split is
-// materialized.
+// provided it strictly improves on keeping b whole. It materializes two
+// filtered samples per candidate, which works for any inner estimator;
+// splitRanges is the fast path for the inners it can price on aggregates.
 func bestSplit(b BucketResult, inner SumEstimator, rest float64) ([2]BucketResult, bool) {
-	switch inner.(type) {
-	case Naive:
-		return bestSplitSweep(b, inner, rest, naiveSplitCost)
-	case Frequency:
-		return bestSplitSweep(b, inner, rest, freqSplitCost)
-	}
 	uniq := uniqueSortedValues(b.Sample)
 	if len(uniq) < 2 {
 		return [2]BucketResult{}, false
@@ -313,6 +323,18 @@ type sideStats struct {
 	f1sum    float64 // sum of values over the singleton entities (phi_f1)
 }
 
+// add folds entity e into the side's counts and value sums.
+func (st *sideStats) add(e rangeEnt) {
+	st.n += e.count
+	st.c++
+	st.s2 += e.count * (e.count - 1)
+	st.sum += e.value
+	if e.count == 1 {
+		st.f1++
+		st.f1sum += e.value
+	}
+}
+
 // chao92FromStats replays species.Chao92's count estimate on aggregates.
 // ok is false when the side is degenerate: empty (cost 0) or pure
 // singletons (diverged, cost Inf); the caller maps that via divergedCost.
@@ -341,11 +363,13 @@ func chao92FromStats(st sideStats) (nHat, divergedCost float64, ok bool) {
 
 // naiveSplitCost replays the Naive-inner splitCost on aggregates: Inf for
 // a diverged (pure-singleton) side, |Delta| otherwise. The formulas mirror
-// species.Chao92 and Naive.EstimateSum term by term so split decisions
-// match the materialized path. (Value sums are accumulated in value order
-// rather than insertion order, so on non-integer data a candidate's cost
-// can differ from the materialized bucket's by float rounding; this only
-// matters for exact cost ties.)
+// species.Chao92 and Naive.EstimateSum term by term, so the cost equals
+// splitCost of the materialized bucket bit for bit whenever st.sum and
+// st.f1sum were added in the bucket's first-observation order — which is
+// how splitRanges prices a bucket it keeps. A split candidate's sides are
+// summed in value order instead, as the sweep walks them; on non-integer
+// data that can differ from the materialized cost in the last bits, which
+// only matters for exact cost ties.
 func naiveSplitCost(st sideStats) float64 {
 	nHat, cost, ok := chao92FromStats(st)
 	if !ok {
@@ -362,7 +386,8 @@ func naiveSplitCost(st sideStats) float64 {
 // mirroring Frequency.EstimateSum: singleton-mean substitution
 // phi_f1/f1 * (N-hat - c), with Delta 0 when the side has no singletons
 // (the sample looks complete to the frequency estimator) and Inf when it
-// is all singletons (diverged).
+// is all singletons (diverged). Summation order matters as for
+// naiveSplitCost.
 func freqSplitCost(st sideStats) float64 {
 	nHat, cost, ok := chao92FromStats(st)
 	if !ok {
@@ -378,86 +403,175 @@ func freqSplitCost(st sideStats) float64 {
 	return math.Abs(delta)
 }
 
-// bestSplitSweep scans candidate split points left to right over the
-// bucket's value-sorted entities, maintaining both sides' statistics
-// incrementally and pricing each side with cost, and materializes only the
-// winning split.
-func bestSplitSweep(b BucketResult, inner SumEstimator, rest float64, cost func(sideStats) float64) ([2]BucketResult, bool) {
-	s := b.Sample
-	ids := s.Entities()
-	type entity struct {
-		value float64
-		count int
-	}
-	ents := make([]entity, len(ids))
-	for i, id := range ids {
-		v, _ := s.Value(id)
-		ents[i] = entity{value: v, count: s.Count(id)}
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].value < ents[j].value })
-	if len(ents) < 2 || ents[0].value == ents[len(ents)-1].value {
-		return [2]BucketResult{}, false
-	}
+// rangeEnt is one entity of the dynamic search's columnar array: its value,
+// occurrence count and first-observation index.
+type rangeEnt struct {
+	value float64
+	count int
+	seq   int
+}
 
-	accumulate := func(st *sideStats, e entity, sign int) {
-		st.n += sign * e.count
-		st.c += sign
-		if e.count == 1 {
-			st.f1 += sign
-		}
-		st.s2 += sign * e.count * (e.count - 1)
+// rangeIndex is the dynamic search's columnar view of a sample: the
+// entities with value in the root range [lo, hi], sorted by (value,
+// first-observation index), and the inverse map from first-observation
+// index to sorted index (-1 for an entity in no bucket). The root range
+// follows stats.Min/Max: NaN values are skipped, unless the first value is
+// NaN, which makes the root range (and so every bucket) empty.
+type rangeIndex struct {
+	sorted []rangeEnt
+	pos    []int
+	lo, hi float64
+}
+
+// newRangeIndex reads s once into a rangeIndex; ok is false for an empty
+// sample.
+func newRangeIndex(s *freqstats.Sample) (x rangeIndex, ok bool) {
+	ents := make([]rangeEnt, 0, s.C())
+	s.EachEntity(func(v float64, count int) {
+		ents = append(ents, rangeEnt{value: v, count: count, seq: len(ents)})
+	})
+	if len(ents) == 0 {
+		return x, false
 	}
-	// The right side's sums (total and singleton) are accumulated
-	// right-to-left (not derived by subtraction) so both sides' sums are
-	// plain forward float additions.
-	suffixSum := make([]float64, len(ents)+1)
-	suffixF1Sum := make([]float64, len(ents)+1)
-	for i := len(ents) - 1; i >= 0; i-- {
-		suffixSum[i] = suffixSum[i+1] + ents[i].value
-		suffixF1Sum[i] = suffixF1Sum[i+1]
-		if ents[i].count == 1 {
-			suffixF1Sum[i] += ents[i].value
+	x.lo, x.hi = ents[0].value, ents[0].value
+	for _, e := range ents[1:] {
+		if e.value < x.lo {
+			x.lo = e.value
+		}
+		if e.value > x.hi {
+			x.hi = e.value
 		}
 	}
-	var left sideStats
-	var right sideStats
+	x.sorted = make([]rangeEnt, 0, len(ents))
 	for _, e := range ents {
-		accumulate(&right, e, 1)
+		if e.value >= x.lo && e.value <= x.hi {
+			x.sorted = append(x.sorted, e)
+		}
 	}
-	right.sum = suffixSum[0]
-	right.f1sum = suffixF1Sum[0]
+	slices.SortFunc(x.sorted, func(a, b rangeEnt) int {
+		if c := cmp.Compare(a.value, b.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	x.pos = make([]int, len(ents))
+	for k := range x.pos {
+		x.pos[k] = -1
+	}
+	for k, e := range x.sorted {
+		x.pos[e.seq] = k
+	}
+	return x, true
+}
 
-	deltaMin := rest + splitCost(b) // current total; splits must beat this
-	bestValue := 0.0
-	found := false
-	for i := 1; i < len(ents); i++ {
-		e := ents[i-1]
-		accumulate(&left, e, 1)
-		left.sum += e.value
-		if e.count == 1 {
-			left.f1sum += e.value
-		}
-		accumulate(&right, e, -1)
-		right.sum = suffixSum[i]
-		right.f1sum = suffixF1Sum[i]
-		if ents[i].value == e.value {
-			continue // not a boundary between unique values
-		}
-		// Candidate split at v = ents[i].value: left covers [b.Lo, v),
-		// right covers [v, b.Hi]. Both sides are non-empty by construction.
-		cand := rest + cost(left) + cost(right)
-		if deltaMin > cand {
-			deltaMin = cand
-			bestValue = ents[i].value
-			found = true
+// seqStats returns the aggregates of the bucket sorted[i:j] with its value
+// sums added in first-observation order — the order EstimateSum of the
+// bucket's sub-sample adds them in, so pricing them gives the bucket's
+// splitCost bit for bit.
+func (x rangeIndex) seqStats(i, j int) sideStats {
+	var st sideStats
+	for _, k := range x.pos {
+		if k >= i && k < j {
+			st.add(x.sorted[k])
 		}
 	}
-	if !found {
-		return [2]BucketResult{}, false
+	return st
+}
+
+// valueRange is a bucket of the dynamic search: the entities sorted[i:j]
+// of its rangeIndex, the value range [lo, hi) they span (closed at hi for
+// the last bucket), and the bucket's cost.
+type valueRange struct {
+	i, j   int
+	lo, hi float64
+	cost   float64
+}
+
+// splitRanges runs Algorithm 1 for an inner estimator priced by cost
+// (naiveSplitCost or freqSplitCost). The sample is read once into a
+// rangeIndex and every bucket is an index range of it, so a split neither
+// re-sorts nor filters: the candidate sweep walks the range, and only the
+// final buckets are materialized, in one partition pass. The result is
+// bit-identical to the materializing search:
+//   - a candidate's sides are summed in value order, left sums forward and
+//     right sums as suffix sums, exactly as that search's sweep did;
+//   - a bucket's own cost (which feeds rest and the bar a split must beat)
+//     comes from seqStats;
+//   - the FIFO queue, the done order and the cost summation order are the
+//     same.
+func splitRanges(s *freqstats.Sample, inner SumEstimator, cost func(sideStats) float64) []BucketResult {
+	x, ok := newRangeIndex(s)
+	if !ok {
+		return nil
 	}
-	t1 := rangeSample(b.Sample, inner, b.Lo, bestValue, false)
-	t2 := rangeSample(b.Sample, inner, bestValue, b.Hi, true)
-	return [2]BucketResult{t1, t2}, true
+	sorted := x.sorted
+	rangeCost := func(i, j int) float64 { return cost(x.seqStats(i, j)) }
+	totalCost := func(bs []valueRange) float64 {
+		var t float64
+		for _, b := range bs {
+			t += b.cost
+		}
+		return t
+	}
+	sufSum := make([]float64, len(sorted)+1)
+	sufF1Sum := make([]float64, len(sorted)+1)
+	// sweep returns the sorted index of the split value minimizing
+	// rest + cost(left) + cost(right), if that beats keeping b whole.
+	sweep := func(b valueRange, rest float64) (int, bool) {
+		ents := sorted[b.i:b.j]
+		if len(ents) < 2 || ents[0].value == ents[len(ents)-1].value {
+			return 0, false
+		}
+		sufSum[len(ents)], sufF1Sum[len(ents)] = 0, 0
+		var left, right sideStats
+		for k := len(ents) - 1; k >= 0; k-- {
+			right.add(ents[k])
+			sufSum[k], sufF1Sum[k] = right.sum, right.f1sum
+		}
+		deltaMin := rest + b.cost // current total; splits must beat this
+		best := 0
+		for k := 1; k < len(ents); k++ {
+			e := ents[k-1]
+			left.add(e)
+			right.n -= e.count
+			right.c--
+			right.s2 -= e.count * (e.count - 1)
+			if e.count == 1 {
+				right.f1--
+			}
+			right.sum, right.f1sum = sufSum[k], sufF1Sum[k]
+			if ents[k].value == e.value {
+				continue // not a boundary between unique values
+			}
+			if cand := rest + cost(left) + cost(right); deltaMin > cand {
+				deltaMin = cand
+				best = b.i + k
+			}
+		}
+		return best, best > 0
+	}
+
+	todo := []valueRange{{i: 0, j: len(sorted), lo: x.lo, hi: x.hi, cost: rangeCost(0, len(sorted))}}
+	var done []valueRange
+	for len(todo) > 0 {
+		b := todo[0]
+		todo = todo[1:]
+		rest := totalCost(todo) + totalCost(done)
+		if k, ok := sweep(b, rest); ok {
+			v := sorted[k].value
+			todo = append(todo,
+				valueRange{i: b.i, j: k, lo: b.lo, hi: v, cost: rangeCost(b.i, k)},
+				valueRange{i: k, j: b.j, lo: v, hi: b.hi, cost: rangeCost(k, b.j)})
+		} else {
+			done = append(done, b)
+		}
+	}
+	slices.SortFunc(done, func(a, b valueRange) int { return cmp.Compare(a.lo, b.lo) })
+	los := make([]float64, len(done))
+	for b, r := range done {
+		los[b] = r.lo
+	}
+	return rangeBuckets(s, inner, los, done[len(done)-1].hi, false)
 }
 
 func uniqueSortedValues(s *freqstats.Sample) []float64 {

@@ -2,13 +2,17 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/freqstats"
 	"repro/internal/randx"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestBucketEmptySample(t *testing.T) {
@@ -240,8 +244,9 @@ type materializedInner struct{ SumEstimator }
 // TestSweepMatchesMaterializedSplit: the O(unique values) sweep must pick
 // the same dynamic buckets as the materializing reference path, for both
 // inners it covers (Naive and, with per-side singleton value sums,
-// Frequency). Integer values keep both paths' float accumulation exact, so
-// the comparison is equality, not tolerance.
+// Frequency), with every estimate field equal. Integer values keep both
+// paths' float accumulation exact, so the comparison is equality, not
+// tolerance.
 func TestSweepMatchesMaterializedSplit(t *testing.T) {
 	for _, inner := range []SumEstimator{Naive{}, Frequency{}} {
 		for seed := int64(0); seed < 8; seed++ {
@@ -256,20 +261,7 @@ func TestSweepMatchesMaterializedSplit(t *testing.T) {
 			}
 			fast := Dynamic{}.Split(s, inner)
 			ref := Dynamic{}.Split(s, materializedInner{inner})
-			if len(fast) != len(ref) {
-				t.Fatalf("%s seed %d: sweep found %d buckets, reference %d",
-					inner.Name(), seed, len(fast), len(ref))
-			}
-			for i := range fast {
-				if fast[i].Lo != ref[i].Lo || fast[i].Hi != ref[i].Hi {
-					t.Errorf("%s seed %d bucket %d: sweep [%g,%g) vs reference [%g,%g)",
-						inner.Name(), seed, i, fast[i].Lo, fast[i].Hi, ref[i].Lo, ref[i].Hi)
-				}
-				if fast[i].Est.Delta != ref[i].Est.Delta {
-					t.Errorf("%s seed %d bucket %d: Delta %g vs %g",
-						inner.Name(), seed, i, fast[i].Est.Delta, ref[i].Est.Delta)
-				}
-			}
+			assertSameBuckets(t, fmt.Sprintf("%s seed %d", inner.Name(), seed), fast, ref)
 		}
 	}
 }
@@ -294,6 +286,335 @@ func TestBucketsSortedByRange(t *testing.T) {
 		}
 		if buckets[i].Lo < buckets[i-1].Hi-1e-9 {
 			t.Fatalf("buckets overlap: %v", bucketRanges(buckets))
+		}
+	}
+}
+
+// assertSameBuckets requires got and want to be the same buckets bit for
+// bit: ranges, every estimate field and each bucket's sub-sample.
+func assertSameBuckets(t testing.TB, label string, got, want []BucketResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d buckets %v, want %d %v", label, len(got), bucketRanges(got), len(want), bucketRanges(want))
+	}
+	bits := math.Float64bits
+	for i := range got {
+		g, w := got[i], want[i]
+		if bits(g.Lo) != bits(w.Lo) || bits(g.Hi) != bits(w.Hi) {
+			t.Errorf("%s bucket %d: range [%v,%v], want [%v,%v]", label, i, g.Lo, g.Hi, w.Lo, w.Hi)
+		}
+		ge, we := g.Est, w.Est
+		if bits(ge.Delta) != bits(we.Delta) || bits(ge.Observed) != bits(we.Observed) ||
+			bits(ge.Estimated) != bits(we.Estimated) || bits(ge.CountEstimated) != bits(we.CountEstimated) ||
+			bits(ge.Coverage) != bits(we.Coverage) || ge.CountObserved != we.CountObserved ||
+			ge.Valid != we.Valid || ge.Diverged != we.Diverged || ge.LowCoverage != we.LowCoverage {
+			t.Errorf("%s bucket %d: estimate %+v, want %+v", label, i, ge, we)
+		}
+		if g.Sample.Fingerprint() != w.Sample.Fingerprint() {
+			t.Errorf("%s bucket %d: sub-sample fingerprint differs", label, i)
+		}
+		if !maps.Equal(g.Sample.SourceContributions(), w.Sample.SourceContributions()) {
+			t.Errorf("%s bucket %d: source contributions %v, want %v",
+				label, i, g.Sample.SourceContributions(), w.Sample.SourceContributions())
+		}
+	}
+}
+
+// referenceDynamicSplit is the dynamic strategy searched on materialized
+// buckets: every split re-sorts its bucket, sweeps it, and materializes
+// both children with FilterRange. It is the oracle the index-range search
+// must reproduce bit for bit.
+func referenceDynamicSplit(s *freqstats.Sample, inner SumEstimator) []BucketResult {
+	values := s.Values()
+	lo, ok := stats.Min(values)
+	if !ok {
+		return nil
+	}
+	hi, _ := stats.Max(values)
+
+	todo := []BucketResult{rangeSample(s, inner, lo, hi, true)}
+	var done []BucketResult
+
+	for len(todo) > 0 {
+		b := todo[0]
+		todo = todo[1:]
+		rest := costSum(todo) + costSum(done)
+
+		var best [2]BucketResult
+		var ok bool
+		switch inner.(type) {
+		case Naive:
+			best, ok = referenceBestSplitSweep(b, inner, rest, naiveSplitCost)
+		case Frequency:
+			best, ok = referenceBestSplitSweep(b, inner, rest, freqSplitCost)
+		default:
+			best, ok = bestSplit(b, inner, rest)
+		}
+		if ok {
+			todo = append(todo, best[0], best[1])
+		} else {
+			done = append(done, b)
+		}
+	}
+	sort.Slice(done, func(i, j int) bool { return done[i].Lo < done[j].Lo })
+	return done
+}
+
+// referenceBestSplitSweep is the prefix-statistics sweep over a
+// materialized bucket that referenceDynamicSplit uses.
+func referenceBestSplitSweep(b BucketResult, inner SumEstimator, rest float64, cost func(sideStats) float64) ([2]BucketResult, bool) {
+	s := b.Sample
+	ids := s.Entities()
+	type entity struct {
+		value float64
+		count int
+	}
+	ents := make([]entity, len(ids))
+	for i, id := range ids {
+		v, _ := s.Value(id)
+		ents[i] = entity{value: v, count: s.Count(id)}
+	}
+	sort.Slice(ents, func(i, j int) bool { return ents[i].value < ents[j].value })
+	if len(ents) < 2 || ents[0].value == ents[len(ents)-1].value {
+		return [2]BucketResult{}, false
+	}
+
+	accumulate := func(st *sideStats, e entity, sign int) {
+		st.n += sign * e.count
+		st.c += sign
+		if e.count == 1 {
+			st.f1 += sign
+		}
+		st.s2 += sign * e.count * (e.count - 1)
+	}
+	suffixSum := make([]float64, len(ents)+1)
+	suffixF1Sum := make([]float64, len(ents)+1)
+	for i := len(ents) - 1; i >= 0; i-- {
+		suffixSum[i] = suffixSum[i+1] + ents[i].value
+		suffixF1Sum[i] = suffixF1Sum[i+1]
+		if ents[i].count == 1 {
+			suffixF1Sum[i] += ents[i].value
+		}
+	}
+	var left sideStats
+	var right sideStats
+	for _, e := range ents {
+		accumulate(&right, e, 1)
+	}
+	right.sum = suffixSum[0]
+	right.f1sum = suffixF1Sum[0]
+
+	deltaMin := rest + splitCost(b)
+	bestValue := 0.0
+	found := false
+	for i := 1; i < len(ents); i++ {
+		e := ents[i-1]
+		accumulate(&left, e, 1)
+		left.sum += e.value
+		if e.count == 1 {
+			left.f1sum += e.value
+		}
+		accumulate(&right, e, -1)
+		right.sum = suffixSum[i]
+		right.f1sum = suffixF1Sum[i]
+		if ents[i].value == e.value {
+			continue
+		}
+		cand := rest + cost(left) + cost(right)
+		if deltaMin > cand {
+			deltaMin = cand
+			bestValue = ents[i].value
+			found = true
+		}
+	}
+	if !found {
+		return [2]BucketResult{}, false
+	}
+	t1 := rangeSample(b.Sample, inner, b.Lo, bestValue, false)
+	t2 := rangeSample(b.Sample, inner, bestValue, b.Hi, true)
+	return [2]BucketResult{t1, t2}, true
+}
+
+// syntheticCuts returns the 16 "value > k" restrictions of the correlated
+// synthetic population: k runs through the 16-quantiles of the entity
+// values, so the cuts range from the whole sample to its top sixteenth.
+func syntheticCuts(t testing.TB) []*freqstats.Sample {
+	t.Helper()
+	d, err := dataset.Synthetic(1, 2000, 1, 0.5, 10, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := freqstats.NewSample()
+	if err := s.AddAll(d.Stream.Observations); err != nil {
+		t.Fatal(err)
+	}
+	values := s.Values()
+	sort.Float64s(values)
+	out := make([]*freqstats.Sample, 16)
+	for i := range out {
+		k := values[i*len(values)/16] - 1
+		out[i] = s.Filter(func(_ string, v float64) bool { return v > k })
+	}
+	return out
+}
+
+// paritySample draws n entities with values by mode — 0: integers with
+// many repeats, 1: normal, 2: exponential, 3: each entity picks one of the
+// three — where with probability tieRate/256 an entity reuses an earlier
+// entity's value. Half the entities are singletons; the rest are seen up
+// to six times by eight sources.
+func paritySample(t testing.TB, seed int64, n int, mode, tieRate uint8) *freqstats.Sample {
+	rng := rand.New(rand.NewSource(seed))
+	s := freqstats.NewSample()
+	values := make([]float64, 0, n)
+	for e := 0; e < n; e++ {
+		m := int(mode % 4)
+		if m == 3 {
+			m = rng.Intn(3)
+		}
+		var v float64
+		switch m {
+		case 0:
+			v = float64(rng.Intn(30) * 10)
+		case 1:
+			v = rng.NormFloat64()*150 + 400
+		case 2:
+			v = rng.ExpFloat64() * 250
+		}
+		if len(values) > 0 && rng.Intn(256) < int(tieRate) {
+			v = values[rng.Intn(len(values))]
+		}
+		values = append(values, v)
+		id := fmt.Sprintf("e%d", e)
+		for count := 1; ; count++ {
+			mustAdd(t, s, id, v, fmt.Sprintf("s%d", rng.Intn(8)))
+			if count == 6 || rng.Intn(2) == 0 {
+				break
+			}
+		}
+	}
+	return s
+}
+
+// checkDynamicParity compares the index-range search with the reference
+// for both inners it serves.
+func checkDynamicParity(t testing.TB, label string, s *freqstats.Sample) {
+	t.Helper()
+	for _, inner := range []SumEstimator{Naive{}, Frequency{}} {
+		l := label + " " + inner.Name()
+		assertSameBuckets(t, l, Dynamic{}.Split(s, inner), referenceDynamicSplit(s, inner))
+	}
+}
+
+// TestDynamicSplitMatchesReference: the index-range search yields the
+// reference's buckets bit for bit on the synthetic cuts, on float-valued
+// samples with ties, and on degenerate samples.
+func TestDynamicSplitMatchesReference(t *testing.T) {
+	for i, s := range syntheticCuts(t) {
+		checkDynamicParity(t, fmt.Sprintf("synthetic cut %d", i), s)
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		mode, tie := uint8(seed%4), uint8(seed*37%256)
+		checkDynamicParity(t, fmt.Sprintf("seed %d mode %d tie %d", seed, mode, tie),
+			paritySample(t, seed, 20+int(seed)*7, mode, tie))
+	}
+
+	edge := map[string]func(s *freqstats.Sample){
+		"NaN value": func(s *freqstats.Sample) {
+			mustAdd(t, s, "a", 10, "s1")
+			mustAdd(t, s, "a", 10, "s2")
+			mustAdd(t, s, "nan", math.NaN(), "s1")
+			mustAdd(t, s, "b", 20, "s1")
+			mustAdd(t, s, "c", 30, "s2")
+			mustAdd(t, s, "c", 30, "s3")
+		},
+		"NaN value observed first": func(s *freqstats.Sample) {
+			mustAdd(t, s, "nan", math.NaN(), "s1")
+			mustAdd(t, s, "a", 10, "s1")
+			mustAdd(t, s, "a", 10, "s2")
+			mustAdd(t, s, "b", 20, "s1")
+		},
+		"single entity": func(s *freqstats.Sample) {
+			mustAdd(t, s, "a", 5, "s1")
+			mustAdd(t, s, "a", 5, "s2")
+		},
+		"single distinct value": func(s *freqstats.Sample) {
+			for i := 0; i < 6; i++ {
+				for j := 0; j <= i%3; j++ {
+					mustAdd(t, s, fmt.Sprintf("e%d", i), 7.5, fmt.Sprintf("s%d", j))
+				}
+			}
+		},
+		"pure singletons": func(s *freqstats.Sample) {
+			for i := 0; i < 8; i++ {
+				mustAdd(t, s, fmt.Sprintf("e%d", i), float64(i)*1.25, fmt.Sprintf("s%d", i%3))
+			}
+		},
+	}
+	for name, build := range edge {
+		s := freqstats.NewSample()
+		build(s)
+		checkDynamicParity(t, name, s)
+	}
+}
+
+// FuzzDynamicSplitParity: for any sample paritySample can draw, the
+// index-range search and the reference agree bit for bit.
+func FuzzDynamicSplitParity(f *testing.F) {
+	f.Add(int64(1), uint16(40), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(120), uint8(1), uint8(64))
+	f.Add(int64(3), uint16(200), uint8(2), uint8(200))
+	f.Add(int64(4), uint16(3), uint8(3), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode, tieRate uint8) {
+		s := paritySample(t, seed, 1+int(n%300), mode, tieRate)
+		checkDynamicParity(t, fmt.Sprintf("seed %d n %d mode %d tie %d", seed, n, mode, tieRate), s)
+	})
+}
+
+// TestRangeIndexBucketCostMatchesMaterialized: a bucket's cost from
+// seqStats equals splitCost of its materialized sub-sample bit for bit,
+// for every inner the index-range search serves, on float values where
+// the summation order shows in the last bits.
+func TestRangeIndexBucketCostMatchesMaterialized(t *testing.T) {
+	samples := syntheticCuts(t)[:4]
+	for seed := int64(0); seed < 12; seed++ {
+		samples = append(samples, paritySample(t, seed, 80, uint8(1+seed%3), 40))
+	}
+	inners := []struct {
+		inner SumEstimator
+		cost  func(sideStats) float64
+	}{{Naive{}, naiveSplitCost}, {Frequency{}, freqSplitCost}}
+	rng := rand.New(rand.NewSource(1))
+	for si, s := range samples {
+		x, ok := newRangeIndex(s)
+		if !ok {
+			t.Fatal("empty sample")
+		}
+		var bounds []int // sorted indexes where a new value starts, plus the end
+		for k := range x.sorted {
+			if k == 0 || x.sorted[k-1].value != x.sorted[k].value {
+				bounds = append(bounds, k)
+			}
+		}
+		bounds = append(bounds, len(x.sorted))
+		for trial := 0; trial < 60; trial++ {
+			a := rng.Intn(len(bounds) - 1)
+			b := a + 1 + rng.Intn(len(bounds)-1-a)
+			i, j := bounds[a], bounds[b]
+			last := j == len(x.sorted)
+			hi := x.hi
+			if !last {
+				hi = x.sorted[j].value
+			}
+			sub := s.FilterRange(x.sorted[i].value, hi, last)
+			for _, in := range inners {
+				got := in.cost(x.seqStats(i, j))
+				want := splitCost(BucketResult{Est: in.inner.EstimateSum(sub)})
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("sample %d %s bucket [%d,%d): cost %v, materialized %v",
+						si, in.inner.Name(), i, j, got, want)
+				}
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/freqstats"
+	"repro/internal/species"
 )
 
 // toyBefore builds the Appendix F toy example before source s5:
@@ -163,6 +164,30 @@ func TestNaiveEmptyAndDegenerate(t *testing.T) {
 	}
 	if math.IsInf(est.Estimated, 0) || math.IsNaN(est.Estimated) {
 		t.Errorf("degenerate estimate not finite: %g", est.Estimated)
+	}
+}
+
+// TestFrequencyDeterministicOnFloats: the singleton mean is summed in
+// first-observation order, so on values whose sum depends on the order the
+// frequency estimate has the same bits on every call.
+func TestFrequencyDeterministicOnFloats(t *testing.T) {
+	s := freqstats.NewSample()
+	values := []float64{1e16, 1, -1e16, 0.1}
+	for i, v := range values {
+		mustAdd(t, s, fmt.Sprintf("e%d", i), v, "s1")
+	}
+	mustAdd(t, s, "dup", 7, "s1")
+	mustAdd(t, s, "dup", 7, "s2")
+	var phiF1 float64
+	for _, v := range values {
+		phiF1 += v
+	}
+	sp := species.Chao92(s)
+	want := phiF1 / float64(len(values)) * (sp.N - float64(s.C()))
+	for i := 0; i < 100; i++ {
+		if got := (Frequency{}).EstimateSum(s).Delta; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Delta = %v, want %v", i, got, want)
+		}
 	}
 }
 

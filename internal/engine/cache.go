@@ -77,11 +77,6 @@ type CacheStats struct {
 	ResultHits, ResultMisses   uint64
 	ResultEvictions            uint64
 	ResultBytes                int
-	// FilterHits/FilterMisses count the executor's per-query sample-filter
-	// cache (freqstats.FilterCache): bucket sub-range samples shared across
-	// estimator passes vs built fresh. Unlike the other layers the cache
-	// itself lives only for one query; the counters accumulate on the DB.
-	FilterHits, FilterMisses uint64
 	// DictEntries/DictBytes snapshot the string-dictionary footprint: the
 	// total cardinality (distinct interned strings, summed over shards —
 	// every shard pre-interns the empty string) and the resident bytes of
@@ -109,8 +104,6 @@ func (s *CacheStats) add(other CacheStats) {
 	s.ResultMisses += other.ResultMisses
 	s.ResultEvictions += other.ResultEvictions
 	s.ResultBytes += other.ResultBytes
-	s.FilterHits += other.FilterHits
-	s.FilterMisses += other.FilterMisses
 	s.DictEntries += other.DictEntries
 	s.DictBytes += other.DictBytes
 }

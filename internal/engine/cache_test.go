@@ -485,3 +485,71 @@ func TestConcurrentInsertNeverServesStaleEpoch(t *testing.T) {
 		t.Fatal("quiesced warm sample differs from cache-free rebuild")
 	}
 }
+
+// multiBucketEstimators is an estimator set with two bucket passes that
+// partition the sample identically (same strategy, different inner
+// estimators), fanned out in parallel over one sample.
+func multiBucketEstimators() []core.SumEstimator {
+	return []core.SumEstimator{
+		core.Bucket{Strategy: core.EquiWidth{K: 8}, Inner: core.Naive{}},
+		core.Bucket{Strategy: core.EquiWidth{K: 8}, Inner: core.Frequency{}},
+	}
+}
+
+// TestMultiBucketEstimateParity: two bucket passes over one query's sample
+// give bit-identical estimates to each pass run alone on a fresh database.
+func TestMultiBucketEstimateParity(t *testing.T) {
+	const sql = "SELECT SUM(v) FROM t WHERE v >= 100 AND v < 900"
+	db, _ := buildCacheTable(t, 1200)
+	db.Estimators = multiBucketEstimators()
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, est := range multiBucketEstimators() {
+		solo, _ := buildCacheTable(t, 1200)
+		solo.Estimators = []core.SumEstimator{est}
+		soloRes, err := solo.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := est.Name()
+		if !reflect.DeepEqual(res.Estimates[name], soloRes.Estimates[name]) {
+			t.Errorf("%s: shared-sample estimate %+v != solo estimate %+v",
+				name, res.Estimates[name], soloRes.Estimates[name])
+		}
+	}
+}
+
+// TestMultiBucketWarmColdParity: with two bucket passes, a warm result
+// (served by the result cache) and a cold rebuild on a fresh database
+// match bit for bit — fingerprints, per-source attribution, and every
+// estimator number.
+func TestMultiBucketWarmColdParity(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT SUM(v) FROM t WHERE v >= 100 AND v < 900",
+		"SELECT SUM(v) FROM t GROUP BY grp",
+	} {
+		db, _ := buildCacheTable(t, 1200)
+		db.Estimators = multiBucketEstimators()
+		db.EnableResultCache(16 << 20)
+		cold, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != cold {
+			t.Errorf("%s: warm query was not served from the result cache", sql)
+		}
+		rebuild, _ := buildCacheTable(t, 1200)
+		rebuild.Estimators = multiBucketEstimators()
+		coldAgain, err := rebuild.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsEqual(t, sql, warm, coldAgain)
+	}
+}

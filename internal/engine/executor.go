@@ -35,10 +35,6 @@ type DB struct {
 	// when disabled. Atomic so enabling/disabling at runtime is safe
 	// against concurrent queries.
 	results atomic.Pointer[resultCache]
-	// filterHits/filterMisses accumulate the per-query sample-filter cache
-	// counters (freqstats.FilterCache) across all queries; the caches
-	// themselves are query-scoped.
-	filterHits, filterMisses atomic.Uint64
 	// scanLimits and ingestCfg hold Open-time per-table options
 	// (WithScanCacheLimits, WithIngest), applied to each table at
 	// CreateTable/Load adoption; ingesters collects the auto-started
@@ -87,53 +83,7 @@ func (db *DB) CacheStats() CacheStats {
 	if rc := db.results.Load(); rc != nil {
 		stats.add(rc.stats())
 	}
-	stats.FilterHits = db.filterHits.Load()
-	stats.FilterMisses = db.filterMisses.Load()
 	return stats
-}
-
-// filterCacheWorthwhile reports whether the active estimator set contains
-// at least two bucket passes. Only the bucket estimator restricts the
-// sample into sub-ranges (naive/frequency/Monte-Carlo and the Section 4
-// bound never call Filter), so with a single bucket pass every probe of a
-// per-query filter cache would miss and the cache would be pure
-// fingerprinting overhead; with two or more strategies partitioning the
-// same population, sub-range samples repeat and sharing pays.
-func (db *DB) filterCacheWorthwhile() bool {
-	n := 0
-	for _, est := range db.estimators() {
-		if _, ok := est.(core.Bucket); ok {
-			n++
-		}
-	}
-	return n >= 2
-}
-
-// withFilterCache attaches one fresh per-query FilterCache to the given
-// samples (the scan's root, or every GROUP BY group — groups share one
-// cache; fingerprint keying keeps their entries apart) and returns the
-// detach function: it unhooks the samples, folds the counters into the
-// DB, and resets the cache so result-cached samples do not pin the
-// query's whole bucket tree. When the estimator configuration cannot
-// share filters (see filterCacheWorthwhile) no cache is attached and the
-// detach is a no-op.
-func (db *DB) withFilterCache(samples ...*freqstats.Sample) func() {
-	if !db.filterCacheWorthwhile() {
-		return func() {}
-	}
-	fc := freqstats.NewFilterCache()
-	for _, s := range samples {
-		s.SetFilterCache(fc)
-	}
-	return func() {
-		for _, s := range samples {
-			s.SetFilterCache(nil)
-		}
-		h, m := fc.Stats()
-		db.filterHits.Add(h)
-		db.filterMisses.Add(m)
-		fc.Reset()
-	}
 }
 
 // DefaultEstimators returns the paper's four SUM estimators in their
@@ -425,11 +375,6 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 			return nil, err
 		}
 		res := &Result{Query: q, Groups: make([]GroupResult, len(groups))}
-		groupSamples := make([]*freqstats.Sample, len(groups))
-		for i := range groups {
-			groupSamples[i] = groups[i].Sample
-		}
-		detach := db.withFilterCache(groupSamples...)
 		// Groups are independent: estimate them in parallel. Each group
 		// additionally fans its estimators out, but nested parallelFor
 		// calls draw from one shared slot pool, so total engine
@@ -444,7 +389,6 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 			res.Groups[i] = GroupResult{Key: groups[i].Key, Result: sub}
 			return nil
 		})
-		detach()
 		if err != nil {
 			return nil, err
 		}
@@ -462,12 +406,7 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	// Estimator passes over this query share their bucket sub-range
-	// filters; the cache detaches (and its counters land on the DB) before
-	// the result is published or cached.
-	detach := db.withFilterCache(sample)
 	res, err := db.executeOnSample(ctx, q, sample)
-	detach()
 	if err != nil {
 		return nil, err
 	}

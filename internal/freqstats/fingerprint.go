@@ -40,8 +40,7 @@ func fnvUint64(h, x uint64) uint64 {
 // is independent of observation order; it changes whenever an entity, a
 // value, a count or any attribution cell changes. Cost is O(c + total
 // attribution cells) on the first call; the result is memoized until the
-// next mutation (FilterCache probes fingerprint the same sample once per
-// bucket, so the memo is what keeps cache lookups O(1) amortized).
+// next mutation.
 func (s *Sample) Fingerprint() uint64 {
 	if s.fpValid.Load() {
 		return s.fpMemo.Load()

@@ -29,6 +29,7 @@ package freqstats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -83,18 +84,14 @@ type Sample struct {
 	// its arena neighbor.
 	srcArena []srcCount
 
-	// fpMemo/fpValid memoize Fingerprint: estimators fingerprint the same
-	// sample repeatedly (every FilterRange cache probe), and the content
-	// hash is deterministic, so a stale-free memo is just an atomic pair —
-	// value first, flag second — invalidated by every mutation
-	// (bumpEntity, the chokepoint of Add/AddEntityObservations/Merge).
-	// Concurrent recomputation is benign: all writers store the same value.
+	// fpMemo/fpValid memoize Fingerprint: the result cache fingerprints the
+	// same sample repeatedly, and the content hash is deterministic, so a
+	// stale-free memo is just an atomic pair — value first, flag second —
+	// invalidated by every mutation (bumpEntity, the chokepoint of
+	// Add/AddEntityObservations/Merge). Concurrent recomputation is benign:
+	// all writers store the same value.
 	fpMemo  atomic.Uint64
 	fpValid atomic.Bool
-
-	// fcache, when set, shares FilterRange results across estimator passes
-	// of one query; see FilterCache.
-	fcache *FilterCache
 }
 
 // NewSample returns an empty sample.
@@ -385,15 +382,25 @@ func (s *Sample) SumValues() float64 {
 }
 
 // SumSingletonValues returns phi_f1: the sum of attribute values over the
-// entities observed exactly once (paper Section 3.2).
+// entities observed exactly once (paper Section 3.2). Like SumValues it
+// adds in first-observation order, so the result is the same on every call.
 func (s *Sample) SumSingletonValues() float64 {
 	var sum float64
-	for _, es := range s.ents {
-		if es.count == 1 {
+	for _, id := range s.order {
+		if es := s.ents[id]; es.count == 1 {
 			sum += es.value
 		}
 	}
 	return sum
+}
+
+// EachEntity calls fn with the value and occurrence count of every unique
+// entity, in first-observation order.
+func (s *Sample) EachEntity(fn func(value float64, count int)) {
+	for _, id := range s.order {
+		es := s.ents[id]
+		fn(es.value, es.count)
+	}
 }
 
 // SourceSizes returns the per-source contribution sizes n_j, sorted by
@@ -510,80 +517,119 @@ func (s *Sample) Filter(keep func(id string, value float64) bool) *Sample {
 	// attribution is at least as large, so the bound cannot dominate live
 	// memory.
 	out := NewSampleWithCapacity(0, len(s.srcNames), s.n)
-	// trans lazily maps this sample's source IDs to the output's, so only
-	// sources with kept observations are interned in the result.
-	trans := make([]int32, len(s.srcNames))
-	for i := range trans {
-		trans[i] = -1
-	}
+	trans := newSourceTrans(len(s.srcNames))
 	for _, id := range s.order {
-		es := s.ents[id]
-		if !keep(id, es.value) {
-			continue
+		if es := s.ents[id]; keep(id, es.value) {
+			out.appendFrom(s, id, es, trans)
 		}
-		dup := es
-		// Carve the translated vector out of the output's arena (growing it
-		// amortizes to a handful of allocations across the whole filter; a
-		// mid-entity grow is fine, the final carve sees the final array).
-		start := len(out.srcArena)
-		for _, sc := range es.srcs {
-			local := trans[sc.src]
-			if local < 0 {
-				local = out.InternSource(s.srcNames[sc.src])
-				trans[sc.src] = local
-			}
-			out.srcArena = append(out.srcArena, srcCount{src: local, cnt: sc.cnt})
-			out.srcTotals[local] += int(sc.cnt)
-		}
-		dup.srcs = out.srcArena[start:len(out.srcArena):len(out.srcArena)]
-		out.ents[id] = dup
-		out.order = append(out.order, id)
-		out.n += es.count
-		out.fstat[es.count]++
 	}
 	return out
 }
 
-// SetFilterCache attaches (or, with nil, detaches) a per-query filter
-// cache. FilterRange results computed while the cache is attached are
-// shared by fingerprint, and sub-samples it returns inherit the cache so
-// nested restrictions (dynamic bucket splits) share too. Samples returned
-// from a cache hit are shared between estimator passes and must be
-// treated as read-only — which estimators do by construction.
-func (s *Sample) SetFilterCache(c *FilterCache) { s.fcache = c }
+// newSourceTrans returns a source-ID translation table for appendFrom with
+// every entry unmapped.
+func newSourceTrans(n int) []int32 {
+	trans := make([]int32, n)
+	for i := range trans {
+		trans[i] = -1
+	}
+	return trans
+}
 
-// FilterCacheHandle returns the attached filter cache (nil when none).
-func (s *Sample) FilterCacheHandle() *FilterCache { return s.fcache }
+// appendFrom adds entity id, with its stat es in the sample src, to out.
+// trans lazily maps src's source IDs to out's (-1 = not yet interned), so
+// only sources with kept observations are interned in out, in first-use
+// order.
+func (out *Sample) appendFrom(src *Sample, id string, es entityStat, trans []int32) {
+	// Carve the translated vector out of the output's arena (growing it
+	// amortizes to a handful of allocations across the whole filter; a
+	// mid-entity grow is fine, the final carve sees the final array).
+	start := len(out.srcArena)
+	for _, sc := range es.srcs {
+		local := trans[sc.src]
+		if local < 0 {
+			local = out.InternSource(src.srcNames[sc.src])
+			trans[sc.src] = local
+		}
+		out.srcArena = append(out.srcArena, srcCount{src: local, cnt: sc.cnt})
+		out.srcTotals[local] += int(sc.cnt)
+	}
+	es.srcs = out.srcArena[start:len(out.srcArena):len(out.srcArena)]
+	out.ents[id] = es
+	out.order = append(out.order, id)
+	out.n += es.count
+	out.fstat[es.count]++
+}
 
 // FilterRange returns the sample restricted to entities whose value v
 // satisfies lo <= v < hi (lo <= v <= hi when inclusiveHi) — the bucket
-// sub-range restriction of the paper's bucket estimators. Semantically it
-// is exactly Filter with the range predicate; when a FilterCache is
-// attached, the result is shared across passes keyed by the sample's
-// content fingerprint and the canonical predicate, so the second
-// estimator asking for the same sub-range of the same population gets
-// the already-built sub-sample back instead of rebuilding it.
+// sub-range restriction of the paper's bucket estimators. It is exactly
+// Filter with the range predicate, so NaN-valued entities are never kept.
 func (s *Sample) FilterRange(lo, hi float64, inclusiveHi bool) *Sample {
-	keep := func(_ string, v float64) bool {
+	return s.Filter(func(_ string, v float64) bool {
 		if inclusiveHi {
 			return v >= lo && v <= hi
 		}
 		return v >= lo && v < hi
-	}
-	c := s.fcache
-	if c == nil {
-		return s.Filter(keep)
-	}
-	key := predKey{
-		lo:          math.Float64bits(lo),
-		hi:          math.Float64bits(hi),
-		inclusiveHi: inclusiveHi,
-	}
-	return c.do(s.Fingerprint(), key, func() *Sample {
-		sub := s.Filter(keep)
-		sub.fcache = c
-		return sub
 	})
+}
+
+// PartitionRanges splits the sample into consecutive value ranges in one
+// pass: part b holds the entities with los[b] <= v < los[b+1], and the last
+// part those with los[len(los)-1] <= v <= hi. Each part equals FilterRange
+// of its range — same entities in the same first-observation order, same
+// attribution, sources interned in the same order — so a bucket strategy
+// builds all its buckets at once instead of filtering once per bucket.
+// los must be non-decreasing apart from NaN bounds. The range between two
+// equal bounds is empty, as is a range with a NaN edge; entities in no
+// range, NaN-valued ones included, belong to no part.
+func (s *Sample) PartitionRanges(los []float64, hi float64) []*Sample {
+	k := len(los)
+	nanBound := slices.ContainsFunc(los, math.IsNaN)
+	// part returns the index of the range holding v, or -1: the largest b
+	// with los[b] <= v, provided v is below that range's upper edge. A NaN
+	// bound breaks binary search, so bounds are then scanned linearly.
+	part := func(v float64) int {
+		b := k - 1
+		if nanBound {
+			for b >= 0 && !(los[b] <= v) {
+				b--
+			}
+		} else {
+			b = sort.Search(k, func(i int) bool { return los[i] > v }) - 1
+		}
+		if b < 0 || (b+1 < k && !(v < los[b+1])) || (b+1 == k && !(v <= hi)) {
+			return -1
+		}
+		return b
+	}
+	// First pass: assign every entity and size each part, so each part is
+	// built presized and the map is read once per entity.
+	stats := make([]entityStat, len(s.order))
+	assign := make([]int, len(s.order))
+	c := make([]int, k)
+	n := make([]int, k)
+	for i, id := range s.order {
+		stats[i] = s.ents[id]
+		b := part(stats[i].value)
+		assign[i] = b
+		if b >= 0 {
+			c[b]++
+			n[b] += stats[i].count
+		}
+	}
+	parts := make([]*Sample, k)
+	trans := make([][]int32, k)
+	for b := range parts {
+		parts[b] = NewSampleWithCapacity(c[b], len(s.srcNames), n[b])
+		trans[b] = newSourceTrans(len(s.srcNames))
+	}
+	for i, id := range s.order {
+		if b := assign[i]; b >= 0 {
+			parts[b].appendFrom(s, id, stats[i], trans[b])
+		}
+	}
+	return parts
 }
 
 // Merge folds another sample into this one, as if other's observations had

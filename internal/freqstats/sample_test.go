@@ -2,7 +2,10 @@ package freqstats
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -491,5 +494,223 @@ func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func rangeTestSample(t *testing.T) *Sample {
+	t.Helper()
+	s := NewSample()
+	for i := 0; i < 50; i++ {
+		id := fmt.Sprintf("e%02d", i)
+		for j := 0; j <= i%3; j++ {
+			if err := s.Add(obs(id, float64(i), fmt.Sprintf("s%d", j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// TestFilterRangeMatchesFilter: FilterRange is exactly Filter with the
+// range predicate, at both edge conventions.
+func TestFilterRangeMatchesFilter(t *testing.T) {
+	s := rangeTestSample(t)
+	for _, inclusive := range []bool{false, true} {
+		sub := s.FilterRange(10, 20, inclusive)
+		want := s.Filter(func(_ string, v float64) bool {
+			if inclusive {
+				return v >= 10 && v <= 20
+			}
+			return v >= 10 && v < 20
+		})
+		if sub.Fingerprint() != want.Fingerprint() {
+			t.Errorf("inclusive=%v: FilterRange fingerprint differs from Filter", inclusive)
+		}
+		wantC := 10
+		if inclusive {
+			wantC = 11
+		}
+		if sub.C() != wantC {
+			t.Errorf("inclusive=%v: c=%d, want %d", inclusive, sub.C(), wantC)
+		}
+	}
+}
+
+// TestAddNewEntityObservationsParity: the insert-only bulk path must
+// produce a sample bitwise-equivalent to the general path for fresh
+// entities, and must detect a violated uniqueness guarantee.
+func TestAddNewEntityObservationsParity(t *testing.T) {
+	general, fast := NewSample(), NewSample()
+	for _, s := range []*Sample{general, fast} {
+		s.InternSource("s0")
+		s.InternSource("s1")
+	}
+	rows := []struct {
+		id   string
+		v    float64
+		srcs []int32
+	}{
+		{"a", 1, []int32{0}},
+		{"b", 2, []int32{0, 1}},
+		{"c", 3, []int32{1, 1, 0}},
+	}
+	for _, r := range rows {
+		if err := general.AddEntityObservations(r.id, r.v, r.srcs); err != nil {
+			t.Fatal(err)
+		}
+		if err := fast.AddNewEntityObservations(r.id, r.v, r.srcs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fast.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if general.Fingerprint() != fast.Fingerprint() {
+		t.Error("fast-path sample fingerprint differs from the general path")
+	}
+	if general.N() != fast.N() || general.C() != fast.C() || general.F1() != fast.F1() {
+		t.Errorf("stats differ: n=%d/%d c=%d/%d f1=%d/%d",
+			general.N(), fast.N(), general.C(), fast.C(), general.F1(), fast.F1())
+	}
+	if err := fast.AddNewEntityObservations("a", 1, []int32{0}); err == nil {
+		t.Error("duplicate entity on the insert-only path was not detected")
+	}
+}
+
+// TestSumSingletonValuesDeterministic: the singleton sum adds in
+// first-observation order, so a sum whose rounding depends on the order
+// comes out with the same bits on every call.
+func TestSumSingletonValuesDeterministic(t *testing.T) {
+	s := NewSample()
+	values := []float64{1e16, 1, -1e16, 0.1}
+	for i, v := range values {
+		must(t, s.Add(obs(fmt.Sprintf("e%d", i), v, "s1")))
+	}
+	must(t, s.Add(obs("dup", 7, "s1")))
+	must(t, s.Add(obs("dup", 7, "s2")))
+	var want float64
+	for _, v := range values {
+		want += v
+	}
+	for i := 0; i < 100; i++ {
+		if got := s.SumSingletonValues(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: SumSingletonValues = %v, want the first-observation-order sum %v", i, got, want)
+		}
+	}
+}
+
+// assertSameSample requires got to be the very sample want is: same
+// content, same entity order, same attribution, same source interning.
+func assertSameSample(t *testing.T, label string, got, want *Sample) {
+	t.Helper()
+	if err := got.CheckInvariants(); err != nil {
+		t.Errorf("%s: %v", label, err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("%s: fingerprint differs", label)
+	}
+	if !slices.Equal(got.Entities(), want.Entities()) {
+		t.Errorf("%s: entities %v, want %v", label, got.Entities(), want.Entities())
+	}
+	if !slices.Equal(got.srcNames, want.srcNames) {
+		t.Errorf("%s: interned sources %v, want %v", label, got.srcNames, want.srcNames)
+	}
+	if !maps.Equal(got.SourceContributions(), want.SourceContributions()) {
+		t.Errorf("%s: source contributions %v, want %v", label, got.SourceContributions(), want.SourceContributions())
+	}
+	if !maps.Equal(got.FStatistics(), want.FStatistics()) {
+		t.Errorf("%s: f-statistics %v, want %v", label, got.FStatistics(), want.FStatistics())
+	}
+}
+
+// checkPartition requires every part of PartitionRanges(los, hi) to equal
+// the FilterRange of its range.
+func checkPartition(t *testing.T, s *Sample, los []float64, hi float64) {
+	t.Helper()
+	parts := s.PartitionRanges(los, hi)
+	if len(parts) != len(los) {
+		t.Fatalf("los %v: %d parts, want %d", los, len(parts), len(los))
+	}
+	for b, lo := range los {
+		last := b+1 == len(los)
+		bHi := hi
+		if !last {
+			bHi = los[b+1]
+		}
+		label := fmt.Sprintf("los %v hi %g part %d", los, hi, b)
+		assertSameSample(t, label, parts[b], s.FilterRange(lo, bHi, last))
+	}
+}
+
+// partitionTestSample mixes repeated values, several sources per entity
+// (sources first used in different orders) and one NaN-valued entity.
+func partitionTestSample(t *testing.T) *Sample {
+	t.Helper()
+	s := NewSample()
+	for i := 0; i < 60; i++ {
+		id := fmt.Sprintf("e%02d", i)
+		v := float64(i%20) * 1.5
+		if i == 8 { // observed once: NaN != NaN, so a re-add would conflict
+			v = math.NaN()
+		}
+		for j := 0; j <= i%4; j++ {
+			must(t, s.Add(obs(id, v, fmt.Sprintf("s%d", (i+j)%5))))
+		}
+	}
+	return s
+}
+
+func TestPartitionRangesMatchesFilterRange(t *testing.T) {
+	s := partitionTestSample(t)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		los  []float64
+		hi   float64
+	}{
+		{"single part", []float64{0}, 28.5},
+		{"equi-width", []float64{0, 7.125, 14.25, 21.375}, 28.5},
+		{"bounds between values", []float64{0.5, 3.1, 20}, 28},
+		{"empty parts", []float64{0, 0.1, 0.2, 27, 27.5}, 28.5},
+		{"equal consecutive bounds", []float64{0, 4.5, 4.5, 4.5, 12}, 28.5},
+		{"below and above the data", []float64{-10, 5}, 100},
+		{"empty last part", []float64{0, 30}, 40},
+		{"leading NaN bound", []float64{nan, 3, 9}, 28.5},
+		{"inner NaN bound", []float64{0, nan, 9, 15}, 28.5},
+		{"NaN upper edge", []float64{0, 9}, nan},
+		{"infinite edges", []float64{math.Inf(-1), 3, math.Inf(1)}, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkPartition(t, s, tc.los, tc.hi)
+		})
+	}
+	// Random non-decreasing bounds drawn from the data's own values and
+	// from between them, so ties with both edges are common.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		los := make([]float64, 1+rng.Intn(8))
+		for i := range los {
+			los[i] = float64(rng.Intn(40)) * 0.75
+		}
+		slices.Sort(los)
+		checkPartition(t, s, los, los[len(los)-1]+float64(rng.Intn(20))*0.75)
+	}
+}
+
+// TestPartitionRangesDropsNaNValues: a NaN-valued entity falls in no part,
+// and the parts together hold every other entity exactly once.
+func TestPartitionRangesDropsNaNValues(t *testing.T) {
+	s := partitionTestSample(t)
+	parts := s.PartitionRanges([]float64{0, 10, 20}, 28.5)
+	var c, n int
+	for _, p := range parts {
+		c += p.C()
+		n += p.N()
+		if _, ok := p.Value("e08"); ok {
+			t.Error("NaN-valued entity landed in a part")
+		}
+	}
+	if c != s.C()-1 || n != s.N()-s.Count("e08") {
+		t.Errorf("parts hold c=%d n=%d, want c=%d n=%d", c, n, s.C()-1, s.N()-s.Count("e08"))
 	}
 }

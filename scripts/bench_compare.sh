@@ -27,7 +27,10 @@ BASE="${BASE:-origin/main}"
 # bench_string_test.go) are measured warn-only for now: they are new in
 # this PR, so the merge-base side has no corresponding runs to gate
 # against. Promote them into GATE once a post-merge baseline exists.
-PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy}"
+# The EstimatorBucket* benchmarks (the dynamic and static bucket
+# strategies alone, bench_test.go) are warn-only too: they isolate the
+# bucket search that ColumnarQueryFanOut, which is gated, runs per query.
+PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy|EstimatorBucket}"
 GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$}"
 COUNT="${BENCH_COMPARE_COUNT:-5}"
 OUT="${BENCH_COMPARE_DIR:-bench-compare}"
