@@ -8,12 +8,18 @@ package repro
 // the bench-compare artifact.
 //
 // Run with: go test -bench=ServeQuery -benchtime=2s
+//
+// BenchmarkServeIngest is the write side: 500-row NDJSON bodies posted to
+// /v1/ingest, so its ns/op is one batch's decode, staging, apply and
+// read-your-writes flush behind the HTTP stack.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -121,4 +127,49 @@ func mustPost(b *testing.B, url, body string) {
 		raw, _ := io.ReadAll(resp.Body)
 		b.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, raw)
 	}
+}
+
+// BenchmarkServeIngest posts 500-row NDJSON batches, shaped like the
+// bench/ serve-ingest workload's, into a memory-backed tenant: ns/op and
+// B/op are per batch, rows/s is the ingest rate.
+func BenchmarkServeIngest(b *testing.B) {
+	const (
+		batchRows  = 500
+		bodies     = 256
+		population = 200000
+	)
+	srv := server.New(server.Config{Logger: log.New(io.Discard, "", 0)})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+	mustPost(b, ts.URL+"/v1/tables",
+		`{"name": "obs", "schema": [{"name": "region", "type": "string"}, {"name": "v", "type": "float"}]}`)
+
+	rng := rand.New(rand.NewSource(1))
+	batches := make([][]byte, bodies)
+	for i := range batches {
+		var body []byte
+		for r := 0; r < batchRows; r++ {
+			e := rng.Intn(population)
+			body = fmt.Appendf(body, `{"entity":"item-%06d","source":"src-%02d","attrs":{"region":"r-%03d","v":%g}}`+"\n",
+				e, rng.Intn(24), e%256, float64(e%9973)*1.25)
+		}
+		batches[i] = body
+	}
+
+	client := ts.Client()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(ts.URL+"/v1/ingest?table=obs", "application/x-ndjson", bytes.NewReader(batches[i%bodies]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("ingest status %d", resp.StatusCode)
+		}
+	}
+	b.ReportMetric(float64(b.N*batchRows)/b.Elapsed().Seconds(), "rows/s")
 }

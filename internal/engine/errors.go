@@ -1,6 +1,9 @@
 package engine
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Structured error taxonomy. Engine errors historically were stringly
 // typed (fmt.Errorf all the way down), which left callers — above all a
@@ -15,6 +18,7 @@ import "errors"
 //	errors.Is(err, engine.ErrTableExists)   // CreateTable/Load name collision
 //	errors.Is(err, engine.ErrConflict)      // entity re-reported with different values
 //	errors.Is(err, engine.ErrParse)         // SQL front-end rejected the query text
+//	errors.Is(err, engine.ErrInvalidRow)    // appended row is malformed (empty ID, wrong value type)
 //
 // The taxonomy is deliberately small: it classifies what a *caller* can
 // act on (retry, fix the query, fix the data), not where inside the
@@ -50,7 +54,29 @@ var (
 	// uint32 offset bound. The rows stay served from memory (fail safe);
 	// the caller can split the load into smaller batches.
 	ErrSegmentLimit = errors.New("segment limit exceeded")
+
+	// ErrInvalidRow reports an inserted or appended row the caller must
+	// fix: an empty entity ID or source, or an attribute value whose type
+	// does not match its column. Nothing of the row was stored. Like
+	// ErrParse it is only seen through errors.Is; the message is the
+	// validation error's own.
+	ErrInvalidRow = errors.New("invalid row")
 )
+
+// invalidRowError classifies a row-validation error as ErrInvalidRow
+// without changing its rendered message.
+type invalidRowError struct{ err error }
+
+func (e invalidRowError) Error() string { return e.err.Error() }
+
+func (e invalidRowError) Unwrap() error { return e.err }
+
+func (e invalidRowError) Is(target error) bool { return target == ErrInvalidRow }
+
+// invalidRowf formats a row-validation error that matches ErrInvalidRow.
+func invalidRowf(format string, args ...any) error {
+	return invalidRowError{fmt.Errorf(format, args...)}
+}
 
 // ParseError wraps a SQL front-end error (sqlparse.Parse and friends) so
 // engine callers can classify it with errors.Is(err, ErrParse) while the

@@ -269,7 +269,7 @@ func (c *obsChunk) stageRowPositional(schema Schema, id string, src int32, vals 
 }
 
 func typeErr(c Column, v sqlparse.Value) error {
-	return fmt.Errorf("column %q expects %s, got %s", c.Name, c.Type, v)
+	return invalidRowf("column %q expects %s, got %s", c.Name, c.Type, v)
 }
 
 // stageRowAttrs validates (via the same Table.validate as Insert) and
@@ -433,10 +433,10 @@ func (d droppedIngestErrors) Error() string {
 // checkAppendArgs validates the common Append arguments.
 func (t *Table) checkAppendArgs(entityID, source string) error {
 	if entityID == "" {
-		return fmt.Errorf("engine: %s: empty entity ID", t.name)
+		return invalidRowf("engine: %s: empty entity ID", t.name)
 	}
 	if source == "" {
-		return fmt.Errorf("engine: %s: empty source", t.name)
+		return invalidRowf("engine: %s: empty source", t.name)
 	}
 	return nil
 }

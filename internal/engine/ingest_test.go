@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -124,24 +125,34 @@ func TestAppendRowMatchesAppend(t *testing.T) {
 // nothing.
 func TestAppendValidation(t *testing.T) {
 	_, tbl := ingestTestTable(t)
+	w := tbl.NewWriter()
 	cases := []struct {
 		name string
 		err  string
+		is   error // sentinel the error must match, if any
 		do   func() error
 	}{
-		{"empty entity", "empty entity", func() error { return tbl.Append("", "s", rowAttrs("x", 1)) }},
-		{"empty source", "empty source", func() error { return tbl.Append("e", "", rowAttrs("x", 1)) }},
-		{"unknown column", "unknown column", func() error {
+		{"empty entity", "empty entity", ErrInvalidRow, func() error { return tbl.Append("", "s", rowAttrs("x", 1)) }},
+		{"empty source", "empty source", ErrInvalidRow, func() error { return tbl.Append("e", "", rowAttrs("x", 1)) }},
+		{"unknown column", "unknown column", ErrUnknownColumn, func() error {
 			return tbl.Append("e", "s", map[string]sqlparse.Value{"nope": sqlparse.Number(1)})
 		}},
-		{"type mismatch map", "expects FLOAT", func() error {
+		{"type mismatch map", "expects FLOAT", ErrInvalidRow, func() error {
 			return tbl.Append("e", "s", map[string]sqlparse.Value{"v": sqlparse.StringValue("x")})
 		}},
-		{"type mismatch positional", "expects STRING", func() error {
+		{"type mismatch positional", "expects STRING", ErrInvalidRow, func() error {
 			return tbl.AppendRow("e", "s", []sqlparse.Value{sqlparse.Number(3), sqlparse.Number(1), sqlparse.BoolValue(true)})
 		}},
-		{"wrong arity", "3 columns", func() error {
+		{"wrong arity", "3 columns", nil, func() error {
 			return tbl.AppendRow("e", "s", []sqlparse.Value{sqlparse.Number(1)})
+		}},
+		{"writer empty entity", "empty entity", ErrInvalidRow, func() error { return w.Append("", "s", rowAttrs("x", 1)) }},
+		{"writer type mismatch", "expects BOOL", ErrInvalidRow, func() error {
+			return w.AppendRow("e", "s", []sqlparse.Value{sqlparse.StringValue("x"), sqlparse.Number(1), sqlparse.Number(1)})
+		}},
+		{"insert empty source", "empty source", ErrInvalidRow, func() error { return tbl.Insert("e", "", rowAttrs("x", 1)) }},
+		{"insert type mismatch", "expects STRING", ErrInvalidRow, func() error {
+			return tbl.Insert("e", "s", map[string]sqlparse.Value{"name": sqlparse.Number(1)})
 		}},
 	}
 	for _, tc := range cases {
@@ -153,7 +164,16 @@ func TestAppendValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.err) {
 				t.Errorf("error %q does not mention %q", err, tc.err)
 			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Errorf("error %q does not match %v", err, tc.is)
+			}
+			if tc.is == nil && errors.Is(err, ErrInvalidRow) {
+				t.Errorf("error %q matches ErrInvalidRow", err)
+			}
 		})
+	}
+	if err := w.Flush(); err != nil {
+		t.Errorf("writer flush after rejected appends: %v", err)
 	}
 	if got := tbl.StagedRows(); got != 0 {
 		t.Errorf("rejected rows were staged: StagedRows = %d", got)

@@ -568,11 +568,8 @@ func (t *Table) NumObservations() int {
 // (Append/AppendRow/Writer in ingest.go), which amortizes the per-row
 // locking and epoch bumps across whole batches.
 func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value) error {
-	if entityID == "" {
-		return fmt.Errorf("engine: %s: empty entity ID", t.name)
-	}
-	if source == "" {
-		return fmt.Errorf("engine: %s: empty source", t.name)
+	if err := t.checkAppendArgs(entityID, source); err != nil {
+		return err
 	}
 	sid := t.internSource(source)
 	si, sh := t.shardIndexFor(entityID)
@@ -649,7 +646,7 @@ func (t *Table) validate(attrs map[string]sqlparse.Value) error {
 			ok = v.Kind == sqlparse.ValueBool
 		}
 		if !ok {
-			return fmt.Errorf("column %q expects %s, got %s", name, t.schema[ci].Type, v)
+			return invalidRowf("column %q expects %s, got %s", name, t.schema[ci].Type, v)
 		}
 	}
 	return nil

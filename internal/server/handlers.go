@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -49,6 +48,8 @@ func httpError(err error) (int, string) {
 		return http.StatusConflict, "value_conflict"
 	case errors.Is(err, engine.ErrSegmentLimit):
 		return http.StatusConflict, "segment_limit"
+	case errors.Is(err, engine.ErrInvalidRow):
+		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, "canceled"
 	default:
@@ -323,45 +324,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // ---- POST /v1/ingest ----
 
-// ingestRow is one NDJSON line of an ingest batch. Attribute values map
-// JSON-naturally: numbers to float columns, strings to string columns,
-// booleans to bool columns, null to NULL.
-type ingestRow struct {
-	Entity string                     `json:"entity"`
-	Source string                     `json:"source"`
-	Attrs  map[string]json.RawMessage `json:"attrs"`
-}
-
 type ingestResponse struct {
 	Tenant   string   `json:"tenant"`
 	Table    string   `json:"table"`
 	Rows     int      `json:"rows"`
 	Warnings []string `json:"warnings,omitempty"`
-}
-
-func decodeAttr(raw json.RawMessage) (sqlparse.Value, error) {
-	var v any
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.UseNumber()
-	if err := dec.Decode(&v); err != nil {
-		return sqlparse.Value{}, err
-	}
-	switch x := v.(type) {
-	case nil:
-		return sqlparse.Null(), nil
-	case json.Number:
-		f, err := x.Float64()
-		if err != nil {
-			return sqlparse.Value{}, err
-		}
-		return sqlparse.Number(f), nil
-	case string:
-		return sqlparse.StringValue(x), nil
-	case bool:
-		return sqlparse.BoolValue(x), nil
-	default:
-		return sqlparse.Value{}, fmt.Errorf("unsupported attribute value %s", string(raw))
-	}
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -376,45 +343,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("server: %w %q", engine.ErrUnknownTable, tableName))
 		return
 	}
-	// Rows ride the batched asynchronous path: a request-local Writer
-	// stages lock-free chunks, the tenant's background appliers drain
-	// them, and the final Flush is the read-your-writes barrier that also
-	// surfaces data-quality warnings.
-	writer := tbl.NewWriter()
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	rows := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var row ingestRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{
-				Error: fmt.Sprintf("line %d: %v", rows+1, err), Kind: "bad_request"})
-			return
-		}
-		attrs := make(map[string]sqlparse.Value, len(row.Attrs))
-		for k, raw := range row.Attrs {
-			v, err := decodeAttr(raw)
-			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{
-					Error: fmt.Sprintf("line %d, attribute %q: %v", rows+1, k, err), Kind: "bad_request"})
-				return
-			}
-			attrs[k] = v
-		}
-		if err := writer.Append(row.Entity, row.Source, attrs); err != nil {
-			writeError(w, err)
-			return
-		}
-		rows++
-	}
-	if err := sc.Err(); err != nil {
+	// The whole body is decoded before any row is staged, so a malformed
+	// line rejects the batch with nothing applied (see ndjson.go).
+	batch, err := decodeIngest(r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Kind: "bad_request"})
 		return
 	}
+	defer batch.release()
+	// Rows ride the batched asynchronous path: a request-local Writer
+	// stages lock-free chunks, the tenant's background appliers drain
+	// them, and the final Flush is the read-your-writes barrier that also
+	// surfaces data-quality warnings. Append copies what it stages, so one
+	// attribute map serves every row.
+	writer := tbl.NewWriter()
+	var attrs map[string]sqlparse.Value
+	for i, row := range batch.rows {
+		attrs = batch.attrMap(attrs, row)
+		if err := writer.Append(row.entity, row.source, attrs); err != nil {
+			writeError(w, fmt.Errorf("line %d: %w", i+1, err))
+			return
+		}
+	}
+	rows := len(batch.rows)
 	resp := ingestResponse{Tenant: t.name, Table: tableName, Rows: rows}
 	status := http.StatusOK
 	// Writer.Flush runs the read-your-writes barrier and surfaces pending

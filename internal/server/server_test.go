@@ -265,6 +265,11 @@ func TestErrorMapping(t *testing.T) {
 		t.Errorf("segment limit: status %d kind %q", status, kind)
 	}
 
+	// Malformed rows -> 400 bad_request.
+	if status, kind := httpError(fmt.Errorf("line 3: %w", engine.ErrInvalidRow)); status != http.StatusBadRequest || kind != "bad_request" {
+		t.Errorf("invalid row: status %d kind %q", status, kind)
+	}
+
 	// Conflicting values -> 409 value_conflict, rows still landed.
 	conflict := `{"entity": "e1", "source": "sA", "attrs": {"v": 1}}` + "\n" +
 		`{"entity": "e1", "source": "sB", "attrs": {"v": 2}}` + "\n"
@@ -500,5 +505,107 @@ func TestStatsEndpoint(t *testing.T) {
 	obs, ok := a.Tables["obs"]
 	if !ok || obs.Observations != 50 {
 		t.Fatalf("alpha table stats: %+v", a.Tables)
+	}
+}
+
+// postIngest posts an NDJSON body and returns the status and error body.
+func postIngest(t *testing.T, base, tenant, table, body string) (int, errorResponse) {
+	t.Helper()
+	req, _ := http.NewRequest("POST", base+"/v1/ingest?table="+table, strings.NewReader(body))
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	json.NewDecoder(resp.Body).Decode(&er)
+	return resp.StatusCode, er
+}
+
+// ingestState is what a rejected batch must leave unchanged: the table's
+// COUNT(*), the tenant's ingested_rows and the table's applied_rows.
+type ingestState struct {
+	count             float64
+	ingested, applied uint64
+}
+
+func readIngestState(t *testing.T, base, tenant, table string) ingestState {
+	t.Helper()
+	status, qr, er := postQuery(t, base, tenant, "SELECT COUNT(*) FROM "+table)
+	if status != http.StatusOK {
+		t.Fatalf("count: status %d: %s", status, er.Error)
+	}
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Tenants map[string]tenantStats `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	ts := out.Tenants[tenant]
+	return ingestState{float64(qr.Observed), ts.IngestedRows, ts.Tables[table].AppliedRows}
+}
+
+// TestIngestMalformedBatchAppliesNothing: a batch with one malformed line
+// is rejected whole. Its earlier rows span several full writer chunks
+// per shard, so staging them before the bad line was found would apply
+// some of them.
+func TestIngestMalformedBatchAppliesNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createTable(t, ts.URL, "default", "obs")
+	ingestRows(t, ts.URL, "default", "obs", ndjsonRows(100, 0))
+	before := readIngestState(t, ts.URL, "default", "obs")
+	if before.count != 100 || before.ingested != 100 || before.applied != 100 {
+		t.Fatalf("after the first batch: %+v", before)
+	}
+	bad := []string{
+		`{"entity": "x", "source": "s0", "attrs": {"v": 1}`,
+		`{"entity": "x", "source": "s0", "attrs": {"v": {"nested": 1}}}`,
+		`{"entity": "x", "source": "s0", "attrs": {"v": 1e400}}`,
+		`{"entity": 7, "source": "s0"}`,
+		`{"entity": "", "source": "s0"}`,
+		`{"entity": "x"}`,
+		`null`,
+		`[1, 2]`,
+	}
+	for _, line := range bad {
+		body := ndjsonRows(5000, 1000) + "\n" + line + "\n" + ndjsonRows(99, 7000)
+		status, er := postIngest(t, ts.URL, "default", "obs", body)
+		if status != http.StatusBadRequest || er.Kind != "bad_request" || !strings.HasPrefix(er.Error, "line 5001") {
+			t.Errorf("%s: status %d kind %q error %q, want 400 bad_request at line 5001", line, status, er.Kind, er.Error)
+		}
+		if after := readIngestState(t, ts.URL, "default", "obs"); after != before {
+			t.Errorf("%s: rejected batch changed the tenant: %+v, want %+v", line, after, before)
+		}
+	}
+}
+
+// TestIngestClientErrors: rows the engine rejects for their data are 400
+// bad_request naming the line, not 500.
+func TestIngestClientErrors(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createTable(t, ts.URL, "default", "obs")
+	ok := `{"entity": "e0", "source": "s0", "attrs": {"v": 1}}` + "\n"
+	cases := []struct {
+		line, kind, msg string
+		status          int
+	}{
+		{`{"entity": "", "source": "s0"}`, "bad_request", "line 2: empty entity ID", http.StatusBadRequest},
+		{`{"entity": "e1", "source": ""}`, "bad_request", "line 2: empty source", http.StatusBadRequest},
+		{`null`, "bad_request", "line 2: empty entity ID", http.StatusBadRequest},
+		{`{"entity": "e1", "source": "s0", "attrs": {"v": "oops"}}`, "bad_request", `line 2: engine: obs: entity "e1": column "v" expects FLOAT`, http.StatusBadRequest},
+		{`{"entity": "e1", "source": "s0", "attrs": {"name": true}}`, "bad_request", `line 2: engine: obs: entity "e1": column "name" expects STRING`, http.StatusBadRequest},
+		{`{"entity": "e1", "source": "s0", "attrs": {"ghost": 1}}`, "unknown_column", `line 2: engine: obs: entity "e1": unknown column "ghost"`, http.StatusNotFound},
+	}
+	for _, tc := range cases {
+		status, er := postIngest(t, ts.URL, "default", "obs", ok+tc.line+"\n")
+		if status != tc.status || er.Kind != tc.kind || !strings.HasPrefix(er.Error, tc.msg) {
+			t.Errorf("%s: status %d kind %q error %q, want %d %q %q", tc.line, status, er.Kind, er.Error, tc.status, tc.kind, tc.msg)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke test of the uuserve daemon: start it,
-# create a table, ingest NDJSON observations, query, read one live
-# subscription event, then deliver SIGTERM and require a graceful drain
-# (clean exit + tenant snapshot on disk + restored state on restart).
+# create a table, ingest NDJSON observations, query, require a batch with
+# a malformed line to be rejected whole, read one live subscription
+# event, then deliver SIGTERM and require a graceful drain (clean exit +
+# tenant snapshot on disk + restored state on restart).
 # Used by `make serve-smoke` locally and by the CI `ci` job.
 set -euo pipefail
 
@@ -64,6 +65,27 @@ echo "serve-smoke: querying"
 OBSERVED="$(curl -sf -X POST "$BASE/v1/query" -H 'X-Tenant: smoke' \
     -d '{"sql": "SELECT COUNT(*) FROM obs"}' | jq -r .observed)" || fail "query"
 [ "$OBSERVED" = "200" ] || fail "COUNT(*) observed $OBSERVED, want 200"
+
+# 5000 good rows fill several per-shard staging chunks before the bad
+# line, so rows staged while decoding would already be applied.
+echo "serve-smoke: a batch with a malformed last line applies nothing"
+BAD="$WORK/bad.ndjson"
+{
+    for i in $(seq 200 5199); do
+        printf '{"entity": "e%d", "source": "s%d", "attrs": {"v": %d}}\n' "$i" "$((i % 8))" "$((i % 97))"
+    done
+    printf '{"entity": "e300", "source": "s0", "attrs": {"v": \n'
+} >"$BAD"
+STATUS="$(curl -s -o "$WORK/bad.out" -w '%{http_code}' -X POST "$BASE/v1/ingest?table=obs" -H 'X-Tenant: smoke' \
+    --data-binary @"$BAD")"
+[ "$STATUS" = "400" ] || fail "malformed batch: status $STATUS, want 400: $(cat "$WORK/bad.out")"
+jq -e '.kind == "bad_request" and (.error | startswith("line 5001:"))' "$WORK/bad.out" >/dev/null \
+    || fail "malformed batch: error body $(cat "$WORK/bad.out")"
+curl -sf "$BASE/v1/stats" | jq -e '.tenants.smoke.ingested_rows == 200' >/dev/null \
+    || fail "malformed batch changed ingested_rows"
+OBSERVED="$(curl -sf -X POST "$BASE/v1/query" -H 'X-Tenant: smoke' \
+    -d '{"sql": "SELECT COUNT(*) FROM obs"}' | jq -r .observed)" || fail "query after malformed batch"
+[ "$OBSERVED" = "200" ] || fail "COUNT(*) after malformed batch observed $OBSERVED, want 200"
 
 echo "serve-smoke: second tenant is isolated"
 STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/query" -H 'X-Tenant: other' \
