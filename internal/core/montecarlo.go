@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 
 	"repro/internal/freqstats"
 	"repro/internal/parallelx"
@@ -40,11 +42,12 @@ import (
 //
 // The output depends on each run's stream only through randx's sampler
 // contract: one ExpFloat64 key per positive weight in index order, the k
-// smallest (key, index) pairs winning. The sampler selects those k with a
-// heap instead of sorting all theta_N keys, and each cell builds its
-// weights, sampler, RNG and count buffers once and reuses them for every
-// run, counting-sorting the simulated profile; none of this moves a bit of
-// the estimate.
+// smallest (key, index) pairs winning. The counts do not depend on the
+// winners' order, so each draw takes them in index order from
+// KeySampler.SampleSet, a linear-time radix select on the keys' bits with
+// no sort. Each grid worker keeps one set of weight, sampler, RNG and
+// count buffers for all its cells and runs, and the simulated profile is
+// counting-sorted; none of this moves a bit of the estimate.
 //
 // The zero value is ready to use with the paper's defaults.
 type MonteCarlo struct {
@@ -154,10 +157,18 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 	us := make([]float64, len(cells))
 	vs := make([]float64, len(cells))
 	zs := make([]float64, len(cells))
-	m.forEachCell(len(cells), func(k int) {
+	workers := m.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	newScratch := func() *mcScratch { return &mcScratch{rng: randx.New(0)} }
+	parallelx.ForEach(len(cells), workers, newScratch, func(sc *mcScratch, i int) {
+		// Largest populations first, so a worker's buffers reach their
+		// final size on its first cell.
+		k := len(cells) - 1 - i
 		us[k] = cells[k].u
 		vs[k] = cells[k].lam
-		zs[k] = m.simulateDistance(k, cells[k].thetaN, cells[k].lam, sizes, observed)
+		zs[k] = m.simulateDistance(sc, k, cells[k].thetaN, cells[k].lam, sizes, observed)
 	})
 
 	surface, err := stats.FitQuadSurface(us, vs, zs)
@@ -175,51 +186,59 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 	return c + u*(chao.N-c)
 }
 
-// forEachCell runs fn(0..n-1) on the configured number of workers. Cells
-// are independent (each derives its own RNG streams), so scheduling does
-// not affect results.
-func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
-	workers := m.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	parallelx.ForEach(n, workers, fn)
+// mcScratch is one grid worker's simulation state, reused by every cell
+// and run the worker simulates. Workers do not share it, every buffer is
+// rewritten before it is read and the RNG is re-seeded for every run, so
+// reuse does not affect results.
+type mcScratch struct {
+	weights []float64
+	sampler randx.KeySampler
+	rng     *rand.Rand
+	counts  []int
+	hist    []int
+	profile []int
+	idx     []int
 }
 
 // simulateDistance is Algorithm 2: the average smoothed KL divergence over
 // the configured number of runs between the observed occurrence profile
 // and profiles simulated with population size thetaN and skew lambda.
-// Every run re-seeds the cell's rand.Rand from (Seed, cell, run), so the
-// simulation is reproducible under any parallel schedule. The weights, the
-// sampler and the count buffers are built once per cell and reused by
-// every run.
-func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
-	sampler, err := randx.NewKeySampler(randx.ExponentialWeights(thetaN, lambda))
-	if err != nil {
+// Every run re-seeds the worker's rand.Rand from (Seed, cell, run), so the
+// simulation is reproducible under any parallel schedule.
+func (m MonteCarlo) simulateDistance(sc *mcScratch, cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
+	sc.weights = resize(sc.weights, thetaN)
+	randx.FillExponentialWeights(sc.weights, lambda)
+	if err := sc.sampler.Reset(sc.weights); err != nil {
 		return math.Inf(1)
 	}
-	rng := randx.New(0)
-	counts := make([]int, thetaN)
+	sc.counts = resize(sc.counts, thetaN)
 	// A source names an item at most once, so no count exceeds len(sizes).
-	hist := make([]int, len(sizes)+1)
-	var profile, idx []int
+	sc.hist = resize(sc.hist, len(sizes)+1)
 	var total float64
 	runs := m.runs()
 	for r := 0; r < runs; r++ {
-		rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
-		clear(counts)
+		sc.rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
+		clear(sc.counts)
 		for _, nj := range sizes {
-			if idx, err = sampler.Sample(rng, nj, idx[:0]); err != nil {
+			idx, err := sc.sampler.SampleSet(sc.rng, nj, sc.idx[:0])
+			if err != nil {
 				return math.Inf(1)
 			}
 			for _, j := range idx {
-				counts[j]++
+				sc.counts[j]++
 			}
+			sc.idx = idx
 		}
-		profile = sortedProfile(counts, hist, profile[:0])
-		total += profileDistance(observed, profile)
+		sc.profile = sortedProfile(sc.counts, sc.hist, sc.profile[:0])
+		total += profileDistance(observed, sc.profile)
 	}
 	return total / float64(runs)
+}
+
+// resize returns buf with length n, reusing its array when it is large
+// enough. The contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // sortedProfile appends the nonzero counts to dst in descending order — the

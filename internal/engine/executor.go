@@ -569,9 +569,11 @@ func (db *DB) executeOnSample(ctx context.Context, q *sqlparse.Query, sample *fr
 // the Section 4 bound) concurrently on the bounded query worker pool and
 // stores the results keyed by estimator name. Estimators are pure readers
 // of the sample, which is immutable once built. Cancellation is observed
-// between tasks (an estimator that already started runs to completion);
-// on a context error the partially filled result is discarded by the
-// caller and nothing reaches any cache.
+// between tasks (an estimator that already started runs to completion)
+// and once more after the last one, so a query canceled while its
+// estimators ran returns the context error even when every task had
+// already started. On that error the caller discards the partially filled
+// result and nothing reaches any cache.
 func fanOutEstimates(ctx context.Context, res *Result, estimators []core.SumEstimator, run func(core.SumEstimator) core.Estimate, extra func()) error {
 	ests := make([]core.Estimate, len(estimators))
 	n := len(estimators)
@@ -586,6 +588,9 @@ func fanOutEstimates(ctx context.Context, res *Result, estimators []core.SumEsti
 		ests[i] = run(estimators[i])
 		return nil
 	}); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i, est := range estimators {

@@ -10,11 +10,13 @@ import (
 	"sync/atomic"
 )
 
-// ForEach runs fn(0..n-1) on up to workers goroutines (the calling
-// goroutine included). workers < 1 or workers > n is clamped; with one
-// worker the loop runs inline. fn must handle its own synchronization for
-// any shared state beyond its own index.
-func ForEach(n, workers int, fn func(i int)) {
+// ForEach runs fn(s, i) for i in 0..n-1 on up to workers goroutines (the
+// calling goroutine included). Each worker calls newState once and passes
+// the result to every task it runs, so tasks can reuse per-worker buffers
+// without synchronization. workers < 1 or workers > n is clamped; with one
+// worker the loop runs inline. fn must synchronize any state it shares
+// beyond its worker's state and its own index.
+func ForEach[S any](n, workers int, newState func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -22,19 +24,21 @@ func ForEach(n, workers int, fn func(i int)) {
 		workers = n
 	}
 	if workers == 1 {
+		s := newState()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		return
 	}
 	var next atomic.Int64
 	work := func() {
+		s := newState()
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(s, i)
 		}
 	}
 	var wg sync.WaitGroup

@@ -9,8 +9,10 @@
 package randx
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -60,11 +62,17 @@ func ExponentialWeights(n int, lambda float64) []float64 {
 		return nil
 	}
 	w := make([]float64, n)
-	scale := 10 / float64(n)
+	FillExponentialWeights(w, lambda)
+	return w
+}
+
+// FillExponentialWeights overwrites w with ExponentialWeights(len(w),
+// lambda), bit for bit, so that repeated simulations can reuse one buffer.
+func FillExponentialWeights(w []float64, lambda float64) {
+	scale := 10 / float64(len(w))
 	for i := range w {
 		w[i] = math.Exp(-lambda * scale * float64(i))
 	}
-	return w
 }
 
 // UniformWeights returns n equal weights.
@@ -119,8 +127,9 @@ func SampleWithReplacement(rng *rand.Rand, weights []float64, k int) ([]int, err
 //
 // RNG-stream contract: exactly one rng.ExpFloat64() is drawn per positive
 // weight, in index order, whatever k is (zero weights draw nothing and are
-// never returned). The winners are the k smallest (key, index) pairs, so an
-// exact key tie goes to the lower index, and they are returned in that
+// never returned, and neither is a weight so small that its key overflows
+// to +Inf). The winners are the k smallest (key, index) pairs, so an exact
+// key tie goes to the lower index, and they are returned in that
 // (key, index) order: ascending key, i.e. the order in which an
 // exponential-clock source would emit them. It is KeySampler.Sample on a
 // fresh KeySampler; callers drawing repeatedly from one weight vector
@@ -135,102 +144,164 @@ func SampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) ([]int, 
 
 // KeySampler is the exponential-keys sampler behind
 // SampleWithoutReplacement, bound to one validated weight vector so that
-// repeated draws skip validation and reuse its selection buffer. It follows
-// the SampleWithoutReplacement contract draw for draw. A KeySampler is not
-// safe for concurrent use, and the weights must not change while it is in
-// use.
+// repeated draws skip validation and reuse its buffers. It follows the
+// SampleWithoutReplacement contract draw for draw.
+//
+// A draw costs O(n) whatever k is: the keys' bit patterns are stored, the
+// k-th smallest is found by an MSD radix select on those bits, and one
+// index-ordered pass emits the winners. A KeySampler is not safe for
+// concurrent use, and the weights must not change while it is in use.
 type KeySampler struct {
 	weights []float64
-	heap    []keyed // max-heap of the current k smallest (key, index) pairs
+	bits    []uint64 // math.Float64bits of each index's key
+	cand    []uint64 // radix-select candidates after the first round
 }
 
-type keyed struct {
-	key float64
-	idx int
-}
-
-// after reports whether a sorts after b in (key, index) order.
-func (a keyed) after(b keyed) bool {
-	return a.key > b.key || (a.key == b.key && a.idx > b.idx)
-}
+// infBits is the bit pattern of +Inf, the key of a zero weight. Keys are
+// never negative or NaN, and non-negative floats order like their bit
+// patterns, so every finite key's bits are below it.
+const infBits = 0x7FF0000000000000
 
 // NewKeySampler validates the weights once for every later Sample call.
 func NewKeySampler(weights []float64) (*KeySampler, error) {
-	if err := validateWeights(weights); err != nil {
+	s := new(KeySampler)
+	if err := s.Reset(weights); err != nil {
 		return nil, err
 	}
-	return &KeySampler{weights: weights}, nil
+	return s, nil
 }
 
-// Sample appends k sampled indices to dst and returns the extended slice.
-// Only the k winning keys are kept (a size-k max-heap) and only they are
-// sorted, so a draw costs O(n log k) instead of a full sort of n keys.
+// Reset validates and binds a new weight vector, keeping the buffers of
+// earlier draws. On error the sampler is unchanged.
+func (s *KeySampler) Reset(weights []float64) error {
+	if err := validateWeights(weights); err != nil {
+		return err
+	}
+	s.weights = weights
+	return nil
+}
+
+// Sample appends k sampled indices to dst in ascending (key, index) order
+// and returns the extended slice. It is SampleSet followed by a sort of
+// the k winners alone.
 func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("randx: negative sample size %d", k)
+	start := len(dst)
+	dst, err := s.SampleSet(rng, k, dst)
+	if err != nil {
+		return nil, err
 	}
-	k = min(k, len(s.weights))
-	h := s.heap[:0]
-	for i, w := range s.weights {
-		if w <= 0 {
-			continue
-		}
-		key := rng.ExpFloat64() / w
-		switch {
-		case len(h) < k:
-			// A weight so small its key overflows is never drawn, like a
-			// zero weight. (Once the heap is full its finite top keeps
-			// such keys out.)
-			if !math.IsInf(key, 1) {
-				h = append(h, keyed{key: key, idx: i})
-				siftUp(h, len(h)-1)
-			}
-		case k > 0 && key < h[0].key:
-			// Indices arrive in ascending order, so an equal key loses
-			// the tie to the heap top and only a smaller key displaces it.
-			h[0] = keyed{key: key, idx: i}
-			siftDown(h, 0)
-		}
-	}
-	// Heapsort the winners in place into ascending (key, index) order.
-	for n := len(h) - 1; n > 0; n-- {
-		h[0], h[n] = h[n], h[0]
-		siftDown(h[:n], 0)
-	}
-	s.heap = h
-	dst = slices.Grow(dst, len(h))
-	for _, kv := range h {
-		dst = append(dst, kv.idx)
-	}
+	// Winners arrive in index order, so a stable sort on the key bits
+	// leaves exact ties in index order.
+	slices.SortStableFunc(dst[start:], func(a, b int) int {
+		return cmp.Compare(s.bits[a], s.bits[b])
+	})
 	return dst, nil
 }
 
-func siftUp(h []keyed, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].after(h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// SampleSet draws exactly as Sample does, from the same RNG stream, and
+// appends the same k winners to dst, but in ascending index order. Callers
+// that only count the winners need no other order. It may grow dst's
+// capacity by up to len(weights), the room its branch-free emission pass
+// writes through.
+func (s *KeySampler) SampleSet(rng *rand.Rand, k int, dst []int) ([]int, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("randx: negative sample size %d", k)
 	}
+	n := len(s.weights)
+	keys := slices.Grow(s.bits[:0], n)[:n]
+	s.bits = keys
+	lo, hi := uint64(infBits), uint64(0)
+	finite := 0
+	for i, w := range s.weights {
+		u := uint64(infBits)
+		if w > 0 {
+			u = math.Float64bits(rng.ExpFloat64() / w)
+		}
+		keys[i] = u
+		if u < infBits {
+			finite++
+			lo, hi = min(lo, u), max(hi, u)
+		}
+	}
+	// A weight so small that its key overflows is never drawn, like a
+	// zero weight.
+	k = min(k, finite)
+	if k == 0 {
+		return dst, nil
+	}
+	thr, take := s.kthSmallest(k, lo, hi)
+
+	// Emit every index whose key is at most thr, in index order, without a
+	// branch per key: each index is written, and kept by advancing j.
+	start := len(dst)
+	dst = slices.Grow(dst, n)
+	out := dst[start : start+n]
+	j := 0
+	for i, u := range keys {
+		out[j] = i
+		if u <= thr {
+			j++
+		}
+	}
+	if j > k {
+		// More keys equal thr than rank k admits: keep the first take of
+		// them, so an exact tie goes to the lower index.
+		kept := 0
+		for _, i := range out[:j] {
+			if keys[i] == thr {
+				if take == 0 {
+					continue
+				}
+				take--
+			}
+			out[kept] = i
+			kept++
+		}
+		j = kept
+	}
+	return dst[:start+j], nil
 }
 
-func siftDown(h []keyed, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
+// kthSmallest returns the k-th smallest finite key bit pattern, given the
+// range [lo, hi] of the finite ones, and take, how many keys equal to it
+// are among the k smallest. Each round histograms the candidates in
+// [lo, hi] into at most 256 bins of (u-lo)>>shift, keeps only the
+// candidates in the bin holding rank k, and shrinks [lo, hi] to their
+// range, so every round removes at least 8 bits of it; the loop ends when
+// one value is left.
+func (s *KeySampler) kthSmallest(k int, lo, hi uint64) (thr uint64, take int) {
+	cand := s.bits // +Inf keys fall outside [lo, hi] in the first round
+	s.cand = slices.Grow(s.cand[:0], len(cand))
+	for lo < hi {
+		shift := max(bits.Len64(hi-lo)-8, 0)
+		var hist [256]int32
+		for _, u := range cand {
+			if d := u - lo; d <= hi-lo {
+				hist[d>>shift]++
+			}
 		}
-		if c+1 < len(h) && h[c+1].after(h[c]) {
-			c++
+		b := 0
+		for k > int(hist[b]) {
+			k -= int(hist[b])
+			b++
 		}
-		if !h[c].after(h[i]) {
-			return
+		binLo := lo + uint64(b)<<shift
+		binHi := min(hi, binLo+(1<<shift-1))
+		// Compact the bin's candidates into s.cand, writing every key and
+		// keeping it by advancing j; j never passes the read position, so
+		// this is safe in place on later rounds.
+		next := s.cand[:len(cand)]
+		j := 0
+		for _, u := range cand {
+			next[j] = u
+			if u-binLo <= binHi-binLo {
+				j++
+			}
 		}
-		h[i], h[c] = h[c], h[i]
-		i = c
+		cand = next[:j]
+		lo, hi = slices.Min(cand), slices.Max(cand)
 	}
+	return lo, k
 }
 
 // Shuffle permutes xs in place.

@@ -204,6 +204,10 @@ func referenceSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int)
 	if k > len(weights) {
 		k = len(weights)
 	}
+	type keyed struct {
+		key float64
+		idx int
+	}
 	keys := make([]keyed, len(weights))
 	for i, w := range weights {
 		if w <= 0 {
@@ -225,23 +229,44 @@ func referenceSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int)
 	return out, nil
 }
 
-// checkAgainstReference runs the sampler and the reference on identical
-// streams and requires the same indices in the same order, the same error
-// outcome, and the same number of RNG draws consumed.
-func checkAgainstReference(t *testing.T, seed int64, weights []float64, k int) {
+// checkAgainstReference runs Sample and SampleSet against the reference on
+// identical streams. Sample must give the same indices in the same order,
+// SampleSet the same indices in index order; both must match the
+// reference's error outcome and consume the same number of RNG draws.
+func checkAgainstReference(t *testing.T, newRNG func() *rand.Rand, weights []float64, k int) {
 	t.Helper()
-	rngGot, rngWant := New(seed), New(seed)
-	got, gotErr := SampleWithoutReplacement(rngGot, weights, k)
+	rngWant := newRNG()
 	want, wantErr := referenceSampleWithoutReplacement(rngWant, weights, k)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("n=%d k=%d: error %v, reference error %v", len(weights), k, gotErr, wantErr)
+	next := rngWant.Int63()
+	check := func(method string, got []int, gotErr error, rngGot *rand.Rand, want []int) {
+		t.Helper()
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%s n=%d k=%d: error %v, reference error %v", method, len(weights), k, gotErr, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s n=%d k=%d:\n got %v\nwant %v", method, len(weights), k, got, want)
+		}
+		if rngGot.Int63() != next {
+			t.Fatalf("%s n=%d k=%d: RNG stream consumed differently from the reference", method, len(weights), k)
+		}
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("n=%d k=%d seed=%d:\n got %v\nwant %v", len(weights), k, seed, got, want)
+
+	rngGot := newRNG()
+	got, gotErr := SampleWithoutReplacement(rngGot, weights, k)
+	check("Sample", got, gotErr, rngGot, want)
+
+	rngGot = newRNG()
+	var set []int
+	s, gotErr := NewKeySampler(weights)
+	if gotErr == nil {
+		set, gotErr = s.SampleSet(rngGot, k, nil)
 	}
-	if rngGot.Int63() != rngWant.Int63() {
-		t.Fatalf("n=%d k=%d: RNG stream consumed differently from the reference", len(weights), k)
-	}
+	check("SampleSet", set, gotErr, rngGot, slices.Sorted(slices.Values(want)))
+}
+
+// seeded returns a constructor of identical seeded streams.
+func seeded(seed int64) func() *rand.Rand {
+	return func() *rand.Rand { return New(seed) }
 }
 
 func TestSampleWithoutReplacementMatchesFullSort(t *testing.T) {
@@ -251,14 +276,14 @@ func TestSampleWithoutReplacementMatchesFullSort(t *testing.T) {
 				lambda := float64(li) / 10
 				w := ExponentialWeights(n, lambda)
 				seed := Derive(int64(n), int64(k), int64(li))
-				checkAgainstReference(t, seed, w, k)
+				checkAgainstReference(t, seeded(seed), w, k)
 
 				// Interleaved zero weights: every third item is unpublicized.
 				zw := slices.Clone(w)
 				for i := 1; i < len(zw); i += 3 {
 					zw[i] = 0
 				}
-				checkAgainstReference(t, seed+1, zw, k)
+				checkAgainstReference(t, seeded(seed+1), zw, k)
 			}
 		}
 	}
@@ -285,6 +310,7 @@ func TestSampleWithoutReplacementTiesGoToLowestIndex(t *testing.T) {
 		if want := []int{0, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
 			t.Fatalf("source %d: tied sample %v, want %v", src, got, want)
 		}
+		checkAgainstReference(t, func() *rand.Rand { return rand.New(src) }, w, 6)
 	}
 }
 
@@ -315,12 +341,21 @@ func TestKeySamplerReuseMatchesFreshCalls(t *testing.T) {
 	}
 }
 
+// FuzzSampleWithoutReplacement checks Sample and SampleSet against the
+// full-sort reference. With ties set, every ExpFloat64 draw is 0, so every
+// finite key is 0 and the radix select starts and ends at lo == hi. A
+// large lambda makes tail weights subnormal, whose keys overflow to +Inf.
 func FuzzSampleWithoutReplacement(f *testing.F) {
-	f.Add(int64(1), uint16(50), int16(10), 0.2, uint64(0))
-	f.Add(int64(2), uint16(1), int16(0), -0.4, uint64(0))
-	f.Add(int64(3), uint16(1000), int16(1007), 0.4, uint64(0xAAAA))
-	f.Add(int64(4), uint16(64), int16(63), 4.0, ^uint64(0)>>1)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, k int16, lambda float64, zeroMask uint64) {
+	f.Add(int64(1), uint16(50), int16(10), 0.2, uint64(0), false)
+	f.Add(int64(2), uint16(1), int16(0), -0.4, uint64(0), false)
+	f.Add(int64(3), uint16(1000), int16(1007), 0.4, uint64(0xAAAA), false)
+	f.Add(int64(4), uint16(64), int16(63), 4.0, ^uint64(0)>>1, false)
+	f.Add(int64(5), uint16(64), int16(60), 80.0, uint64(0), false)
+	f.Add(int64(6), uint16(1000), int16(900), 80.0, uint64(0x10), false)
+	f.Add(int64(7), uint16(50), int16(10), 0.3, uint64(0), true)
+	f.Add(int64(8), uint16(64), int16(60), 80.0, uint64(0x5), true)
+	f.Add(int64(9), uint16(50), int16(49), 0.0, uint64(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, k int16, lambda float64, zeroMask uint64, ties bool) {
 		if n == 0 || n > 5000 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 			return
 		}
@@ -330,7 +365,11 @@ func FuzzSampleWithoutReplacement(f *testing.F) {
 				w[i] = 0
 			}
 		}
-		checkAgainstReference(t, seed, w, int(k))
+		newRNG := seeded(seed)
+		if ties {
+			newRNG = func() *rand.Rand { return rand.New(constSource(0)) }
+		}
+		checkAgainstReference(t, newRNG, w, int(k))
 	})
 }
 
@@ -390,5 +429,45 @@ func TestDeriveIndependentStreams(t *testing.T) {
 		if len(labels) > 1 {
 			t.Fatalf("Derive collision on %d: %v", v, labels)
 		}
+	}
+}
+
+// keySink keeps the benchmarked draws from being optimized away.
+var keySink float64
+
+// BenchmarkKeySampler times one n=500, k=50 draw on the Monte-Carlo grid's
+// lambda range. The draws sub-benchmark only draws the 500 keys, the floor
+// set by the RNG-stream contract; the gap to SampleSet is the selection,
+// and the gap from SampleSet to Sample is the sort of the k winners.
+func BenchmarkKeySampler(b *testing.B) {
+	const n, k = 500, 50
+	for _, lambda := range []float64{-0.4, 0, 0.4} {
+		w := ExponentialWeights(n, lambda)
+		s, err := NewKeySampler(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := New(1)
+		var dst []int
+		b.Run(fmt.Sprintf("lambda=%g/draws", lambda), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, wi := range w {
+					keySink += rng.ExpFloat64() / wi
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("lambda=%g/SampleSet", lambda), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				dst, _ = s.SampleSet(rng, k, dst[:0])
+			}
+		})
+		b.Run(fmt.Sprintf("lambda=%g/Sample", lambda), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				dst, _ = s.Sample(rng, k, dst[:0])
+			}
+		})
 	}
 }

@@ -30,10 +30,17 @@ BASE="${BASE:-origin/main}"
 # The EstimatorBucket* benchmarks (the dynamic and static bucket
 # strategies alone, bench_test.go) are warn-only too: they isolate the
 # bucket search that ColumnarQueryFanOut, which is gated, runs per query.
+# The EstimatorMonteCarlo and ColumnarMonteCarlo* benchmarks (the
+# Section 3.4 grid search alone, bench_test.go and bench_columnar_test.go)
+# are warn-only as well. No gated benchmark runs Monte-Carlo
+# (ColumnarQueryFanOut leaves it out), yet it is most of every default
+# SUM and COUNT query, so these are where a sampler or grid regression
+# shows. They stay warn-only because ColumnarMonteCarloParallel scales
+# with the runner's core count, which hosted runners do not hold fixed.
 # BenchmarkServeIngest (500-row NDJSON batches posted to /v1/ingest,
 # bench_serve_test.go) is warn-only like ServeQuery: it runs the whole
 # HTTP stack, which is too noisy on shared runners to hard-gate.
-PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|ServeIngest|StringFilteredSum|StringGroupBy|EstimatorBucket}"
+PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|ServeIngest|StringFilteredSum|StringGroupBy|EstimatorBucket|EstimatorMonteCarlo|ColumnarMonteCarlo}"
 GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$}"
 COUNT="${BENCH_COMPARE_COUNT:-5}"
 OUT="${BENCH_COMPARE_DIR:-bench-compare}"
