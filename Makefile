@@ -11,7 +11,7 @@ BENCH_NOTE ?=
 BENCH_RECORD_OUT ?= BENCH_PR3.json
 FUZZTIME ?= 10s
 
-.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling fuzz-smoke serve-smoke ci
+.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke serve-smoke ci
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -41,6 +41,13 @@ bench:
 # for real measurement runs.
 bench-smoke:
 	go test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-module vets and tests the nested bench/ module. It has its own
+# go.mod, so the root `go build ./...`, `go vet ./...` and `go test ./...`
+# never compile it; this target is what catches an exported engine API
+# change that breaks the end-to-end benchmark harness (bench/uubench).
+bench-module:
+	cd bench && go vet ./... && go test ./...
 
 # bench-compare benchmarks HEAD against the merge-base with BASE
 # (default origin/main), reports with benchstat when installed, and
@@ -92,4 +99,4 @@ fuzz-smoke:
 	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/server -run=NONE -fuzz='FuzzIngestLineParity$$' -fuzztime=$(FUZZTIME)
 
-ci: fmt vet build race test bench-smoke serve-smoke crash-smoke fuzz-smoke
+ci: fmt vet build race test bench-smoke bench-module serve-smoke crash-smoke fuzz-smoke

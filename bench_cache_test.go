@@ -1,7 +1,7 @@
 package repro
 
 // Query-cache benchmarks: before/after evidence for the caching subsystem
-// (compiled-filter + selection-bitmap caches on the table, whole-result
+// (compiled-filter + sample-partial caches on the table, whole-result
 // cache in the executor). The Cold variants run with every cache layer
 // disabled — they are the pre-cache execution and double as the guard
 // that the cache plumbing costs nothing when it is off.
@@ -10,9 +10,7 @@ package repro
 //
 // Numbers from the 1-CPU dev container (2.10GHz Xeon, benchtime=1s) are
 // recorded in BENCH_PR3.json; the warm result-cache path answers the
-// repeated query in microseconds against ~9ms cold (>1000x), and the
-// scan-cache-only warm path saves the predicate evaluation while still
-// rebuilding the sample.
+// repeated query in microseconds against ~9ms cold (>1000x).
 
 import (
 	"fmt"
@@ -28,7 +26,7 @@ const repeatedQuerySQL = "SELECT SUM(v) FROM metrics WHERE v >= 250 AND v < 750"
 // coldTable disables every scan-cache layer on the benchmark table.
 func coldTable(b *testing.B, tbl *engine.Table) {
 	b.Helper()
-	tbl.SetScanCacheLimits(0, 0, 0)
+	tbl.SetScanCacheLimits(0, 0)
 }
 
 // BenchmarkRepeatedQueryCold is the no-cache baseline: the full
@@ -52,9 +50,9 @@ func BenchmarkRepeatedQueryCold(b *testing.B) {
 }
 
 // BenchmarkRepeatedQueryWarmScanCache repeats the query with the
-// compiled-filter and selection-bitmap caches (the default table
+// compiled-filter and sample-partial caches (the default table
 // configuration): the predicate compiles once and every shard reuses its
-// cached selection bitmap, but the sample and estimators still run.
+// cached partial, but the merge and estimators still run.
 func BenchmarkRepeatedQueryWarmScanCache(b *testing.B) {
 	db, _ := buildColumnarBenchTable(b)
 	db.Estimators = queryBenchEstimators()
@@ -96,7 +94,7 @@ func BenchmarkRepeatedQueryWarmResultCache(b *testing.B) {
 
 // BenchmarkRepeatedQueryInvalidated measures the cache subsystem under
 // writes: every iteration inserts one new observation (bumping one
-// shard's epoch, invalidating its bitmap and the whole-result entry)
+// shard's epoch, invalidating its partial and the whole-result entry)
 // before querying, so this is the worst case for cache bookkeeping.
 func BenchmarkRepeatedQueryInvalidated(b *testing.B) {
 	db, tbl := buildColumnarBenchTable(b)
@@ -145,8 +143,9 @@ func BenchmarkColumnarFilteredSumScanCold(b *testing.B) {
 }
 
 // multiPass runs the two scans of a "drill-down" workload — the filtered
-// aggregate and the same predicate regrouped by region — which share the
-// per-shard selection bitmaps when the scan cache is on.
+// aggregate and the same predicate regrouped by region. With the scan
+// cache on, repeats serve the aggregate pass from cached partials; the
+// grouped pass always evaluates the predicate.
 func multiPass(b *testing.B, tbl *engine.Table) {
 	pred := benchPredicate(b)
 	s, err := tbl.Sample("v", pred)
@@ -176,8 +175,8 @@ func BenchmarkMultiPassScanCold(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiPassScanWarm: the grouped pass (and every repeat) reuses
-// the cached selection bitmaps.
+// BenchmarkMultiPassScanWarm: every repeat reuses the compiled program and
+// the aggregate pass's cached partials.
 func BenchmarkMultiPassScanWarm(b *testing.B) {
 	_, tbl := buildColumnarBenchTable(b)
 	b.ReportAllocs()

@@ -62,12 +62,12 @@ func buildDiskBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 }
 
 // BenchmarkDiskFilteredSumScan is BenchmarkColumnarFilteredSumScanCold on
-// the disk backend: same 20k-entity table, same predicate, bitmap cache
+// the disk backend: same 20k-entity table, same predicate, partial cache
 // disabled so every iteration re-evaluates the filter against the mmap'd
 // segments.
 func BenchmarkDiskFilteredSumScan(b *testing.B) {
 	_, tbl := buildDiskBenchTable(b)
-	tbl.SetScanCacheLimits(128, 0, 0) // keep programs, drop bitmaps and partials: cold scans
+	tbl.SetScanCacheLimits(128, 0) // keep programs, drop partials: cold scans
 	pred, err := sqlparse.ParsePredicate("v >= 250 AND v < 750")
 	if err != nil {
 		b.Fatal(err)
@@ -95,7 +95,7 @@ func BenchmarkDiskCompactedFilteredSumScan(b *testing.B) {
 	if err := tbl.Compact(); err != nil {
 		b.Fatal(err)
 	}
-	tbl.SetScanCacheLimits(128, 0, 0)
+	tbl.SetScanCacheLimits(128, 0)
 	pred, err := sqlparse.ParsePredicate("v >= 250 AND v < 750")
 	if err != nil {
 		b.Fatal(err)
@@ -117,7 +117,7 @@ func BenchmarkDiskCompactedFilteredSumScan(b *testing.B) {
 // materialize from the mmap'd blob).
 func BenchmarkDiskGroupByScan(b *testing.B) {
 	_, tbl := buildDiskBenchTable(b)
-	tbl.SetScanCacheLimits(128, 0, 0)
+	tbl.SetScanCacheLimits(128, 0)
 	pred, err := sqlparse.ParsePredicate("v >= 100")
 	if err != nil {
 		b.Fatal(err)

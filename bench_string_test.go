@@ -5,7 +5,7 @@ package repro
 // Both benchmarks run the same workload on the in-memory and the disk
 // backend (sub-benchmarks mem/disk); caches are held to compiled programs
 // only so every iteration re-evaluates the predicate against the column —
-// the dictionary path is measured cold, not through the bitmap cache.
+// the dictionary path is measured cold, not through the partial cache.
 //
 // Run with: go test -bench=String -benchmem
 
@@ -87,7 +87,7 @@ func BenchmarkStringFilteredSumScan(b *testing.B) {
 	for _, backend := range []string{"mem", "disk"} {
 		b.Run(backend, func(b *testing.B) {
 			_, tbl := buildStringBenchTable(b, backend == "disk")
-			tbl.SetScanCacheLimits(128, 0, 0) // keep programs, drop bitmaps and partials: cold scans
+			tbl.SetScanCacheLimits(128, 0) // keep programs, drop partials: cold scans
 			pred := stringBenchPredicate(b)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -156,7 +156,7 @@ func BenchmarkStringGroupByScan(b *testing.B) {
 	for _, backend := range []string{"mem", "disk"} {
 		b.Run(backend, func(b *testing.B) {
 			_, tbl := buildStringBenchTable(b, backend == "disk")
-			tbl.SetScanCacheLimits(128, 0, 0)
+			tbl.SetScanCacheLimits(128, 0)
 			pred, err := sqlparse.ParsePredicate("region != 'region-0'")
 			if err != nil {
 				b.Fatal(err)

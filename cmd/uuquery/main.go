@@ -409,20 +409,19 @@ func startWatch(db *engine.DB, sql string, enabled bool) (func() error, error) {
 }
 
 // printCacheStats reports which storage backend served the queries plus
-// the engine's cache counters (compiled filter programs, per-shard
-// selection bitmaps, whole-query results) when requested via -cachestats.
+// the engine's cache counters (compiled filter programs, per-shard sample
+// partials, whole-query results) when requested via -cachestats.
 func printCacheStats(db *engine.DB, tbl *engine.Table, enabled bool) {
 	if !enabled {
 		return
 	}
 	fmt.Printf("storage:   backend %s (table %q)\n", tbl.StorageBackend(), tbl.Name())
 	s := db.CacheStats()
-	fmt.Printf("cache:     programs %d hits / %d misses; bitmaps %d hits / %d misses (%d bytes, %d evictions)\n",
-		s.ProgramHits, s.ProgramMisses, s.BitmapHits, s.BitmapMisses, s.BitmapBytes, s.BitmapEvictions)
-	fmt.Printf("           results %d hits / %d misses (%d bytes, %d evictions)\n",
-		s.ResultHits, s.ResultMisses, s.ResultBytes, s.ResultEvictions)
+	fmt.Printf("cache:     programs %d hits / %d misses\n", s.ProgramHits, s.ProgramMisses)
 	fmt.Printf("           partials %d hits / %d misses (%d bytes, %d evictions; incremental per-shard requery)\n",
 		s.PartialHits, s.PartialMisses, s.PartialBytes, s.PartialEvictions)
+	fmt.Printf("           results %d hits / %d misses (%d bytes, %d evictions)\n",
+		s.ResultHits, s.ResultMisses, s.ResultBytes, s.ResultEvictions)
 	fmt.Printf("           string dicts %d entries (%d bytes resident)\n",
 		s.DictEntries, s.DictBytes)
 }

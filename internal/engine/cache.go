@@ -16,57 +16,48 @@ import (
 //     creation, so per table each predicate compiles exactly once and is
 //     shared by every subsequent query (programs are stateless at eval
 //     time).
-//  2. Per-shard selection bitmaps. The bitmap a program produces over a
-//     shard depends only on the shard's rows, which change exactly when
-//     the shard's write epoch changes: every mutating Insert bumps the
-//     epoch under the shard's write lock, and every applied ingestion
-//     batch bumps it once for the whole batch (ingest.go) — under
-//     streaming writes a shard's caches are invalidated per batch, not
-//     per row, so between batch applications repeated queries keep
-//     hitting. Staged-but-unapplied rows do not move the epoch: they are
-//     invisible to scans, so a cached bitmap or result is still exact for
-//     the data a scan would see. A cached bitmap therefore stays valid
-//     while `built-at epoch == current epoch`, is shared across scans
-//     within a query (Sample + GroupedSamples on the same WHERE) and
-//     across repeated queries, and is dropped the moment its epoch is
-//     stale. Cached bitmaps are immutable once published.
-//  3. Per-shard sample partials. One step past the bitmap layer: where a
-//     cached bitmap saves re-evaluating the predicate over a clean shard,
-//     a cached partial (freqstats.Partial, frozen at publication) saves
-//     the whole scan — gather, lineage copy and all — leaving only the
-//     k-way merge and the estimators. Keyed by (predicate, aggregate
-//     attribute, shard) under the same exact-epoch serve rule as bitmaps:
-//     valid while `built-at epoch == current epoch`, dropped on probe the
-//     moment its epoch is stale. This is what makes repeated queries
+//  2. Per-shard sample partials. A cached partial (freqstats.Partial,
+//     frozen at publication) saves a clean shard's whole scan — predicate
+//     evaluation, gather, lineage copy and all — leaving only the k-way
+//     merge and the estimators. Keyed by (predicate, aggregate attribute,
+//     shard). A shard's rows change exactly when its write epoch changes:
+//     every mutating Insert bumps the epoch under the shard's write lock,
+//     and every applied ingestion batch bumps it once for the whole batch
+//     (ingest.go) — under streaming writes a shard's partials are
+//     invalidated per batch, not per row. Staged-but-unapplied rows do not
+//     move the epoch: they are invisible to scans, so a cached partial is
+//     still exact for the data a scan would see. A partial is therefore
+//     served while `built-at epoch == current epoch` and dropped on probe
+//     the moment its epoch is stale. This is what makes repeated queries
 //     incremental: after an ingest batch dirties one shard, the next run
 //     rescans that shard alone and re-merges it with 15 cached partials.
 //     Cached partials are immutable (frozen) and shared read-only across
 //     concurrent merges.
-//  4. Whole query results (executor level, opt-in — see resultCache in
+//  3. Whole query results (executor level, opt-in — see resultCache in
 //     executor.go wiring). Keyed by (table identity, canonical SQL,
 //     estimator configuration) plus the full vector of shard epochs
 //     captured during the scan, so a hit is only possible when not a
 //     single observation changed since the cached run.
 //
 // All layers are safe for concurrent use and bounded: programs by entry
-// count, bitmaps, partials and results by an approximate byte budget with
-// LRU eviction.
+// count, partials and results by an approximate byte budget with LRU
+// eviction.
 
 // Default cache bounds for new tables.
 const (
 	defaultProgramCacheEntries = 128
-	defaultBitmapCacheBytes    = 8 << 20  // 8 MiB of selection bitmaps per table
 	defaultPartialCacheBytes   = 16 << 20 // 16 MiB of sample partials per table
 )
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
-// Table.CacheStats fills the program/bitmap layers; DB.CacheStats
+// Table.CacheStats fills the program and partial layers; DB.CacheStats
 // aggregates every table and adds the result layer.
 type CacheStats struct {
 	ProgramHits, ProgramMisses uint64
-	BitmapHits, BitmapMisses   uint64
-	BitmapEvictions            uint64
-	BitmapBytes                int
+	// BitmapHits and BitmapMisses are always zero: the per-shard
+	// selection-bitmap layer they counted no longer exists. They remain
+	// only so existing readers keep compiling.
+	BitmapHits, BitmapMisses uint64
 	// Partial* count the per-shard sample-partial layer: a hit is one
 	// shard whose scan was skipped entirely because its cached partial was
 	// built at the shard's current epoch. A query over a table with one
@@ -92,10 +83,6 @@ type CacheStats struct {
 func (s *CacheStats) add(other CacheStats) {
 	s.ProgramHits += other.ProgramHits
 	s.ProgramMisses += other.ProgramMisses
-	s.BitmapHits += other.BitmapHits
-	s.BitmapMisses += other.BitmapMisses
-	s.BitmapEvictions += other.BitmapEvictions
-	s.BitmapBytes += other.BitmapBytes
 	s.PartialHits += other.PartialHits
 	s.PartialMisses += other.PartialMisses
 	s.PartialEvictions += other.PartialEvictions
@@ -119,12 +106,6 @@ func filterKey(e sqlparse.Expr) string {
 	return e.String()
 }
 
-// bitmapKey addresses one shard's selection bitmap for one predicate.
-type bitmapKey struct {
-	expr  string
-	shard int
-}
-
 // partialKey addresses one shard's sample partial for one (predicate,
 // aggregate attribute) pair. The attribute is part of the key because the
 // partial embeds the gathered values — the same predicate aggregated over
@@ -140,13 +121,6 @@ type progEntry struct {
 	prog *filterProgram
 }
 
-type bitmapEntry struct {
-	key   bitmapKey
-	epoch uint64
-	bits  *bitmap // immutable once stored
-	bytes int
-}
-
 type partialEntry struct {
 	key   partialKey
 	epoch uint64
@@ -154,7 +128,7 @@ type partialEntry struct {
 	bytes int
 }
 
-// scanCache is a table's layer-1..3 cache (programs, bitmaps, partials).
+// scanCache is a table's layer-1 and layer-2 cache (programs, partials).
 // One mutex guards all LRU structures; hit/miss counters are atomics so
 // CacheStats reads do not need the lock.
 type scanCache struct {
@@ -164,41 +138,31 @@ type scanCache struct {
 	progLRU  list.List
 	maxProgs int
 
-	bitmaps  map[bitmapKey]*list.Element // of *bitmapEntry
-	bmLRU    list.List
-	bmBytes  int
-	maxBytes int
-
 	partials     map[partialKey]*list.Element // of *partialEntry
 	pLRU         list.List
 	pBytes       int
 	maxPartBytes int
 
 	progHits, progMisses atomic.Uint64
-	bmHits, bmMisses     atomic.Uint64
-	bmEvictions          atomic.Uint64
 	pHits, pMisses       atomic.Uint64
 	pEvictions           atomic.Uint64
 }
 
-func newScanCache(maxProgs, maxBytes, maxPartBytes int) *scanCache {
+func newScanCache(maxProgs, maxPartBytes int) *scanCache {
 	return &scanCache{
 		progs:        make(map[string]*list.Element),
-		bitmaps:      make(map[bitmapKey]*list.Element),
 		partials:     make(map[partialKey]*list.Element),
 		maxProgs:     maxProgs,
-		maxBytes:     maxBytes,
 		maxPartBytes: maxPartBytes,
 	}
 }
 
 // setLimits reconfigures the bounds; zero disables (and clears) the
 // respective layer.
-func (c *scanCache) setLimits(maxProgs, maxBytes, maxPartBytes int) {
+func (c *scanCache) setLimits(maxProgs, maxPartBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maxProgs = maxProgs
-	c.maxBytes = maxBytes
 	c.maxPartBytes = maxPartBytes
 	c.evictLocked()
 }
@@ -234,71 +198,6 @@ func (c *scanCache) storeProgram(key string, prog *filterProgram) {
 	}
 	c.progs[key] = c.progLRU.PushFront(&progEntry{key: key, prog: prog})
 	c.evictLocked()
-}
-
-// lookupBitmap returns the cached selection bitmap for (key, shard) if it
-// was built at exactly the given epoch. A stale entry is removed on the
-// spot (its epoch can never match again — epochs only grow). The returned
-// bitmap is shared and must be treated read-only.
-func (c *scanCache) lookupBitmap(key string, shard int, epoch uint64) (*bitmap, bool) {
-	k := bitmapKey{expr: key, shard: shard}
-	c.mu.Lock()
-	e, ok := c.bitmaps[k]
-	if ok {
-		ent := e.Value.(*bitmapEntry)
-		if ent.epoch == epoch {
-			c.bmLRU.MoveToFront(e)
-			c.mu.Unlock()
-			c.bmHits.Add(1)
-			return ent.bits, true
-		}
-		c.removeBitmapLocked(e)
-	}
-	c.mu.Unlock()
-	c.bmMisses.Add(1)
-	return nil, false
-}
-
-// bitmapFootprint is the byte charge for caching an n-bit bitmap.
-func bitmapFootprint(nbits int) int {
-	return ((nbits+63)/64)*8 + 64
-}
-
-// acceptsBitmap reports whether the cache would keep an n-bit bitmap at
-// all. Scans consult it before evaluation so that when the answer is no
-// (cache disabled, or the shard too large for the budget) they can use a
-// pooled scratch bitmap instead of allocating one for the cache to
-// reject.
-func (c *scanCache) acceptsBitmap(nbits int) bool {
-	nbytes := bitmapFootprint(nbits)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxBytes > 0 && nbytes <= c.maxBytes
-}
-
-// storeBitmap publishes a freshly computed selection bitmap. The cache
-// takes ownership: the caller must not mutate bits afterwards.
-func (c *scanCache) storeBitmap(key string, shard int, epoch uint64, bits *bitmap) {
-	nbytes := bitmapFootprint(bits.n)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes <= 0 || nbytes > c.maxBytes {
-		return
-	}
-	k := bitmapKey{expr: key, shard: shard}
-	if e, ok := c.bitmaps[k]; ok {
-		c.removeBitmapLocked(e)
-	}
-	c.bitmaps[k] = c.bmLRU.PushFront(&bitmapEntry{key: k, epoch: epoch, bits: bits, bytes: nbytes})
-	c.bmBytes += nbytes
-	c.evictLocked()
-}
-
-func (c *scanCache) removeBitmapLocked(e *list.Element) {
-	ent := e.Value.(*bitmapEntry)
-	c.bmLRU.Remove(e)
-	delete(c.bitmaps, ent.key)
-	c.bmBytes -= ent.bytes
 }
 
 // lookupPartial returns the cached sample partial for a key if it was
@@ -361,13 +260,9 @@ func (c *scanCache) removePartialLocked(e *list.Element) {
 }
 
 // evictLocked drops LRU entries until every layer fits its bounds.
-// In-flight scans holding a dropped bitmap or partial keep their
-// reference; the entry simply stops being findable.
+// In-flight merges holding a dropped partial keep their reference; the
+// entry simply stops being findable.
 func (c *scanCache) evictLocked() {
-	for c.bmBytes > c.maxBytes && c.bmLRU.Len() > 0 {
-		c.removeBitmapLocked(c.bmLRU.Back())
-		c.bmEvictions.Add(1)
-	}
 	for c.pBytes > c.maxPartBytes && c.pLRU.Len() > 0 {
 		c.removePartialLocked(c.pLRU.Back())
 		c.pEvictions.Add(1)
@@ -382,16 +277,11 @@ func (c *scanCache) evictLocked() {
 // stats snapshots the scan-layer counters.
 func (c *scanCache) stats() CacheStats {
 	c.mu.Lock()
-	bmBytes := c.bmBytes
 	pBytes := c.pBytes
 	c.mu.Unlock()
 	return CacheStats{
 		ProgramHits:      c.progHits.Load(),
 		ProgramMisses:    c.progMisses.Load(),
-		BitmapHits:       c.bmHits.Load(),
-		BitmapMisses:     c.bmMisses.Load(),
-		BitmapEvictions:  c.bmEvictions.Load(),
-		BitmapBytes:      bmBytes,
 		PartialHits:      c.pHits.Load(),
 		PartialMisses:    c.pMisses.Load(),
 		PartialEvictions: c.pEvictions.Load(),

@@ -78,104 +78,38 @@ func TestFilterProgramCacheReuse(t *testing.T) {
 	}
 }
 
-func TestSelectionBitmapCacheEpochInvalidation(t *testing.T) {
-	_, tbl := buildCacheTable(t, 2000)
-	// Keep the bitmap layer but disable the partial layer: with partials
-	// on, a warm repeat serves whole shards from cached partials and never
-	// probes the bitmaps, which is exactly what the per-layer counters
-	// below must not be distorted by.
-	tbl.SetScanCacheLimits(defaultProgramCacheEntries, defaultBitmapCacheBytes, 0)
-	pred := mustPredicate(t, "v >= 500 AND v < 1500")
-
-	cold, err := tbl.Sample("v", pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := tbl.CacheStats()
-	if base.BitmapHits != 0 || base.BitmapMisses == 0 {
-		t.Fatalf("cold scan: bitmap hits=%d misses=%d, want 0 hits and some misses", base.BitmapHits, base.BitmapMisses)
-	}
-
-	warm, err := tbl.Sample("v", pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := tbl.CacheStats()
-	if after.BitmapHits != base.BitmapMisses {
-		t.Fatalf("warm scan: bitmap hits=%d, want %d (one per populated shard)", after.BitmapHits, base.BitmapMisses)
-	}
-	if after.BitmapMisses != base.BitmapMisses {
-		t.Fatalf("warm scan recomputed bitmaps: misses %d -> %d", base.BitmapMisses, after.BitmapMisses)
-	}
-	if cold.Fingerprint() != warm.Fingerprint() {
-		t.Fatal("warm sample differs from cold sample")
-	}
-
-	// A mutating insert bumps exactly one shard's epoch: the next scan
-	// must recompute that shard's bitmap (and only that shard's) and see
-	// the new row.
-	if err := tbl.Insert("entity-0750", "src-9", map[string]sqlparse.Value{
-		"grp": sqlparse.StringValue("g2"),
-		"v":   sqlparse.Number(750),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := tbl.Sample("v", pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := tbl.CacheStats()
-	if got := final.BitmapMisses - after.BitmapMisses; got != 1 {
-		t.Fatalf("post-insert scan recomputed %d shard bitmaps, want 1", got)
-	}
-	if fresh.N() != warm.N()+1 {
-		t.Fatalf("post-insert sample n=%d, want %d", fresh.N(), warm.N()+1)
-	}
-
-	// An idempotent duplicate insert mutates nothing: caches stay warm.
-	if err := tbl.Insert("entity-0750", "src-9", map[string]sqlparse.Value{
-		"grp": sqlparse.StringValue("g2"),
-		"v":   sqlparse.Number(750),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Sample("v", pred); err != nil {
-		t.Fatal(err)
-	}
-	if got := tbl.CacheStats().BitmapMisses; got != final.BitmapMisses {
-		t.Fatalf("idempotent insert invalidated bitmaps: misses %d -> %d", final.BitmapMisses, got)
-	}
-}
-
 func TestScanCacheEvictionBounds(t *testing.T) {
 	_, tbl := buildCacheTable(t, 2000)
-	// Budget fits roughly two predicates' worth of shard bitmaps
-	// (16 shards x (len(words)*8 + 64) each).
-	const budget = 4096
-	tbl.SetScanCacheLimits(4, budget, 0)
+	// Budget fits roughly two predicates' worth of frozen shard partials
+	// (16 shards x ~125 rows of PartialRow plus entity IDs each).
+	const budget = 256 << 10
+	tbl.SetScanCacheLimits(4, budget)
 
 	for i := 0; i < 32; i++ {
 		if _, err := tbl.Sample("v", mustPredicate(t, fmt.Sprintf("v >= %d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if got := tbl.CacheStats().BitmapBytes; got > budget {
-			t.Fatalf("bitmap cache grew to %d bytes, budget %d", got, budget)
+		if got := tbl.CacheStats().PartialBytes; got > budget {
+			t.Fatalf("partial cache grew to %d bytes, budget %d", got, budget)
 		}
 	}
 	stats := tbl.CacheStats()
-	if stats.BitmapEvictions == 0 {
-		t.Error("no bitmap evictions despite a tiny budget")
+	if stats.PartialBytes == 0 {
+		t.Error("partial cache stored nothing within its budget")
+	}
+	if stats.PartialEvictions == 0 {
+		t.Error("no partial evictions despite a tiny budget")
 	}
 
 	// Disabling clears everything.
-	tbl.SetScanCacheLimits(0, 0, 0)
-	if got := tbl.CacheStats().BitmapBytes; got != 0 {
+	tbl.SetScanCacheLimits(0, 0)
+	if got := tbl.CacheStats().PartialBytes; got != 0 {
 		t.Fatalf("disabled cache still holds %d bytes", got)
 	}
 	if _, err := tbl.Sample("v", mustPredicate(t, "v >= 1")); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.CacheStats().BitmapBytes; got != 0 {
+	if got := tbl.CacheStats().PartialBytes; got != 0 {
 		t.Fatalf("disabled cache stored %d bytes", got)
 	}
 }
@@ -187,7 +121,7 @@ func TestScanCacheEvictionBounds(t *testing.T) {
 func TestCachedVsColdParity(t *testing.T) {
 	warmDB, _ := buildCacheTable(t, 1500)
 	coldDB, coldTbl := buildCacheTable(t, 1500)
-	coldTbl.SetScanCacheLimits(0, 0, 0) // cold engine: caching off entirely
+	coldTbl.SetScanCacheLimits(0, 0) // cold engine: caching off entirely
 
 	queries := []string{
 		"SELECT SUM(v) FROM t",
@@ -211,8 +145,8 @@ func TestCachedVsColdParity(t *testing.T) {
 		}
 		assertResultsEqual(t, sql, warm, cold)
 	}
-	if stats := coldTbl.CacheStats(); stats.BitmapBytes != 0 {
-		t.Fatalf("cold table cached %d bitmap bytes", stats.BitmapBytes)
+	if stats := coldTbl.CacheStats(); stats.PartialBytes != 0 {
+		t.Fatalf("cold table cached %d partial bytes", stats.PartialBytes)
 	}
 }
 
@@ -404,9 +338,9 @@ func TestResultCacheDistinguishesEstimatorConfig(t *testing.T) {
 
 // TestConcurrentInsertNeverServesStaleEpoch hammers a cached table with
 // writers while readers repeatedly run the same filtered query (maximum
-// bitmap-cache traffic) and a result-cached query. Run under -race. Each
+// partial-cache traffic) and a result-cached query. Run under -race. Each
 // reader checks that matched observation counts never go backwards —
-// inserts only add, so serving a bitmap or result from a stale epoch
+// inserts only add, so serving a partial or result from a stale epoch
 // would show up as a shrinking sample — and a final quiesced query must
 // agree exactly with a cache-free rebuild.
 func TestConcurrentInsertNeverServesStaleEpoch(t *testing.T) {
@@ -464,7 +398,7 @@ func TestConcurrentInsertNeverServesStaleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, coldTbl := buildCacheTable(t, 400)
-	coldTbl.SetScanCacheLimits(0, 0, 0)
+	coldTbl.SetScanCacheLimits(0, 0)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			id := fmt.Sprintf("extra-%d-%d", w, i)

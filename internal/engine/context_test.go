@@ -14,8 +14,8 @@ import (
 
 // Cancellation contract tests: QueryContext/ExecuteContext return
 // ctx.Err() promptly when the context dies mid-query, and a canceled
-// query never leaves half-built entries in the bitmap/partial/result
-// caches for the next query to trip over.
+// query never leaves half-built entries in the partial/result caches
+// for the next query to trip over.
 
 // blockingEstimator is a SumEstimator whose first EstimateSum call parks
 // until released, signalling `started` on entry. It lets a test cancel a
@@ -137,7 +137,7 @@ func TestQueryContextCancelMidFlight(t *testing.T) {
 	}
 
 	// Re-running on a live context must agree exactly with a cold replica
-	// — if the canceled scan had published a half-built bitmap or partial,
+	// — if the canceled scan had published a half-built partial,
 	// the warm DB's answer would drift.
 	hot.Estimators = []core.SumEstimator{core.Naive{}, core.Frequency{}, core.Bucket{}, core.MonteCarlo{}}
 	cold := mkDB(false)

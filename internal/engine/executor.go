@@ -35,14 +35,12 @@ type DB struct {
 	// when disabled. Atomic so enabling/disabling at runtime is safe
 	// against concurrent queries.
 	results atomic.Pointer[resultCache]
-	// scanLimits and ingestCfg hold Open-time per-table options
-	// (WithScanCacheLimits, WithIngest), applied to each table at
-	// CreateTable/Load adoption; ingesters collects the auto-started
-	// Ingesters so Close can stop them (flushing their staged tails)
-	// before releasing table storage.
-	scanLimits *scanCacheLimits
-	ingestCfg  *IngestConfig
-	ingesters  []*Ingester
+	// ingestCfg holds the Open-time per-table option WithIngest, applied
+	// to each table at CreateTable/Load adoption; ingesters collects the
+	// auto-started Ingesters so Close can stop them (flushing their staged
+	// tails) before releasing table storage.
+	ingestCfg *IngestConfig
+	ingesters []*Ingester
 	// FlushOnQuery, when set, drains the queried table's ingestion
 	// staging before each query scan, so the query sees every observation
 	// staged to that table before it started (read-your-writes for all
@@ -332,10 +330,9 @@ func (db *DB) Execute(q *sqlparse.Query) (*Result, error) {
 // the engine's natural unit boundaries — before each shard scan, between
 // per-group executions and between estimator fan-out tasks — and returns
 // ctx.Err(). A unit that already started runs to completion, so every
-// cache publication (a shard's selection bitmap, a frozen partial, a
-// whole result) is a complete value built under the scan's locks:
-// cancellation can abandon a query but can never leave a half-built entry
-// behind for the next one.
+// cache publication (a frozen partial, a whole result) is a complete
+// value built under the scan's locks: cancellation can abandon a query
+// but can never leave a half-built entry behind for the next one.
 func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, error) {
 	t, ok := db.tables[q.Table]
 	if !ok {

@@ -122,7 +122,7 @@ func TestIncrementalRequeryRescansOnlyDirtyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTbl.SetScanCacheLimits(0, 0, 0)
+	coldTbl.SetScanCacheLimits(0, 0)
 	for _, ins := range log {
 		if err := coldTbl.Insert(ins.id, ins.src, ins.attrs); err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestIncrementalPartialCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.SetScanCacheLimits(0, 0, 0)
+	tbl.SetScanCacheLimits(0, 0)
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("e%02d", i)
 		if err := tbl.Insert(id, "s0", map[string]sqlparse.Value{
@@ -231,7 +231,7 @@ func TestMetamorphicIncrementalRequery(t *testing.T) {
 
 		// Cold rebuild of the same prefix, all caches off.
 		coldDB, coldTbl := metaTable(t)
-		coldTbl.SetScanCacheLimits(0, 0, 0)
+		coldTbl.SetScanCacheLimits(0, 0)
 		for _, o := range obs[:next] {
 			if err := coldTbl.Insert(o.entity, o.source, o.attrs); err != nil {
 				t.Fatal(err)

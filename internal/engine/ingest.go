@@ -641,7 +641,7 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, pending []uint64) {
 	sh.mu.Lock()
 	changed := sh.store.ApplyBatch(chunks, hooks)
 	if changed {
-		// One epoch bump per applied batch: every cached bitmap/result
+		// One epoch bump per applied batch: every cached partial/result
 		// built before this batch stops matching, exactly as with per-row
 		// Insert but at batch granularity (see cache.go).
 		sh.store.BumpEpoch()

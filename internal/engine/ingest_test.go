@@ -267,7 +267,7 @@ func TestInlineDrainAtThreshold(t *testing.T) {
 }
 
 // TestEpochPerBatch: one applied batch invalidates an affected shard's
-// cached bitmap exactly once — per batch, not per row.
+// cached partial exactly once — per batch, not per row.
 func TestEpochPerBatch(t *testing.T) {
 	db, tbl := ingestTestTable(t)
 	// Ensure a valid "ok" everywhere so predicates compile over all rows.
@@ -283,17 +283,17 @@ func TestEpochPerBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	query() // cold: builds one bitmap per shard
+	query() // cold: builds one partial per shard
 	base := tbl.CacheStats()
 	query() // warm: all hits
 	warm := tbl.CacheStats()
-	if warm.BitmapMisses != base.BitmapMisses {
-		t.Fatalf("warm query missed bitmaps: %d -> %d", base.BitmapMisses, warm.BitmapMisses)
+	if warm.PartialMisses != base.PartialMisses {
+		t.Fatalf("warm query missed partials: %d -> %d", base.PartialMisses, warm.PartialMisses)
 	}
 
 	// Stage a batch of observations that all land in ONE entity's shard,
 	// then flush: exactly one shard's epoch moves (one bump for the whole
-	// batch), so the re-query recomputes exactly one bitmap.
+	// batch), so the re-query rescans exactly one shard.
 	for i := 0; i < 100; i++ {
 		if err := tbl.Append("seed0", fmt.Sprintf("batchsrc%d", i), rowAttrs("seed0", 0)); err != nil {
 			t.Fatal(err)
@@ -304,8 +304,8 @@ func TestEpochPerBatch(t *testing.T) {
 	}
 	query()
 	after := tbl.CacheStats()
-	if got := after.BitmapMisses - warm.BitmapMisses; got != 1 {
-		t.Errorf("bitmap recomputes after one batch = %d, want exactly 1", got)
+	if got := after.PartialMisses - warm.PartialMisses; got != 1 {
+		t.Errorf("partial rescans after one batch = %d, want exactly 1", got)
 	}
 }
 

@@ -4,12 +4,12 @@ import "repro/internal/core"
 
 // Functional-options construction. Open(opts...) replaces the historical
 // zero-value-plus-setters idiom (&DB{Estimators: ...} followed by
-// EnableResultCache / SetScanCacheLimits / StartIngest calls scattered
-// over the call site): every knob is declared up front, before the DB
-// serves traffic, which is exactly the window the DB's own documentation
-// demands for Storage, Estimators and FlushOnQuery. The old setters keep
-// working — Open merely folds them into one construction expression — but
-// new code (and everything in this repository) goes through Open.
+// EnableResultCache / StartIngest calls scattered over the call site):
+// every knob is declared up front, before the DB serves traffic, which is
+// exactly the window the DB's own documentation demands for Storage,
+// Estimators and FlushOnQuery. The old setters keep working — Open merely
+// folds them into one construction expression — but new code (and
+// everything in this repository) goes through Open.
 
 // Option configures a DB at Open time.
 type Option func(*DB)
@@ -17,8 +17,8 @@ type Option func(*DB)
 // Open constructs a DB from functional options. With no options it is
 // equivalent to new(DB): an empty in-memory database with the paper's
 // default estimators. Tables created later (CreateTable, snapshot Load)
-// inherit the per-table options — scan-cache limits and background
-// ingestion — at creation/adoption time.
+// inherit the per-table option — background ingestion — at
+// creation/adoption time.
 func Open(opts ...Option) *DB {
 	db := &DB{}
 	for _, opt := range opts {
@@ -52,21 +52,6 @@ func WithResultCache(maxBytes int) Option {
 	return func(db *DB) { db.EnableResultCache(maxBytes) }
 }
 
-// WithScanCacheLimits sets per-table scan-cache budgets — compiled filter
-// programs (entries), selection bitmaps (bytes), frozen sample partials
-// (bytes) — applied to every table the DB creates or adopts from a
-// snapshot. Tables keep their package defaults when this option is
-// absent. See Table.SetScanCacheLimits for the semantics of each bound.
-func WithScanCacheLimits(maxPrograms, maxBitmapBytes, maxPartialBytes int) Option {
-	return func(db *DB) {
-		db.scanLimits = &scanCacheLimits{
-			programs:     maxPrograms,
-			bitmapBytes:  maxBitmapBytes,
-			partialBytes: maxPartialBytes,
-		}
-	}
-}
-
 // WithFlushOnQuery sets the read-your-writes drain barrier before every
 // query scan (see the FlushOnQuery field).
 func WithFlushOnQuery(on bool) Option {
@@ -82,20 +67,9 @@ func WithIngest(cfg IngestConfig) Option {
 	return func(db *DB) { db.ingestCfg = &cfg }
 }
 
-// scanCacheLimits carries WithScanCacheLimits until tables exist to apply
-// it to.
-type scanCacheLimits struct {
-	programs     int
-	bitmapBytes  int
-	partialBytes int
-}
-
 // adoptTable applies the DB's per-table options to a newly created or
-// snapshot-adopted table: scan-cache budgets, then background ingestion.
+// snapshot-adopted table: background ingestion.
 func (db *DB) adoptTable(t *Table) error {
-	if db.scanLimits != nil {
-		t.SetScanCacheLimits(db.scanLimits.programs, db.scanLimits.bitmapBytes, db.scanLimits.partialBytes)
-	}
 	if db.ingestCfg != nil {
 		ing, err := t.StartIngest(*db.ingestCfg)
 		if err != nil {

@@ -91,7 +91,7 @@ func parallelForCtx(ctx context.Context, n int, fn func(i int) error) error {
 // shard read locks (rlockAll), so the whole scan sees one point-in-time
 // cut of the table. Cancellation is observed before each shard's visit —
 // the shard-scan boundary of QueryContext's contract: a shard that
-// started scanning finishes (its published bitmap/partial is complete),
+// started scanning finishes (its published partial is complete),
 // the remaining shards are skipped.
 func (t *Table) forEachShard(ctx context.Context, fn func(i int, sh *shard) error) error {
 	rows := 0

@@ -67,7 +67,7 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 		storageDir: dir,
 		srcIDs:     make(map[string]int32),
 		id:         tableIDs.Add(1),
-		cache:      newScanCache(defaultProgramCacheEntries, defaultBitmapCacheBytes, defaultPartialCacheBytes),
+		cache:      newScanCache(defaultProgramCacheEntries, defaultPartialCacheBytes),
 		uid:        m.UID,
 	}
 

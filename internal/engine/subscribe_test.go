@@ -78,7 +78,7 @@ func TestSubscribeEmitsAtEveryFlushPoint(t *testing.T) {
 		}
 		// Cold replica of everything applied so far, no caches anywhere.
 		coldDB, coldTbl := metaTable(t)
-		coldTbl.SetScanCacheLimits(0, 0, 0)
+		coldTbl.SetScanCacheLimits(0, 0)
 		for _, o := range log {
 			if err := coldTbl.Insert(o.entity, o.source, o.attrs); err != nil {
 				t.Fatal(err)

@@ -208,7 +208,7 @@ func NewTableWithStorage(name string, schema Schema, storage StorageConfig) (*Ta
 		storage: storage,
 		srcIDs:  make(map[string]int32),
 		id:      tableIDs.Add(1),
-		cache:   newScanCache(defaultProgramCacheEntries, defaultBitmapCacheBytes, defaultPartialCacheBytes),
+		cache:   newScanCache(defaultProgramCacheEntries, defaultPartialCacheBytes),
 	}
 	dir := ""
 	durable := storage.Backend == BackendDisk && storage.Durable
@@ -419,16 +419,15 @@ func (t *Table) discardStorage() {
 }
 
 // SetScanCacheLimits reconfigures the table's scan caches: maxPrograms
-// bounds the compiled-filter cache (entries), maxBitmapBytes bounds the
-// selection-bitmap cache (approximate bytes), and maxPartialBytes bounds
+// bounds the compiled-filter cache (entries) and maxPartialBytes bounds
 // the per-shard sample-partial cache (approximate bytes). Zero disables
 // and clears the respective layer; new tables start at the package
 // defaults.
-func (t *Table) SetScanCacheLimits(maxPrograms, maxBitmapBytes, maxPartialBytes int) {
-	t.cache.setLimits(maxPrograms, maxBitmapBytes, maxPartialBytes)
+func (t *Table) SetScanCacheLimits(maxPrograms, maxPartialBytes int) {
+	t.cache.setLimits(maxPrograms, maxPartialBytes)
 }
 
-// CacheStats snapshots the table's compiled-filter and selection-bitmap
+// CacheStats snapshots the table's compiled-filter and sample-partial
 // cache counters, plus the string-dictionary footprint (cardinality and
 // resident bytes summed over the table's shards).
 func (t *Table) CacheStats() CacheStats {
@@ -608,7 +607,7 @@ func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value)
 		return nil
 	}
 	// The store changed (new row and/or new lineage mention): bump the
-	// write epoch so cached bitmaps and results built before this insert
+	// write epoch so cached partials and results built before this insert
 	// stop matching. The idempotent re-insert path above returns without
 	// bumping — nothing changed, caches stay warm.
 	st.BumpEpoch()
@@ -833,62 +832,40 @@ func appendViewRow(p *freqstats.Partial, v *storeView, row int, value float64) {
 }
 
 // selectionFor returns the selection bitmap of the compiled predicate
-// over one shard view: every row for a nil program, the cached bitmap
-// when the scan cache holds one built at the shard's current epoch, and
-// otherwise a fresh evaluation whose result is published to the cache.
-// The caller must hold the shard's read lock (so the epoch cannot move
-// under the lookup) and must treat the returned bitmap as read-only;
-// cleanup returns any pooled scratch.
-func (t *Table) selectionFor(sh *shard, v *storeView, si int, key string, prog *filterProgram) (sel *bitmap, cleanup func(), err error) {
-	n := v.rows
+// over one shard view (every row for a nil program) in a pooled bitmap
+// the caller returns with releaseBitmap. The caller must hold the shard's
+// read lock.
+func (t *Table) selectionFor(v *storeView, prog *filterProgram) (*bitmap, error) {
+	all := borrowBitmap(v.rows)
+	all.setAll()
 	if prog == nil {
-		all := borrowBitmap(n)
-		all.setAll()
-		return all, func() { releaseBitmap(all) }, nil
+		return all, nil
 	}
-	epoch := sh.store.Epoch()
-	if bits, ok := t.cache.lookupBitmap(key, si, epoch); ok {
-		return bits, func() {}, nil
+	defer releaseBitmap(all)
+	out := borrowBitmap(v.rows)
+	if err := prog.eval(v, all, out); err != nil {
+		releaseBitmap(out)
+		return nil, fmt.Errorf("engine: %s: %w", t.name, err)
 	}
-	full := borrowBitmap(n)
-	full.setAll()
-	defer releaseBitmap(full)
-	if !t.cache.acceptsBitmap(n) {
-		// Cache off (or shard over budget): pure pooled path, identical
-		// to the pre-cache scan.
-		out := borrowBitmap(n)
-		if err := prog.eval(v, full, out); err != nil {
-			releaseBitmap(out)
-			return nil, nil, fmt.Errorf("engine: %s: %w", t.name, err)
-		}
-		return out, func() { releaseBitmap(out) }, nil
-	}
-	// The result bitmap is allocated outside the pool: on store the cache
-	// takes ownership and later scans share it read-only.
-	out := newBitmap(n)
-	if err := prog.eval(v, full, out); err != nil {
-		return nil, nil, fmt.Errorf("engine: %s: %w", t.name, err)
-	}
-	t.cache.storeBitmap(key, si, epoch, out)
-	return out, func() {}, nil
+	return out, nil
 }
 
 // scanShard filters one shard with the compiled predicate and collects the
 // kept rows with their lineage. attrCol < 0 means COUNT(*)-style
-// aggregation (value 0, NULLs kept). key is the predicate's cache key
-// (filterKey). The shard must be read-locked by the caller.
-func (t *Table) scanShard(sh *shard, si, attrCol int, key string, prog *filterProgram) (*freqstats.Partial, error) {
+// aggregation (value 0, NULLs kept). The shard must be read-locked by the
+// caller.
+func (t *Table) scanShard(sh *shard, attrCol int, prog *filterProgram) (*freqstats.Partial, error) {
 	part := borrowSamplePart()
 	if sh.rows() == 0 {
 		return part, nil
 	}
 	v := sh.store.View()
-	sel, cleanup, err := t.selectionFor(sh, v, si, key, prog)
+	sel, err := t.selectionFor(v, prog)
 	if err != nil {
 		releaseSamplePart(part)
 		return nil, err
 	}
-	defer cleanup()
+	defer releaseBitmap(sel)
 	// Presize from the selection's popcount: rows is an exact upper bound
 	// (NULL attrs may drop some), and the lineage arena is sized by the
 	// shard's observed obs-per-row ratio. A pooled part usually already
@@ -1070,7 +1047,7 @@ func (t *Table) scanPartials(ctx context.Context, attr string, attrCol int, key 
 			parts[i] = p
 			return nil
 		}
-		p, scanErr := t.scanShard(sh, i, attrCol, key, prog)
+		p, scanErr := t.scanShard(sh, attrCol, prog)
 		if scanErr != nil {
 			return scanErr
 		}
@@ -1105,7 +1082,7 @@ func (t *Table) publishPartial(pk partialKey, epoch uint64, p *freqstats.Partial
 // the table's program cache: programs are pure functions of (schema,
 // canonical predicate text) and the schema is fixed at creation, so each
 // predicate compiles once per table. The canonical key is returned for
-// the downstream bitmap cache.
+// the downstream partial cache.
 func (t *Table) compiledFilter(where sqlparse.Expr) (*filterProgram, string, error) {
 	if where == nil {
 		return nil, "", nil
@@ -1180,7 +1157,7 @@ func (t *Table) groupedSamplesWithEpochs(ctx context.Context, attr, groupBy stri
 	if err != nil {
 		return nil, epochs, err
 	}
-	prog, key, err := t.compiledFilter(where)
+	prog, _, err := t.compiledFilter(where)
 	if err != nil {
 		return nil, epochs, err
 	}
@@ -1189,7 +1166,7 @@ func (t *Table) groupedSamplesWithEpochs(ctx context.Context, attr, groupBy stri
 	names := t.sourceNameTable()
 	epochs = t.epochsLocked()
 	err = t.forEachShard(ctx, func(i int, sh *shard) error {
-		g, err := t.scanShardGrouped(sh, i, attrCol, groupCol, key, prog)
+		g, err := t.scanShardGrouped(sh, attrCol, groupCol, prog)
 		if err != nil {
 			return err
 		}
@@ -1231,17 +1208,17 @@ func (t *Table) groupedSamplesWithEpochs(ctx context.Context, attr, groupBy stri
 
 // scanShardGrouped is scanShard with a per-group partition step. The shard
 // must be read-locked by the caller.
-func (t *Table) scanShardGrouped(sh *shard, si, attrCol, groupCol int, key string, prog *filterProgram) (map[string]*groupPart, error) {
+func (t *Table) scanShardGrouped(sh *shard, attrCol, groupCol int, prog *filterProgram) (map[string]*groupPart, error) {
 	groups := map[string]*groupPart{}
 	if sh.rows() == 0 {
 		return groups, nil
 	}
 	v := sh.store.View()
-	sel, cleanup, err := t.selectionFor(sh, v, si, key, prog)
+	sel, err := t.selectionFor(v, prog)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
+	defer releaseBitmap(sel)
 	groupCV := &v.cols[groupCol]
 	// Dictionary fast path for string group columns: kept rows arrive in
 	// ascending order, so the group extent advances monotonically, and

@@ -43,12 +43,6 @@ type Config struct {
 	// (default 16 MiB; <= 0 after explicit Set means disabled — use -1 to
 	// disable, 0 for the default).
 	ResultCacheBytes int
-	// ScanCachePrograms/ScanCacheBitmapBytes/ScanCachePartialBytes bound
-	// each tenant's per-table scan caches; zero keeps the engine
-	// defaults.
-	ScanCachePrograms     int
-	ScanCacheBitmapBytes  int
-	ScanCachePartialBytes int
 	// Ingest configures each tenant table's background appliers (zero
 	// value = engine defaults: one applier, 256-row batches).
 	Ingest engine.IngestConfig
@@ -227,10 +221,6 @@ func (s *Server) openTenantDB(name string) (*engine.DB, error) {
 	}
 	if s.cfg.ResultCacheBytes > 0 {
 		opts = append(opts, engine.WithResultCache(s.cfg.ResultCacheBytes))
-	}
-	if s.cfg.ScanCachePrograms != 0 || s.cfg.ScanCacheBitmapBytes != 0 || s.cfg.ScanCachePartialBytes != 0 {
-		opts = append(opts, engine.WithScanCacheLimits(
-			s.cfg.ScanCachePrograms, s.cfg.ScanCacheBitmapBytes, s.cfg.ScanCachePartialBytes))
 	}
 	storage := s.cfg.Backend
 	if storage.Dir != "" {

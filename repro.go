@@ -229,8 +229,8 @@ var (
 )
 
 // Option configures a database opened with Open; see the engine package's
-// With* constructors (WithBackend, WithResultCache, WithScanCacheLimits,
-// WithFlushOnQuery, WithIngest, WithEstimators).
+// With* constructors (WithBackend, WithResultCache, WithFlushOnQuery,
+// WithIngest, WithEstimators).
 type Option = engine.Option
 
 // Open returns a database built from functional options; with none it is
