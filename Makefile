@@ -92,6 +92,7 @@ fuzz-smoke:
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParse$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParsePredicate$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/randx -run=NONE -fuzz='FuzzSampleWithoutReplacement$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/randx -run=NONE -fuzz='FuzzStreamMatchesMathRand$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatBetweenKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatInKernelParity$$' -fuzztime=$(FUZZTIME)

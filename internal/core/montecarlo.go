@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 
@@ -39,6 +38,13 @@ import (
 // scheme replaced a single sequential stream when the grid was
 // parallelized; fixed-seed results are stable going forward but differ
 // from the pre-parallel implementation.)
+//
+// Each run's stream is a randx.Stream seeded with the derived seed: Go's
+// math/rand generator as a concrete type, which yields exactly the values
+// of rand.New(rand.NewSource(seed)) (randx's TestStreamMatchesMathRand is
+// its oracle) but seeds without math/rand's serial chain and inlines into
+// the sampler's key loop. The generator reduces a seed modulo 2³¹−1, so of
+// Derive's 64-bit seeds at most about 2³¹ give distinct streams.
 //
 // The output depends on each run's stream only through randx's sampler
 // contract: one ExpFloat64 key per positive weight in index order, the k
@@ -161,8 +167,7 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	newScratch := func() *mcScratch { return &mcScratch{rng: randx.New(0)} }
-	parallelx.ForEach(len(cells), workers, newScratch, func(sc *mcScratch, i int) {
+	parallelx.ForEach(len(cells), workers, func() *mcScratch { return new(mcScratch) }, func(sc *mcScratch, i int) {
 		// Largest populations first, so a worker's buffers reach their
 		// final size on its first cell.
 		k := len(cells) - 1 - i
@@ -193,7 +198,7 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 type mcScratch struct {
 	weights []float64
 	sampler randx.KeySampler
-	rng     *rand.Rand
+	rng     randx.Stream
 	counts  []int
 	hist    []int
 	profile []int
@@ -203,7 +208,7 @@ type mcScratch struct {
 // simulateDistance is Algorithm 2: the average smoothed KL divergence over
 // the configured number of runs between the observed occurrence profile
 // and profiles simulated with population size thetaN and skew lambda.
-// Every run re-seeds the worker's rand.Rand from (Seed, cell, run), so the
+// Every run re-seeds the worker's Stream from (Seed, cell, run), so the
 // simulation is reproducible under any parallel schedule.
 func (m MonteCarlo) simulateDistance(sc *mcScratch, cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
 	sc.weights = resize(sc.weights, thetaN)
@@ -220,7 +225,7 @@ func (m MonteCarlo) simulateDistance(sc *mcScratch, cellIdx int, thetaN int, lam
 		sc.rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
 		clear(sc.counts)
 		for _, nj := range sizes {
-			idx, err := sc.sampler.SampleSet(sc.rng, nj, sc.idx[:0])
+			idx, err := sc.sampler.SampleSet(&sc.rng, nj, sc.idx[:0])
 			if err != nil {
 				return math.Inf(1)
 			}

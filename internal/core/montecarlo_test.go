@@ -168,7 +168,7 @@ func TestMonteCarloPinnedBits(t *testing.T) {
 			t.Errorf("%s: EstimateSum bits %#016x, want %#016x", name, got, tc.sum)
 		}
 		c, chao := float64(s.C()), species.Chao92(s).N
-		sc := &mcScratch{rng: randx.New(0)} // one worker's buffers, reused across cells
+		sc := new(mcScratch) // one worker's buffers, reused across cells
 		for i, lam := range []float64{-0.4, 0, 0.3} {
 			thetaN := int(math.Round(c + float64(i)*(chao-c)/2))
 			z := tc.mc.simulateDistance(sc, 7*i+3, thetaN, lam, s.SourceSizes(), s.OccurrenceCounts())

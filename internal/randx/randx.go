@@ -5,7 +5,9 @@
 //
 // Nothing in this package uses global randomness. Every randomized function
 // takes an explicit *rand.Rand so that simulations, experiments and tests
-// are reproducible under a fixed seed.
+// are reproducible under a fixed seed. Stream is math/rand's generator as
+// a concrete type, bit-identical to it, for the Monte-Carlo estimator's
+// hot loop: KeySampler.SampleSet draws from a Stream.
 package randx
 
 import (
@@ -145,7 +147,9 @@ func SampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) ([]int, 
 // KeySampler is the exponential-keys sampler behind
 // SampleWithoutReplacement, bound to one validated weight vector so that
 // repeated draws skip validation and reuse its buffers. It follows the
-// SampleWithoutReplacement contract draw for draw.
+// SampleWithoutReplacement contract draw for draw: Sample on a rand.Rand,
+// SampleSet on a Stream, whose values are those of a rand.Rand of the same
+// seed.
 //
 // A draw costs O(n) whatever k is: the keys' bit patterns are stored, the
 // k-th smallest is found by an MSD radix select on those bits, and one
@@ -182,57 +186,104 @@ func (s *KeySampler) Reset(weights []float64) error {
 }
 
 // Sample appends k sampled indices to dst in ascending (key, index) order
-// and returns the extended slice. It is SampleSet followed by a sort of
-// the k winners alone.
+// and returns the extended slice: the SampleWithoutReplacement draw, on
+// the caller's rand.Rand.
 func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
-	start := len(dst)
-	dst, err := s.SampleSet(rng, k, dst)
-	if err != nil {
-		return nil, err
-	}
-	// Winners arrive in index order, so a stable sort on the key bits
-	// leaves exact ties in index order.
-	slices.SortStableFunc(dst[start:], func(a, b int) int {
-		return cmp.Compare(s.bits[a], s.bits[b])
-	})
-	return dst, nil
-}
-
-// SampleSet draws exactly as Sample does, from the same RNG stream, and
-// appends the same k winners to dst, but in ascending index order. Callers
-// that only count the winners need no other order. It may grow dst's
-// capacity by up to len(weights), the room its branch-free emission pass
-// writes through.
-func (s *KeySampler) SampleSet(rng *rand.Rand, k int, dst []int) ([]int, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("randx: negative sample size %d", k)
 	}
-	n := len(s.weights)
-	keys := slices.Grow(s.bits[:0], n)[:n]
-	s.bits = keys
+	keys := s.keyBuf()
 	lo, hi := uint64(infBits), uint64(0)
 	finite := 0
 	for i, w := range s.weights {
 		u := uint64(infBits)
 		if w > 0 {
 			u = math.Float64bits(rng.ExpFloat64() / w)
+			if u < infBits {
+				finite++
+				lo, hi = min(lo, u), max(hi, u)
+			}
 		}
 		keys[i] = u
-		if u < infBits {
-			finite++
-			lo, hi = min(lo, u), max(hi, u)
-		}
 	}
+	start := len(dst)
+	dst = s.selectSet(k, lo, hi, finite, dst)
+	// Winners arrive in index order, so a stable sort on the key bits
+	// leaves exact ties in index order.
+	slices.SortStableFunc(dst[start:], func(a, b int) int {
+		return cmp.Compare(keys[a], keys[b])
+	})
+	return dst, nil
+}
+
+// SampleSet draws from a Stream the keys that Sample draws from a rand.Rand
+// of the same seed, leaves the Stream where Sample leaves the rand.Rand,
+// and appends the same k winners to dst, but in ascending index order.
+// Callers that only count the winners need no other order. It may grow
+// dst's capacity by up to len(weights), the room its branch-free emission
+// pass writes through.
+//
+// The key loop keeps the Stream's indices in locals and inlines both the
+// generator step and the ziggurat's fast path, which takes about 98% of
+// draws; only the rest calls out of line.
+func (s *KeySampler) SampleSet(rng *Stream, k int, dst []int) ([]int, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("randx: negative sample size %d", k)
+	}
+	keys := s.keyBuf()
+	vec, feed, tap := &rng.vec, rng.feed, rng.tap
+	lo, hi := uint64(infBits), uint64(0)
+	finite := 0
+	for i, w := range s.weights {
+		u := uint64(infBits)
+		if w > 0 {
+			var x uint64
+			x, feed, tap = step(vec, feed, tap)
+			j := uint32(x >> 31) // rand.Rand.Uint32
+			var e float64
+			if b := j & 0xFF; j < ke[b] {
+				e = float64(j) * float64(we[b])
+			} else {
+				rng.feed, rng.tap = feed, tap
+				e = rng.expFrom(j)
+				feed, tap = rng.feed, rng.tap
+			}
+			u = math.Float64bits(e / w)
+			if u < infBits {
+				finite++
+				lo, hi = min(lo, u), max(hi, u)
+			}
+		}
+		keys[i] = u
+	}
+	rng.feed, rng.tap = feed, tap
+	return s.selectSet(k, lo, hi, finite, dst), nil
+}
+
+// keyBuf returns s.bits resized to one key per weight.
+func (s *KeySampler) keyBuf() []uint64 {
+	n := len(s.weights)
+	s.bits = slices.Grow(s.bits[:0], n)[:n]
+	return s.bits
+}
+
+// selectSet appends to dst, in index order, the indices of the k smallest
+// (key, index) pairs among the keys in s.bits, given the range [lo, hi]
+// of the finite ones and their count. It is the select and emit half of
+// both Sample and SampleSet.
+func (s *KeySampler) selectSet(k int, lo, hi uint64, finite int, dst []int) []int {
+	keys := s.bits
 	// A weight so small that its key overflows is never drawn, like a
 	// zero weight.
 	k = min(k, finite)
 	if k == 0 {
-		return dst, nil
+		return dst
 	}
 	thr, take := s.kthSmallest(k, lo, hi)
 
 	// Emit every index whose key is at most thr, in index order, without a
 	// branch per key: each index is written, and kept by advancing j.
+	n := len(keys)
 	start := len(dst)
 	dst = slices.Grow(dst, n)
 	out := dst[start : start+n]
@@ -259,7 +310,7 @@ func (s *KeySampler) SampleSet(rng *rand.Rand, k int, dst []int) ([]int, error) 
 		}
 		j = kept
 	}
-	return dst[:start+j], nil
+	return dst[:start+j]
 }
 
 // kthSmallest returns the k-th smallest finite key bit pattern, given the

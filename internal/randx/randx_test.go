@@ -230,15 +230,17 @@ func referenceSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int)
 }
 
 // checkAgainstReference runs Sample and SampleSet against the reference on
-// identical streams. Sample must give the same indices in the same order,
+// identical streams: Sample on newRNG's rand.Rand, SampleSet on newStream's
+// Stream, which must yield the same values (SampleSet is skipped when
+// newStream is nil). Sample must give the same indices in the same order,
 // SampleSet the same indices in index order; both must match the
 // reference's error outcome and consume the same number of RNG draws.
-func checkAgainstReference(t *testing.T, newRNG func() *rand.Rand, weights []float64, k int) {
+func checkAgainstReference(t *testing.T, newRNG func() *rand.Rand, newStream func() *Stream, weights []float64, k int) {
 	t.Helper()
 	rngWant := newRNG()
 	want, wantErr := referenceSampleWithoutReplacement(rngWant, weights, k)
 	next := rngWant.Int63()
-	check := func(method string, got []int, gotErr error, rngGot *rand.Rand, want []int) {
+	check := func(method string, got []int, gotErr error, rngGot interface{ Int63() int64 }, want []int) {
 		t.Helper()
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s n=%d k=%d: error %v, reference error %v", method, len(weights), k, gotErr, wantErr)
@@ -255,18 +257,26 @@ func checkAgainstReference(t *testing.T, newRNG func() *rand.Rand, weights []flo
 	got, gotErr := SampleWithoutReplacement(rngGot, weights, k)
 	check("Sample", got, gotErr, rngGot, want)
 
-	rngGot = newRNG()
+	if newStream == nil {
+		return
+	}
+	stream := newStream()
 	var set []int
 	s, gotErr := NewKeySampler(weights)
 	if gotErr == nil {
-		set, gotErr = s.SampleSet(rngGot, k, nil)
+		set, gotErr = s.SampleSet(stream, k, nil)
 	}
-	check("SampleSet", set, gotErr, rngGot, slices.Sorted(slices.Values(want)))
+	check("SampleSet", set, gotErr, stream, slices.Sorted(slices.Values(want)))
 }
 
 // seeded returns a constructor of identical seeded streams.
 func seeded(seed int64) func() *rand.Rand {
 	return func() *rand.Rand { return New(seed) }
+}
+
+// seededStream returns a constructor of Streams identical to seeded(seed).
+func seededStream(seed int64) func() *Stream {
+	return func() *Stream { return newStream(seed) }
 }
 
 func TestSampleWithoutReplacementMatchesFullSort(t *testing.T) {
@@ -276,14 +286,14 @@ func TestSampleWithoutReplacementMatchesFullSort(t *testing.T) {
 				lambda := float64(li) / 10
 				w := ExponentialWeights(n, lambda)
 				seed := Derive(int64(n), int64(k), int64(li))
-				checkAgainstReference(t, seeded(seed), w, k)
+				checkAgainstReference(t, seeded(seed), seededStream(seed), w, k)
 
 				// Interleaved zero weights: every third item is unpublicized.
 				zw := slices.Clone(w)
 				for i := 1; i < len(zw); i += 3 {
 					zw[i] = 0
 				}
-				checkAgainstReference(t, seeded(seed+1), zw, k)
+				checkAgainstReference(t, seeded(seed+1), seededStream(seed+1), zw, k)
 			}
 		}
 	}
@@ -297,7 +307,7 @@ func (c constSource) Int63() int64 { return int64(c) }
 func (constSource) Seed(int64)     {}
 
 // Exact key ties are broken by index: the lowest indices win and come out
-// in index order.
+// in index order. The zero Stream draws only zeros, like constSource(0).
 func TestSampleWithoutReplacementTiesGoToLowestIndex(t *testing.T) {
 	for _, src := range []constSource{0, 12345 << 31} {
 		rng := rand.New(src)
@@ -310,7 +320,11 @@ func TestSampleWithoutReplacementTiesGoToLowestIndex(t *testing.T) {
 		if want := []int{0, 1, 2, 4, 5, 6}; !slices.Equal(got, want) {
 			t.Fatalf("source %d: tied sample %v, want %v", src, got, want)
 		}
-		checkAgainstReference(t, func() *rand.Rand { return rand.New(src) }, w, 6)
+		var newStream func() *Stream
+		if src == 0 {
+			newStream = func() *Stream { return new(Stream) }
+		}
+		checkAgainstReference(t, func() *rand.Rand { return rand.New(src) }, newStream, w, 6)
 	}
 }
 
@@ -341,10 +355,12 @@ func TestKeySamplerReuseMatchesFreshCalls(t *testing.T) {
 	}
 }
 
-// FuzzSampleWithoutReplacement checks Sample and SampleSet against the
-// full-sort reference. With ties set, every ExpFloat64 draw is 0, so every
-// finite key is 0 and the radix select starts and ends at lo == hi. A
-// large lambda makes tail weights subnormal, whose keys overflow to +Inf.
+// FuzzSampleWithoutReplacement checks Sample on a rand.Rand and SampleSet
+// on a Stream of the same seed against the full-sort reference. With ties
+// set, every ExpFloat64 draw is 0 (a constSource(0) rand.Rand and the zero
+// Stream), so every finite key is 0 and the radix select starts and ends
+// at lo == hi. A large lambda makes tail weights subnormal, whose keys
+// overflow to +Inf.
 func FuzzSampleWithoutReplacement(f *testing.F) {
 	f.Add(int64(1), uint16(50), int16(10), 0.2, uint64(0), false)
 	f.Add(int64(2), uint16(1), int16(0), -0.4, uint64(0), false)
@@ -365,11 +381,12 @@ func FuzzSampleWithoutReplacement(f *testing.F) {
 				w[i] = 0
 			}
 		}
-		newRNG := seeded(seed)
+		newRNG, newStream := seeded(seed), seededStream(seed)
 		if ties {
 			newRNG = func() *rand.Rand { return rand.New(constSource(0)) }
+			newStream = func() *Stream { return new(Stream) }
 		}
-		checkAgainstReference(t, newRNG, w, int(k))
+		checkAgainstReference(t, newRNG, newStream, w, int(k))
 	})
 }
 
@@ -436,9 +453,10 @@ func TestDeriveIndependentStreams(t *testing.T) {
 var keySink float64
 
 // BenchmarkKeySampler times one n=500, k=50 draw on the Monte-Carlo grid's
-// lambda range. The draws sub-benchmark only draws the 500 keys, the floor
-// set by the RNG-stream contract; the gap to SampleSet is the selection,
-// and the gap from SampleSet to Sample is the sort of the k winners.
+// lambda range. The draws sub-benchmark only draws the 500 keys from a
+// Stream, the floor set by the RNG-stream contract; the gap to SampleSet,
+// which draws the same keys in its fused loop, is the selection. Sample
+// draws them from a rand.Rand and also sorts the k winners.
 func BenchmarkKeySampler(b *testing.B) {
 	const n, k = 500, 50
 	for _, lambda := range []float64{-0.4, 0, 0.4} {
@@ -447,20 +465,20 @@ func BenchmarkKeySampler(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := New(1)
+		rng, stream := New(1), newStream(1)
 		var dst []int
 		b.Run(fmt.Sprintf("lambda=%g/draws", lambda), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				for _, wi := range w {
-					keySink += rng.ExpFloat64() / wi
+					keySink += stream.ExpFloat64() / wi
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("lambda=%g/SampleSet", lambda), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				dst, _ = s.SampleSet(rng, k, dst[:0])
+				dst, _ = s.SampleSet(stream, k, dst[:0])
 			}
 		})
 		b.Run(fmt.Sprintf("lambda=%g/Sample", lambda), func(b *testing.B) {
@@ -470,4 +488,25 @@ func BenchmarkKeySampler(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReseed times one re-seed, which the Monte-Carlo estimator pays
+// per (grid cell, run): math/rand's serial seeding chain against Stream's
+// precomputed powers.
+func BenchmarkReseed(b *testing.B) {
+	seed := int64(1)
+	b.Run("math-rand", func(b *testing.B) {
+		rng := New(0)
+		for b.Loop() {
+			seed = Derive(seed)
+			rng.Seed(seed)
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		rng := newStream(0)
+		for b.Loop() {
+			seed = Derive(seed)
+			rng.Seed(seed)
+		}
+	})
 }
