@@ -11,7 +11,7 @@ BENCH_NOTE ?=
 BENCH_RECORD_OUT ?= BENCH_PR3.json
 FUZZTIME ?= 10s
 
-.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke serve-smoke ci
+.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke ci
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -100,4 +100,9 @@ fuzz-smoke:
 	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/server -run=NONE -fuzz='FuzzIngestLineParity$$' -fuzztime=$(FUZZTIME)
 
-ci: fmt vet build race test bench-smoke bench-module serve-smoke crash-smoke fuzz-smoke
+# fuzz-smoke-check fails when a `func Fuzz*` in the tree has no line in
+# fuzz-smoke above, so a new fuzz target cannot silently skip CI.
+fuzz-smoke-check:
+	./scripts/fuzz_smoke_check.sh
+
+ci: fmt fuzz-smoke-check vet build race test bench-smoke bench-module serve-smoke crash-smoke fuzz-smoke

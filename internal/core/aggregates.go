@@ -82,11 +82,11 @@ func AvgEstimate(est SumEstimator, s *freqstats.Sample) Estimate {
 	buckets := b.Buckets(s)
 	var weighted, weightSum float64
 	for _, bk := range buckets {
-		cb := float64(bk.Sample.C())
+		cb := float64(bk.C)
 		if cb == 0 {
 			continue
 		}
-		mean := bk.Sample.SumValues() / cb
+		mean := bk.Sum / cb
 		w := bk.Est.CountEstimated
 		if w < cb {
 			w = cb
@@ -145,7 +145,7 @@ func extremeEstimate(b Bucket, s *freqstats.Sample, max bool) ExtremeResult {
 	if max {
 		extreme = buckets[len(buckets)-1]
 	}
-	missing := extreme.Est.CountEstimated - float64(extreme.Sample.C())
+	missing := extreme.Est.CountEstimated - float64(extreme.C)
 	if missing < 0 {
 		missing = 0
 	}

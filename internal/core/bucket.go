@@ -13,16 +13,43 @@ import (
 )
 
 // BucketResult describes one bucket produced by a bucketing strategy: the
-// value range it covers, the sub-sample of observations falling in it, and
-// the inner estimator's estimate for that sub-population.
+// value range it covers, the size and value sum of the sub-population
+// falling in it, and the inner estimator's estimate for that
+// sub-population. The bucket's sub-sample is built only on request, by
+// Sample; the aggregates answer SUM, COUNT, AVG and MIN/MAX without it.
 type BucketResult struct {
 	// Lo and Hi delimit the bucket's value range. Lo is inclusive; Hi is
 	// exclusive except for the last bucket, which includes its upper edge.
 	Lo, Hi float64
-	// Sample is the restriction of the input sample to this bucket.
-	Sample *freqstats.Sample
-	// Est is the inner estimator's result on Sample.
+	// C and N are the bucket's unique-entity count c and observation
+	// count n.
+	C, N int
+	// Sum is the sum of the bucket's values, added in first-observation
+	// order: bit for bit Sample().SumValues().
+	Sum float64
+	// Est is the inner estimator's result on the bucket's sub-sample.
 	Est Estimate
+
+	src  *freqstats.Sample // the sample the strategy split
+	last bool              // the range is closed at Hi
+}
+
+// Sample materializes the bucket: the restriction of the split sample to
+// [Lo, Hi) ([Lo, Hi] for the last bucket), FilterRange's result. The
+// restriction carries per-entity source attribution with it, so the
+// sub-sample reports the exact per-source sizes n_j of its value range: an
+// inner Monte-Carlo estimator (or a streaker diagnosis) sees the true
+// per-range source profile, including sources concentrated in a single
+// range. Each call filters anew; the BucketResult must come from a
+// strategy of this package.
+func (b BucketResult) Sample() *freqstats.Sample {
+	return b.src.FilterRange(b.Lo, b.Hi, b.last)
+}
+
+// holds reports whether value v lies in the bucket's range, with
+// FilterRange's semantics (so NaN lies in none).
+func (b BucketResult) holds(v float64) bool {
+	return v >= b.Lo && (v < b.Hi || b.last && v <= b.Hi)
 }
 
 // Bucket is the bucket estimator of Section 3.3: it divides the observed
@@ -82,7 +109,7 @@ func (b Bucket) EstimateSum(s *freqstats.Sample) Estimate {
 		delta += bk.Est.Delta
 		nHat += bk.Est.CountEstimated
 		e.Diverged = e.Diverged || bk.Est.Diverged
-		cov += bk.Est.Coverage * float64(bk.Sample.N())
+		cov += bk.Est.Coverage * float64(bk.N)
 	}
 	e.CountEstimated = nHat
 	if s.N() > 0 {
@@ -93,7 +120,9 @@ func (b Bucket) EstimateSum(s *freqstats.Sample) Estimate {
 }
 
 // Buckets runs the strategy and returns the per-bucket breakdown. The
-// result is ordered by value range. An empty sample yields nil.
+// result is ordered by value range. An empty sample yields nil. Each
+// bucket carries its aggregates and estimate; its sub-sample is built only
+// when BucketResult.Sample is called.
 func (b Bucket) Buckets(s *freqstats.Sample) []BucketResult {
 	if s.C() == 0 {
 		return nil
@@ -104,39 +133,47 @@ func (b Bucket) Buckets(s *freqstats.Sample) []BucketResult {
 // BucketStrategy determines bucket boundaries for the bucket estimator.
 type BucketStrategy interface {
 	Name() string
-	// Split partitions s into buckets, estimating each with inner.
+	// Split partitions s into buckets, estimating each with inner. Each
+	// result's Sample must restrict s to the bucket's range.
 	Split(s *freqstats.Sample, inner SumEstimator) []BucketResult
 }
 
 // rangeSample restricts s to entities with value in [lo, hi) — or [lo, hi]
-// when last is true — and wraps it in a BucketResult. The restriction
-// carries per-entity source attribution with it, so a bucket's sub-sample
-// reports the exact per-source sizes n_j of its value range: an inner
-// Monte-Carlo estimator (or a streaker diagnosis) sees the true per-range
-// source profile, including sources concentrated in a single range. Only
-// the materializing dynamic search of generic inners filters bucket by
-// bucket; every other strategy builds its buckets with rangeBuckets.
+// when last is true — and estimates the restriction with inner. Only the
+// materializing dynamic search of generic inners filters bucket by bucket;
+// the static strategies build their buckets with rangeBuckets.
 func rangeSample(s *freqstats.Sample, inner SumEstimator, lo, hi float64, last bool) BucketResult {
-	sub := s.FilterRange(lo, hi, last)
-	return BucketResult{Lo: lo, Hi: hi, Sample: sub, Est: inner.EstimateSum(sub)}
+	return newBucketResult(s, s.FilterRange(lo, hi, last), inner, lo, hi, last)
 }
 
-// rangeBuckets builds the buckets [los[b], los[b+1]), the last one closed
-// at hi, in one partition pass over s and estimates each with inner. Each
-// bucket's sub-sample is exactly rangeSample's. Empty buckets are dropped
-// when dropEmpty is set.
-func rangeBuckets(s *freqstats.Sample, inner SumEstimator, los []float64, hi float64, dropEmpty bool) []BucketResult {
+// newBucketResult describes the bucket [lo, hi) (closed when last) of s,
+// whose sub-sample is sub, and estimates sub with inner.
+func newBucketResult(s, sub *freqstats.Sample, inner SumEstimator, lo, hi float64, last bool) BucketResult {
+	return BucketResult{
+		Lo: lo, Hi: hi,
+		C: sub.C(), N: sub.N(), Sum: sub.SumValues(),
+		Est: inner.EstimateSum(sub),
+		src: s, last: last,
+	}
+}
+
+// rangeBuckets builds the static strategies' buckets [los[b], los[b+1]),
+// the last one closed at hi, in one partition pass over s and estimates
+// each with inner. Each part equals FilterRange of its range, so it is
+// exactly what the bucket's Sample rebuilds on request; the parts
+// themselves are not kept. Empty buckets are dropped.
+func rangeBuckets(s *freqstats.Sample, inner SumEstimator, los []float64, hi float64) []BucketResult {
 	parts := s.PartitionRanges(los, hi)
 	out := make([]BucketResult, 0, len(parts))
 	for b, sub := range parts {
-		if dropEmpty && sub.C() == 0 {
+		if sub.C() == 0 {
 			continue
 		}
 		bHi := hi
 		if b+1 < len(los) {
 			bHi = los[b+1]
 		}
-		out = append(out, BucketResult{Lo: los[b], Hi: bHi, Sample: sub, Est: inner.EstimateSum(sub)})
+		out = append(out, newBucketResult(s, sub, inner, los[b], bHi, b+1 == len(los)))
 	}
 	return out
 }
@@ -176,7 +213,7 @@ func (w EquiWidth) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult
 	}
 	// The top edge comes from the same formula as the others (i = k), not
 	// from hi, so every edge is exactly equation 12's.
-	return rangeBuckets(s, inner, los, lo+(hi-lo)*float64(k)/float64(k), true)
+	return rangeBuckets(s, inner, los, lo+(hi-lo)*float64(k)/float64(k))
 }
 
 // EquiHeight is the static equi-height strategy of Appendix B: the sorted
@@ -203,7 +240,7 @@ func (h EquiHeight) Split(s *freqstats.Sample, inner SumEstimator) []BucketResul
 	if err != nil || len(edges) < 2 {
 		return nil
 	}
-	return rangeBuckets(s, inner, edges[:len(edges)-1], edges[len(edges)-1], true)
+	return rangeBuckets(s, inner, edges[:len(edges)-1], edges[len(edges)-1])
 }
 
 // Dynamic is the dynamic bucketing strategy of Algorithm 1 (Section
@@ -216,11 +253,12 @@ func (h EquiHeight) Split(s *freqstats.Sample, inner SumEstimator) []BucketResul
 // "only split to underestimate" rule.
 //
 // With the Naive or Frequency inner estimator the search runs on index
-// ranges of one value-sorted entity array (see splitRanges) and only the
-// final buckets are materialized, in one partition pass; any other inner
-// estimator is searched by materializing every candidate sub-sample. Both
-// give the same buckets. The root bucket spans [min, max] of the values
-// with stats.Min/Max semantics, so NaN-valued entities fall in no bucket.
+// ranges of one value-sorted entity array (see splitRanges) and the final
+// buckets are priced on aggregates; no sub-sample is built. Any other
+// inner estimator is searched by materializing every candidate sub-sample.
+// Both give the same buckets. The root bucket spans [min, max] of the
+// values with stats.Min/Max semantics, so NaN-valued entities fall in no
+// bucket.
 type Dynamic struct{}
 
 // Name implements BucketStrategy.
@@ -230,9 +268,9 @@ func (Dynamic) Name() string { return "dynamic" }
 func (Dynamic) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult {
 	switch inner.(type) {
 	case Naive:
-		return splitRanges(s, inner, naiveSplitCost)
+		return splitRanges(s, false)
 	case Frequency:
-		return splitRanges(s, inner, freqSplitCost)
+		return splitRanges(s, true)
 	}
 	values := s.Values()
 	lo, ok := stats.Min(values)
@@ -284,11 +322,14 @@ func costSum(bs []BucketResult) float64 {
 
 // bestSplit searches every unique attribute value in b as a split point
 // and returns the sub-bucket pair minimizing rest + cost(t1) + cost(t2),
-// provided it strictly improves on keeping b whole. It materializes two
-// filtered samples per candidate, which works for any inner estimator;
-// splitRanges is the fast path for the inners it can price on aggregates.
+// provided it strictly improves on keeping b whole. It materializes b once
+// and two filtered samples per candidate, which works for any inner
+// estimator; splitRanges is the fast path for the inners it can price on
+// aggregates. The children filter b's sub-sample, which restricts to the
+// same sub-samples as filtering the split sample.
 func bestSplit(b BucketResult, inner SumEstimator, rest float64) ([2]BucketResult, bool) {
-	uniq := uniqueSortedValues(b.Sample)
+	sub := b.Sample()
+	uniq := uniqueSortedValues(sub)
 	if len(uniq) < 2 {
 		return [2]BucketResult{}, false
 	}
@@ -296,9 +337,9 @@ func bestSplit(b BucketResult, inner SumEstimator, rest float64) ([2]BucketResul
 	var best [2]BucketResult
 	found := false
 	for _, v := range uniq[1:] { // splitting below the minimum is a no-op
-		t1 := rangeSample(b.Sample, inner, b.Lo, v, false)
-		t2 := rangeSample(b.Sample, inner, v, b.Hi, true)
-		if t1.Sample.C() == 0 || t2.Sample.C() == 0 {
+		t1 := rangeSample(sub, inner, b.Lo, v, false)
+		t2 := rangeSample(sub, inner, v, b.Hi, b.last)
+		if t1.C == 0 || t2.C == 0 {
 			continue
 		}
 		cand := rest + splitCost(t1) + splitCost(t2)
@@ -311,11 +352,11 @@ func bestSplit(b BucketResult, inner SumEstimator, rest float64) ([2]BucketResul
 	return best, found
 }
 
-// sideStats are the aggregates one side of a candidate split needs to
-// reproduce Naive{}.EstimateSum and Frequency{}.EstimateSum exactly:
-// Chao92 reads only n, c, f1 and sum_j j(j-1) f_j; mean substitution
-// additionally reads sum(values), and singleton-mean substitution reads
-// the sum of values over singletons.
+// sideStats are the aggregates a bucket (or one side of a candidate split)
+// needs to reproduce Naive{}.EstimateSum and Frequency{}.EstimateSum
+// exactly: Chao92 reads only n, c, f1 and sum_j j(j-1) f_j; mean
+// substitution additionally reads sum(values), and singleton-mean
+// substitution reads the sum of values over singletons.
 type sideStats struct {
 	n, c, f1 int
 	s2       int     // sum over entities of count*(count-1) == sum_j j(j-1) f_j
@@ -335,17 +376,18 @@ func (st *sideStats) add(e rangeEnt) {
 	}
 }
 
-// chao92FromStats replays species.Chao92's count estimate on aggregates.
-// ok is false when the side is degenerate: empty (cost 0) or pure
-// singletons (diverged, cost Inf); the caller maps that via divergedCost.
-func chao92FromStats(st sideStats) (nHat, divergedCost float64, ok bool) {
+// chao92FromStats replays species.Chao92's count estimate on aggregates:
+// valid is false for an empty side, and a side of pure singletons
+// (coverage 0) is diverged, with N-hat falling back to the first-order
+// jackknife c + f1(n-1)/n as in species.Chao92.
+func chao92FromStats(st sideStats) (nHat float64, valid, diverged bool) {
 	n, c := st.n, st.c
 	if n == 0 || c == 0 {
-		return 0, 0, false // invalid estimate: Delta stays 0, mirroring EstimateSum
+		return 0, false, false
 	}
 	cov := 1 - float64(st.f1)/float64(n)
 	if cov <= 0 {
-		return 0, math.Inf(1), false // diverged: pure singletons
+		return float64(c) + float64(st.f1)*float64(n-1)/float64(n), true, true
 	}
 	var cv2 float64
 	if n >= 2 {
@@ -358,53 +400,87 @@ func chao92FromStats(st sideStats) (nHat, divergedCost float64, ok bool) {
 	if nHat < float64(c) {
 		nHat = float64(c)
 	}
-	return nHat, 0, true
+	return nHat, true, false
 }
 
-// naiveSplitCost replays the Naive-inner splitCost on aggregates: Inf for
-// a diverged (pure-singleton) side, |Delta| otherwise. The formulas mirror
-// species.Chao92 and Naive.EstimateSum term by term, so the cost equals
-// splitCost of the materialized bucket bit for bit whenever st.sum and
-// st.f1sum were added in the bucket's first-observation order — which is
-// how splitRanges prices a bucket it keeps. A split candidate's sides are
-// summed in value order instead, as the sweep walks them; on non-integer
-// data that can differ from the materialized cost in the last bits, which
-// only matters for exact cost ties.
-func naiveSplitCost(st sideStats) float64 {
-	nHat, cost, ok := chao92FromStats(st)
-	if !ok {
-		return cost
-	}
-	delta := st.sum / float64(st.c) * (nHat - float64(st.c))
-	if math.IsNaN(delta) || math.IsInf(delta, 0) {
-		return math.Inf(1) // finishEstimate flags this Diverged
-	}
-	return math.Abs(delta)
+// naiveDelta is Naive's Delta-hat for a side with count estimate nHat:
+// mean substitution sum/c * (N-hat - c).
+func (st *sideStats) naiveDelta(nHat float64) float64 {
+	c := float64(st.c)
+	return st.sum / c * (nHat - c)
 }
 
-// freqSplitCost replays the Frequency-inner splitCost on aggregates,
-// mirroring Frequency.EstimateSum: singleton-mean substitution
-// phi_f1/f1 * (N-hat - c), with Delta 0 when the side has no singletons
-// (the sample looks complete to the frequency estimator) and Inf when it
-// is all singletons (diverged). Summation order matters as for
-// naiveSplitCost.
-func freqSplitCost(st sideStats) float64 {
-	nHat, cost, ok := chao92FromStats(st)
-	if !ok {
-		return cost
-	}
+// freqDelta is Frequency's Delta-hat for a side with count estimate nHat:
+// singleton-mean substitution phi_f1/f1 * (N-hat - c), 0 when the side has
+// no singletons (it looks complete to the frequency estimator).
+func (st *sideStats) freqDelta(nHat float64) float64 {
 	if st.f1 == 0 {
 		return 0
 	}
-	delta := st.f1sum / float64(st.f1) * (nHat - float64(st.c))
+	return st.f1sum / float64(st.f1) * (nHat - float64(st.c))
+}
+
+// statsEstimate replays Naive{}.EstimateSum (Frequency{}.EstimateSum with
+// freq) of a sample whose aggregates are st, field for field. The result
+// is the materialized estimate bit for bit when st.sum and st.f1sum were
+// added in the sample's first-observation order, as SumValues and
+// SumSingletonValues add them.
+func statsEstimate(st sideStats, freq bool) Estimate {
+	e := Estimate{Observed: st.sum, CountObserved: st.c}
+	nHat, valid, diverged := chao92FromStats(st)
+	if !valid {
+		return e
+	}
+	e.Valid, e.Diverged, e.CountEstimated = true, diverged, nHat
+	e.Coverage = 1 - float64(st.f1)/float64(st.n)
+	e.LowCoverage = e.Coverage < species.MinReliableCoverage
+	delta := st.naiveDelta(nHat)
+	if freq {
+		delta = st.freqDelta(nHat)
+	}
+	return finishEstimate(e, delta)
+}
+
+// naiveSplitCost and freqSplitCost are splitCost of statsEstimate(st,
+// false) and statsEstimate(st, true), without building the estimate: 0 for
+// an empty side, Inf for a diverged one, |Delta| otherwise. A
+// candidate split's sides are summed in value order, as the sweep walks
+// them; on non-integer data that can differ from the materialized cost in
+// the last bits, which only matters for exact cost ties.
+func naiveSplitCost(st sideStats) float64 {
+	nHat, valid, diverged := chao92FromStats(st)
+	switch {
+	case !valid:
+		return 0
+	case diverged:
+		return math.Inf(1)
+	}
+	return deltaCost(st.naiveDelta(nHat))
+}
+
+func freqSplitCost(st sideStats) float64 {
+	nHat, valid, diverged := chao92FromStats(st)
+	switch {
+	case !valid:
+		return 0
+	case diverged:
+		return math.Inf(1)
+	}
+	return deltaCost(st.freqDelta(nHat))
+}
+
+// deltaCost is the cost of a valid, non-diverged side with impact delta:
+// |delta|, or Inf when delta is not finite (finishEstimate flags that
+// Diverged).
+func deltaCost(delta float64) float64 {
 	if math.IsNaN(delta) || math.IsInf(delta, 0) {
 		return math.Inf(1)
 	}
 	return math.Abs(delta)
 }
 
-// rangeEnt is one entity of the dynamic search's columnar array: its value,
-// occurrence count and first-observation index.
+// rangeEnt is one entity of the dynamic search's columnar arrays: its
+// value, occurrence count and first-observation index.
 type rangeEnt struct {
 	value float64
 	count int
@@ -412,15 +488,14 @@ type rangeEnt struct {
 }
 
 // rangeIndex is the dynamic search's columnar view of a sample: the
-// entities with value in the root range [lo, hi], sorted by (value,
-// first-observation index), and the inverse map from first-observation
-// index to sorted index (-1 for an entity in no bucket). The root range
-// follows stats.Min/Max: NaN values are skipped, unless the first value is
-// NaN, which makes the root range (and so every bucket) empty.
+// entities with value in the root range [lo, hi] sorted by (value,
+// first-observation index), and the same entities in first-observation
+// order. The root range follows stats.Min/Max: NaN values are skipped,
+// unless the first value is NaN, which makes the root range (and so every
+// bucket) empty.
 type rangeIndex struct {
-	sorted []rangeEnt
-	pos    []int
-	lo, hi float64
+	sorted, bySeq []rangeEnt
+	lo, hi        float64
 }
 
 // newRangeIndex reads s once into a rangeIndex; ok is false for an empty
@@ -442,70 +517,93 @@ func newRangeIndex(s *freqstats.Sample) (x rangeIndex, ok bool) {
 			x.hi = e.value
 		}
 	}
-	x.sorted = make([]rangeEnt, 0, len(ents))
+	x.bySeq = ents[:0]
 	for _, e := range ents {
 		if e.value >= x.lo && e.value <= x.hi {
-			x.sorted = append(x.sorted, e)
+			x.bySeq = append(x.bySeq, e)
 		}
 	}
+	x.sorted = slices.Clone(x.bySeq)
 	slices.SortFunc(x.sorted, func(a, b rangeEnt) int {
 		if c := cmp.Compare(a.value, b.value); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
-	x.pos = make([]int, len(ents))
-	for k := range x.pos {
-		x.pos[k] = -1
-	}
-	for k, e := range x.sorted {
-		x.pos[e.seq] = k
-	}
 	return x, true
 }
 
-// seqStats returns the aggregates of the bucket sorted[i:j] with its value
-// sums added in first-observation order — the order EstimateSum of the
-// bucket's sub-sample adds them in, so pricing them gives the bucket's
-// splitCost bit for bit.
-func (x rangeIndex) seqStats(i, j int) sideStats {
-	var st sideStats
-	for _, k := range x.pos {
-		if k >= i && k < j {
-			st.add(x.sorted[k])
-		}
-	}
-	return st
-}
-
 // valueRange is a bucket of the dynamic search: the entities sorted[i:j]
-// of its rangeIndex, the value range [lo, hi) they span (closed at hi for
-// the last bucket), and the bucket's cost.
+// of its rangeIndex (held in first-observation order in bySeq[i:j]), the
+// value range [lo, hi) they span (closed at hi for the last bucket), their
+// aggregates summed in first-observation order, and the bucket's cost.
 type valueRange struct {
 	i, j   int
 	lo, hi float64
+	st     sideStats
 	cost   float64
 }
 
-// splitRanges runs Algorithm 1 for an inner estimator priced by cost
-// (naiveSplitCost or freqSplitCost). The sample is read once into a
-// rangeIndex and every bucket is an index range of it, so a split neither
-// re-sorts nor filters: the candidate sweep walks the range, and only the
-// final buckets are materialized, in one partition pass. The result is
-// bit-identical to the materializing search:
+// root is the search's first bucket: the whole root range, its aggregates
+// summed in first-observation order.
+func (x rangeIndex) root() valueRange {
+	b := valueRange{i: 0, j: len(x.sorted), lo: x.lo, hi: x.hi}
+	for _, e := range x.bySeq {
+		b.st.add(e)
+	}
+	return b
+}
+
+// split cuts b at sorted index k, a boundary between unique values, in one
+// O(range) pass: the entities below sorted[k].value move, in
+// first-observation order, to the front of bySeq[b.i:b.j] and the rest
+// behind them, so each child again owns bySeq[i:j] of its index range, and
+// both children's aggregates are summed on the way in first-observation
+// order. Their costs are left to the caller. scratch must hold b.j-b.i
+// entities.
+func (x rangeIndex) split(b valueRange, k int, scratch []rangeEnt) (l, r valueRange) {
+	v := x.sorted[k].value
+	l = valueRange{i: b.i, j: k, lo: b.lo, hi: v}
+	r = valueRange{i: k, j: b.j, lo: v, hi: b.hi}
+	ents, right := x.bySeq[b.i:b.j], scratch[:0]
+	for _, e := range ents {
+		if e.value < v {
+			ents[l.st.c] = e
+			l.st.add(e)
+		} else {
+			right = append(right, e)
+			r.st.add(e)
+		}
+	}
+	copy(ents[l.st.c:], right)
+	return l, r
+}
+
+// splitRanges runs Algorithm 1 for the Naive inner estimator (Frequency
+// with freq). The sample is read once into a rangeIndex and every bucket
+// is an index range of it, so a split neither re-sorts nor filters: the
+// candidate sweep walks the range in value order, and a kept split stably
+// partitions the range's first-observation-ordered entities between the
+// children, summing both children's aggregates in the same O(range) pass.
+// The final buckets are priced on those aggregates; none is materialized.
+// The result is bit-identical to the materializing search:
 //   - a candidate's sides are summed in value order, left sums forward and
 //     right sums as suffix sums, exactly as that search's sweep did;
-//   - a bucket's own cost (which feeds rest and the bar a split must beat)
-//     comes from seqStats;
+//   - a bucket's own aggregates (which give its estimate, feed rest and
+//     set the bar a split must beat) are summed in first-observation
+//     order, as EstimateSum of its sub-sample adds them;
 //   - the FIFO queue, the done order and the cost summation order are the
 //     same.
-func splitRanges(s *freqstats.Sample, inner SumEstimator, cost func(sideStats) float64) []BucketResult {
+func splitRanges(s *freqstats.Sample, freq bool) []BucketResult {
 	x, ok := newRangeIndex(s)
 	if !ok {
 		return nil
 	}
 	sorted := x.sorted
-	rangeCost := func(i, j int) float64 { return cost(x.seqStats(i, j)) }
+	cost := naiveSplitCost
+	if freq {
+		cost = freqSplitCost
+	}
 	totalCost := func(bs []valueRange) float64 {
 		var t float64
 		for _, b := range bs {
@@ -550,28 +648,34 @@ func splitRanges(s *freqstats.Sample, inner SumEstimator, cost func(sideStats) f
 		}
 		return best, best > 0
 	}
-
-	todo := []valueRange{{i: 0, j: len(sorted), lo: x.lo, hi: x.hi, cost: rangeCost(0, len(sorted))}}
+	scratch := make([]rangeEnt, len(sorted))
+	root := x.root()
+	root.cost = cost(root.st)
+	todo := []valueRange{root}
 	var done []valueRange
 	for len(todo) > 0 {
 		b := todo[0]
 		todo = todo[1:]
 		rest := totalCost(todo) + totalCost(done)
 		if k, ok := sweep(b, rest); ok {
-			v := sorted[k].value
-			todo = append(todo,
-				valueRange{i: b.i, j: k, lo: b.lo, hi: v, cost: rangeCost(b.i, k)},
-				valueRange{i: k, j: b.j, lo: v, hi: b.hi, cost: rangeCost(k, b.j)})
+			l, r := x.split(b, k, scratch)
+			l.cost, r.cost = cost(l.st), cost(r.st)
+			todo = append(todo, l, r)
 		} else {
 			done = append(done, b)
 		}
 	}
 	slices.SortFunc(done, func(a, b valueRange) int { return cmp.Compare(a.lo, b.lo) })
-	los := make([]float64, len(done))
+	out := make([]BucketResult, len(done))
 	for b, r := range done {
-		los[b] = r.lo
+		out[b] = BucketResult{
+			Lo: r.lo, Hi: r.hi,
+			C: r.st.c, N: r.st.n, Sum: r.st.sum,
+			Est: statsEstimate(r.st, freq),
+			src: s, last: b == len(done)-1,
+		}
 	}
-	return rangeBuckets(s, inner, los, done[len(done)-1].hi, false)
+	return out
 }
 
 func uniqueSortedValues(s *freqstats.Sample) []float64 {

@@ -68,15 +68,15 @@ func TestBucketSplitSeesRangeConfinedStreaker(t *testing.T) {
 	low, high := buckets[0], buckets[1]
 
 	// Exact attribution: the hog is all of its range and none of the other.
-	lowContrib := low.Sample.SourceContributions()
+	lowContrib := low.Sample().SourceContributions()
 	if _, present := lowContrib["hog"]; present {
 		t.Errorf("hog fabricated in low bucket: %v", lowContrib)
 	}
-	highContrib := high.Sample.SourceContributions()
+	highContrib := high.Sample().SourceContributions()
 	if highContrib["hog"] != hogObs {
 		t.Errorf("high-bucket hog contribution = %d, want %d (exact)", highContrib["hog"], hogObs)
 	}
-	if share := float64(highContrib["hog"]) / float64(high.Sample.N()); share < 0.33 {
+	if share := float64(highContrib["hog"]) / float64(high.N); share < 0.33 {
 		t.Errorf("high-bucket hog share = %.2f; the per-range streaker must cross the 0.33 threshold", share)
 	}
 
@@ -84,11 +84,11 @@ func TestBucketSplitSeesRangeConfinedStreaker(t *testing.T) {
 	// fraction in both buckets: nonzero in the low bucket (fabricated) and
 	// under half its true weight in the high one. Keep the arithmetic here
 	// so the bug this fixture guards against stays legible.
-	lowFrac := float64(low.Sample.N()) / float64(s.N())
+	lowFrac := float64(low.N) / float64(s.N())
 	if scaled := int(float64(hogObs)*lowFrac + 0.5); scaled == 0 {
 		t.Fatalf("fixture broken: scaled approximation would also report 0 (frac %.2f)", lowFrac)
 	}
-	highFrac := float64(high.Sample.N()) / float64(s.N())
+	highFrac := float64(high.N) / float64(s.N())
 	if scaled := int(float64(hogObs)*highFrac + 0.5); scaled >= hogObs {
 		t.Fatalf("fixture broken: scaled approximation would not understate the hog (scaled %d)", scaled)
 	}
@@ -97,12 +97,12 @@ func TestBucketSplitSeesRangeConfinedStreaker(t *testing.T) {
 	// sampling scenario: its source model is the exact [hog x40, sN ...]
 	// profile, and its count estimate stays within the Chao92 bracket.
 	mc := MonteCarlo{Runs: 1, Seed: 1, Workers: 1}
-	nHat := mc.EstimateN(high.Sample)
-	c := float64(high.Sample.C())
+	nHat := mc.EstimateN(high.Sample())
+	c := float64(high.C)
 	if nHat < c {
 		t.Errorf("per-bucket MC estimate %.1f below observed count %.0f", nHat, c)
 	}
-	if err := high.Sample.CheckInvariants(); err != nil {
+	if err := high.Sample().CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 }

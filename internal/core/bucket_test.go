@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,11 +104,16 @@ func TestStrategiesPartitionSample(t *testing.T) {
 			var total, totalN int
 			var sum float64
 			for _, b := range buckets {
-				total += b.Sample.C()
-				totalN += b.Sample.N()
-				sum += b.Sample.SumValues()
-				if err := b.Sample.CheckInvariants(); err != nil {
+				sub := b.Sample()
+				total += sub.C()
+				totalN += sub.N()
+				sum += sub.SumValues()
+				if err := sub.CheckInvariants(); err != nil {
 					t.Error(err)
+				}
+				if sub.C() != b.C || sub.N() != b.N || math.Float64bits(sub.SumValues()) != math.Float64bits(b.Sum) {
+					t.Errorf("bucket [%g,%g]: aggregates c=%d n=%d sum=%v, sub-sample c=%d n=%d sum=%v",
+						b.Lo, b.Hi, b.C, b.N, b.Sum, sub.C(), sub.N(), sub.SumValues())
 				}
 			}
 			if total != s.C() {
@@ -167,8 +174,8 @@ func TestEquiHeightBalances(t *testing.T) {
 		t.Fatalf("bucket count = %d, want 4", len(buckets))
 	}
 	for _, b := range buckets {
-		if b.Sample.C() < 9 || b.Sample.C() > 11 {
-			t.Errorf("bucket %g-%g holds %d entities, want ~10", b.Lo, b.Hi, b.Sample.C())
+		if b.C < 9 || b.C > 11 {
+			t.Errorf("bucket %g-%g holds %d entities, want ~10", b.Lo, b.Hi, b.C)
 		}
 	}
 }
@@ -291,7 +298,9 @@ func TestBucketsSortedByRange(t *testing.T) {
 }
 
 // assertSameBuckets requires got and want to be the same buckets bit for
-// bit: ranges, every estimate field and each bucket's sub-sample.
+// bit: ranges, aggregates, every estimate field and each bucket's
+// materialized sub-sample. want comes from a materializing search, so its
+// aggregates are read off its sub-samples.
 func assertSameBuckets(t testing.TB, label string, got, want []BucketResult) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -303,19 +312,24 @@ func assertSameBuckets(t testing.TB, label string, got, want []BucketResult) {
 		if bits(g.Lo) != bits(w.Lo) || bits(g.Hi) != bits(w.Hi) {
 			t.Errorf("%s bucket %d: range [%v,%v], want [%v,%v]", label, i, g.Lo, g.Hi, w.Lo, w.Hi)
 		}
-		ge, we := g.Est, w.Est
-		if bits(ge.Delta) != bits(we.Delta) || bits(ge.Observed) != bits(we.Observed) ||
-			bits(ge.Estimated) != bits(we.Estimated) || bits(ge.CountEstimated) != bits(we.CountEstimated) ||
-			bits(ge.Coverage) != bits(we.Coverage) || ge.CountObserved != we.CountObserved ||
-			ge.Valid != we.Valid || ge.Diverged != we.Diverged || ge.LowCoverage != we.LowCoverage {
-			t.Errorf("%s bucket %d: estimate %+v, want %+v", label, i, ge, we)
+		ws := w.Sample()
+		if g.C != ws.C() || g.N != ws.N() || bits(g.Sum) != bits(ws.SumValues()) {
+			t.Errorf("%s bucket %d: c=%d n=%d sum=%v, want c=%d n=%d sum=%v",
+				label, i, g.C, g.N, g.Sum, ws.C(), ws.N(), ws.SumValues())
 		}
-		if g.Sample.Fingerprint() != w.Sample.Fingerprint() {
+		if !sameEstimate(g.Est, w.Est) {
+			t.Errorf("%s bucket %d: estimate %+v, want %+v", label, i, g.Est, w.Est)
+		}
+		gs := g.Sample()
+		if gs.Fingerprint() != ws.Fingerprint() {
 			t.Errorf("%s bucket %d: sub-sample fingerprint differs", label, i)
 		}
-		if !maps.Equal(g.Sample.SourceContributions(), w.Sample.SourceContributions()) {
+		if !maps.Equal(gs.SourceContributions(), ws.SourceContributions()) {
 			t.Errorf("%s bucket %d: source contributions %v, want %v",
-				label, i, g.Sample.SourceContributions(), w.Sample.SourceContributions())
+				label, i, gs.SourceContributions(), ws.SourceContributions())
+		}
+		if !slices.Equal(gs.SourceSizes(), ws.SourceSizes()) {
+			t.Errorf("%s bucket %d: source sizes %v, want %v", label, i, gs.SourceSizes(), ws.SourceSizes())
 		}
 	}
 }
@@ -363,7 +377,7 @@ func referenceDynamicSplit(s *freqstats.Sample, inner SumEstimator) []BucketResu
 // referenceBestSplitSweep is the prefix-statistics sweep over a
 // materialized bucket that referenceDynamicSplit uses.
 func referenceBestSplitSweep(b BucketResult, inner SumEstimator, rest float64, cost func(sideStats) float64) ([2]BucketResult, bool) {
-	s := b.Sample
+	s := b.Sample()
 	ids := s.Entities()
 	type entity struct {
 		value float64
@@ -430,8 +444,8 @@ func referenceBestSplitSweep(b BucketResult, inner SumEstimator, rest float64, c
 	if !found {
 		return [2]BucketResult{}, false
 	}
-	t1 := rangeSample(b.Sample, inner, b.Lo, bestValue, false)
-	t2 := rangeSample(b.Sample, inner, bestValue, b.Hi, true)
+	t1 := rangeSample(s, inner, b.Lo, bestValue, false)
+	t2 := rangeSample(s, inner, bestValue, b.Hi, true)
 	return [2]BucketResult{t1, t2}, true
 }
 
@@ -571,50 +585,160 @@ func FuzzDynamicSplitParity(f *testing.F) {
 	})
 }
 
-// TestRangeIndexBucketCostMatchesMaterialized: a bucket's cost from
-// seqStats equals splitCost of its materialized sub-sample bit for bit,
-// for every inner the index-range search serves, on float values where
-// the summation order shows in the last bits.
+// TestRangeIndexBucketCostMatchesMaterialized: the aggregates the
+// partition pass (rangeIndex.split) sums for a bucket price it exactly as
+// its materialized sub-sample: the estimate field for field and the cost
+// bit for bit, for every inner the index-range search serves, on float
+// values where the summation order shows in the last bits. Each sample is
+// cut by a random sequence of splits, so later splits partition ranges an
+// earlier split already reordered.
 func TestRangeIndexBucketCostMatchesMaterialized(t *testing.T) {
 	samples := syntheticCuts(t)[:4]
 	for seed := int64(0); seed < 12; seed++ {
 		samples = append(samples, paritySample(t, seed, 80, uint8(1+seed%3), 40))
 	}
-	inners := []struct {
-		inner SumEstimator
-		cost  func(sideStats) float64
-	}{{Naive{}, naiveSplitCost}, {Frequency{}, freqSplitCost}}
 	rng := rand.New(rand.NewSource(1))
 	for si, s := range samples {
 		x, ok := newRangeIndex(s)
 		if !ok {
 			t.Fatal("empty sample")
 		}
-		var bounds []int // sorted indexes where a new value starts, plus the end
-		for k := range x.sorted {
-			if k == 0 || x.sorted[k-1].value != x.sorted[k].value {
-				bounds = append(bounds, k)
+		scratch := make([]rangeEnt, len(x.sorted))
+		check := func(b valueRange) {
+			t.Helper()
+			if !slices.IsSortedFunc(x.bySeq[b.i:b.j], func(a, b rangeEnt) int { return cmp.Compare(a.seq, b.seq) }) {
+				t.Fatalf("sample %d range [%d,%d): bySeq out of first-observation order", si, b.i, b.j)
 			}
-		}
-		bounds = append(bounds, len(x.sorted))
-		for trial := 0; trial < 60; trial++ {
-			a := rng.Intn(len(bounds) - 1)
-			b := a + 1 + rng.Intn(len(bounds)-1-a)
-			i, j := bounds[a], bounds[b]
-			last := j == len(x.sorted)
-			hi := x.hi
-			if !last {
-				hi = x.sorted[j].value
+			sub := s.FilterRange(b.lo, b.hi, b.j == len(x.sorted))
+			if b.st.c != sub.C() || b.st.n != sub.N() {
+				t.Fatalf("sample %d range [%d,%d): c=%d n=%d, materialized c=%d n=%d",
+					si, b.i, b.j, b.st.c, b.st.n, sub.C(), sub.N())
 			}
-			sub := s.FilterRange(x.sorted[i].value, hi, last)
-			for _, in := range inners {
-				got := in.cost(x.seqStats(i, j))
-				want := splitCost(BucketResult{Est: in.inner.EstimateSum(sub)})
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("sample %d %s bucket [%d,%d): cost %v, materialized %v",
-						si, in.inner.Name(), i, j, got, want)
+			for _, in := range statsInners {
+				want := in.inner.EstimateSum(sub)
+				if got := statsEstimate(b.st, in.freq); !sameEstimate(got, want) {
+					t.Fatalf("sample %d %s range [%d,%d): estimate %+v, materialized %+v",
+						si, in.inner.Name(), b.i, b.j, got, want)
+				}
+				got, wantCost := in.cost(b.st), splitCost(BucketResult{Est: want})
+				if math.Float64bits(got) != math.Float64bits(wantCost) {
+					t.Fatalf("sample %d %s range [%d,%d): cost %v, materialized %v",
+						si, in.inner.Name(), b.i, b.j, got, wantCost)
 				}
 			}
+		}
+		ranges := []valueRange{x.root()}
+		check(ranges[0])
+		for trial := 0; trial < 30; trial++ {
+			r := rng.Intn(len(ranges))
+			b := ranges[r]
+			var cuts []int // sorted indexes inside b where a new value starts
+			for k := b.i + 1; k < b.j; k++ {
+				if x.sorted[k-1].value != x.sorted[k].value {
+					cuts = append(cuts, k)
+				}
+			}
+			if len(cuts) == 0 {
+				continue
+			}
+			l, rt := x.split(b, cuts[rng.Intn(len(cuts))], scratch)
+			check(l)
+			check(rt)
+			ranges = append(append(ranges[:r:r], ranges[r+1:]...), l, rt)
+		}
+	}
+}
+
+// statsInners are the inner estimators the index-range search prices on
+// aggregates, with their statsEstimate flag and cost function.
+var statsInners = []struct {
+	inner SumEstimator
+	freq  bool
+	cost  func(sideStats) float64
+}{{Naive{}, false, naiveSplitCost}, {Frequency{}, true, freqSplitCost}}
+
+// sampleStats sums s's aggregates in first-observation order, as the
+// partition pass sums a bucket's.
+func sampleStats(s *freqstats.Sample) sideStats {
+	var st sideStats
+	s.EachEntity(func(v float64, count int) { st.add(rangeEnt{value: v, count: count}) })
+	return st
+}
+
+// sameEstimate reports whether a and b agree in every field, floats bit
+// for bit.
+func sameEstimate(a, b Estimate) bool {
+	bits := math.Float64bits
+	return bits(a.Delta) == bits(b.Delta) && bits(a.Observed) == bits(b.Observed) &&
+		bits(a.Estimated) == bits(b.Estimated) && bits(a.CountEstimated) == bits(b.CountEstimated) &&
+		bits(a.Coverage) == bits(b.Coverage) && a.CountObserved == b.CountObserved &&
+		a.Valid == b.Valid && a.Diverged == b.Diverged && a.LowCoverage == b.LowCoverage
+}
+
+// TestStatsEstimateMatchesEstimateSum: the estimate built from a bucket's
+// first-observation-order aggregates is Naive{}.EstimateSum and
+// Frequency{}.EstimateSum of the bucket field for field, degenerate
+// buckets included.
+func TestStatsEstimateMatchesEstimateSum(t *testing.T) {
+	type obs struct {
+		id    string
+		value float64
+		times int
+	}
+	cases := []struct {
+		name string
+		obs  []obs
+	}{
+		{"empty", nil},
+		{"n = 1", []obs{{"a", 7, 1}}},
+		{"pure singletons", []obs{{"a", 1.5, 1}, {"b", 2.25, 1}, {"c", 40, 1}}},
+		{"f1 = 0", []obs{{"a", 10, 2}, {"b", 20, 3}, {"c", 30, 2}}},
+		{"one doubleton", []obs{{"a", 3, 2}}},
+		{"mixed integers", []obs{{"a", 10, 1}, {"b", 20, 2}, {"c", 30, 1}, {"d", 40, 4}}},
+		// Coverage 1 - 7/10 = 0.3: valid, not diverged, low coverage.
+		{"low coverage", []obs{{"a", 1, 1}, {"b", 2, 1}, {"c", 3, 1}, {"d", 4, 1}, {"e", 5, 1}, {"f", 6, 1}, {"g", 7, 1}, {"h", 8, 3}}},
+		// Added in first-observation order 0.3+0.2+0.1 == 0.6; in value
+		// order the sum is 0.6000000000000001.
+		{"order-sensitive sums", []obs{{"a", 0.3, 1}, {"b", 0.2, 2}, {"c", 0.1, 1}, {"d", 5, 3}}},
+		{"order-sensitive singleton sums", []obs{{"a", 0.3, 1}, {"b", 9, 2}, {"c", 0.2, 1}, {"d", 0.1, 1}}},
+		{"huge values", []obs{{"a", math.MaxFloat64, 1}, {"b", math.MaxFloat64, 1}, {"c", 1, 2}}},
+	}
+	for _, tc := range cases {
+		s := freqstats.NewSample()
+		for _, o := range tc.obs {
+			for k := 0; k < o.times; k++ {
+				mustAdd(t, s, o.id, o.value, fmt.Sprintf("s%d", k))
+			}
+		}
+		st := sampleStats(s)
+		for _, in := range statsInners {
+			want := in.inner.EstimateSum(s)
+			if got := statsEstimate(st, in.freq); !sameEstimate(got, want) {
+				t.Errorf("%s %s: estimate %+v, EstimateSum %+v", tc.name, in.inner.Name(), got, want)
+			}
+			if got, wantCost := in.cost(st), splitCost(BucketResult{Est: want}); math.Float64bits(got) != math.Float64bits(wantCost) {
+				t.Errorf("%s %s: cost %v, materialized %v", tc.name, in.inner.Name(), got, wantCost)
+			}
+		}
+	}
+	// The order-sensitive cases only test something if value order would
+	// have summed differently.
+	a, b, c := 0.3, 0.2, 0.1 // variables: constant arithmetic is exact
+	if seq, value := a+b+c, c+b+a; seq == value {
+		t.Fatalf("0.3, 0.2, 0.1 sum to %v in either order; the fixtures test nothing", seq)
+	}
+}
+
+// BenchmarkDynamicSplit runs the default dynamic split (Naive inner) over
+// the 16 synthetic "value > k" cuts, the bucket layer of a filtered AVG
+// or MEDIAN query on the correlated synthetic population.
+func BenchmarkDynamicSplit(b *testing.B) {
+	cuts := syntheticCuts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range cuts {
+			Dynamic{}.Split(s, Naive{})
 		}
 	}
 }

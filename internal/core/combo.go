@@ -40,14 +40,13 @@ func (b BucketedMonteCarlo) EstimateSum(s *freqstats.Sample) Estimate {
 	e.Valid = true
 	var delta, nHat float64
 	for _, bk := range buckets {
-		sub := bk.Sample
-		c := float64(sub.C())
+		c := float64(bk.C)
 		if c == 0 {
 			continue
 		}
-		mcN := b.MC.EstimateN(sub)
+		mcN := b.MC.EstimateN(bk.Sample())
 		nHat += mcN
-		delta += sub.SumValues() / c * (mcN - c)
+		delta += bk.Sum / c * (mcN - c)
 		e.Diverged = e.Diverged || bk.Est.Diverged
 	}
 	e.CountEstimated = nHat

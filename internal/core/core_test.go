@@ -109,9 +109,9 @@ func TestTable2BucketBefore(t *testing.T) {
 	if len(buckets) != 2 {
 		t.Fatalf("bucket count = %d, want 2 (%v)", len(buckets), bucketRanges(buckets))
 	}
-	if buckets[0].Sample.C() != 2 || buckets[1].Sample.C() != 1 {
+	if buckets[0].C != 2 || buckets[1].C != 1 {
 		t.Errorf("bucket sizes = %d, %d; want {A,B} and {D}",
-			buckets[0].Sample.C(), buckets[1].Sample.C())
+			buckets[0].C, buckets[1].C)
 	}
 }
 
@@ -265,7 +265,7 @@ func mustAdd(t testing.TB, s *freqstats.Sample, id string, v float64, src string
 func bucketRanges(bs []BucketResult) []string {
 	out := make([]string, len(bs))
 	for i, b := range bs {
-		out[i] = fmt.Sprintf("[%g,%g]c=%d", b.Lo, b.Hi, b.Sample.C())
+		out[i] = fmt.Sprintf("[%g,%g]c=%d", b.Lo, b.Hi, b.C)
 	}
 	return out
 }

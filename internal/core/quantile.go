@@ -38,13 +38,15 @@ type QuantileResult struct {
 //     count passes q * N-hat_total,
 //   - interpolate inside the target bucket using the bucket's observed
 //     empirical distribution (the same "missing items look like their
-//     bucket" assumption the SUM estimator makes).
+//     bucket" assumption the SUM estimator makes). Only that bucket's
+//     values are read, straight from the sample's; no bucket is
+//     materialized.
 //
 // Under publicity-value correlation the observed quantile is biased
 // toward well-known items; the correction shifts it by the estimated mass
 // of the undersampled value ranges.
 func QuantileEstimate(b Bucket, s *freqstats.Sample, q float64) (QuantileResult, error) {
-	if q < 0 || q > 1 {
+	if !(q >= 0 && q <= 1) { // NaN fails both comparisons
 		return QuantileResult{}, fmt.Errorf("core: quantile %g outside [0, 1]", q)
 	}
 	res := QuantileResult{Q: q}
@@ -67,7 +69,7 @@ func QuantileEstimate(b Bucket, s *freqstats.Sample, q float64) (QuantileResult,
 	counts := make([]float64, len(buckets))
 	for i, bk := range buckets {
 		nb := bk.Est.CountEstimated
-		cb := float64(bk.Sample.C())
+		cb := float64(bk.C)
 		if nb < cb {
 			nb = cb
 		}
@@ -94,7 +96,13 @@ func QuantileEstimate(b Bucket, s *freqstats.Sample, q float64) (QuantileResult,
 			frac = (target - cum) / counts[i]
 		}
 		frac = stats.Clamp(frac, 0, 1)
-		res.Estimated = stats.Quantile(bk.Sample.Values(), frac)
+		in := make([]float64, 0, bk.C)
+		for _, v := range values {
+			if bk.holds(v) {
+				in = append(in, v)
+			}
+		}
+		res.Estimated = stats.Quantile(in, frac)
 		return res, nil
 	}
 	res.Estimated = res.Observed

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/freqstats"
@@ -17,6 +19,9 @@ func TestQuantileValidation(t *testing.T) {
 	}
 	if _, err := QuantileEstimate(Bucket{}, s, 1.1); err == nil {
 		t.Error("q > 1 not reported")
+	}
+	if _, err := QuantileEstimate(Bucket{}, s, math.NaN()); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+		t.Errorf("q = NaN: err %v, want the out-of-range error", err)
 	}
 	res, err := QuantileEstimate(Bucket{}, freqstats.NewSample(), 0.5)
 	if err != nil {
@@ -128,5 +133,37 @@ func TestMedianCorrectsBias(t *testing.T) {
 	}
 	if corrErr >= obsErr {
 		t.Errorf("corrected median error %.1f not below observed %.1f", corrErr/reps, obsErr/reps)
+	}
+}
+
+// TestBucketHoldsMatchesSample: the range test QuantileEstimate reads a
+// bucket's values with picks, from the split sample's values, exactly the
+// values of the bucket's materialized sub-sample, in the same order, for
+// every strategy. The synthetic cuts and tied parity samples put entities
+// on the upper edge of half-open buckets.
+func TestBucketHoldsMatchesSample(t *testing.T) {
+	samples := syntheticCuts(t)[:3]
+	for seed := int64(0); seed < 6; seed++ {
+		samples = append(samples, paritySample(t, seed, 60, uint8(seed%4), 120))
+	}
+	strategies := []BucketStrategy{Dynamic{}, EquiWidth{K: 5}, EquiHeight{K: 4}}
+	for si, s := range samples {
+		values := s.Values()
+		for _, strat := range strategies {
+			for _, inner := range []SumEstimator{Naive{}, Frequency{}} {
+				for i, bk := range strat.Split(s, inner) {
+					var got []float64
+					for _, v := range values {
+						if bk.holds(v) {
+							got = append(got, v)
+						}
+					}
+					if want := bk.Sample().Values(); !slices.Equal(got, want) {
+						t.Fatalf("sample %d %s/%s bucket %d [%g,%g]: holds picks %d values, sub-sample has %d",
+							si, strat.Name(), inner.Name(), i, bk.Lo, bk.Hi, len(got), len(want))
+					}
+				}
+			}
+		}
 	}
 }

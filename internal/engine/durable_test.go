@@ -109,6 +109,93 @@ func TestDurableStagedRowsSurviveClose(t *testing.T) {
 	}
 }
 
+// TestDurableInsertWALFailureNotAcked: when the WAL append of a durable
+// Insert fails, the Insert returns the error and applies nothing — the
+// row is neither visible to queries nor recovered after a restart — and
+// the shard's log rotates, so the next Insert succeeds and survives.
+func TestDurableInsertWALFailureNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	db1 := &DB{Storage: cfg}
+	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(v float64) map[string]sqlparse.Value { return map[string]sqlparse.Value{"v": sqlparse.Number(v)} }
+	if err := tbl.Insert("first", "s0", row(1)); err != nil {
+		t.Fatal(err)
+	}
+	si, _ := tbl.shardIndexFor("first")
+	var sameShard []string // two more entities of the same shard
+	for i := 0; len(sameShard) < 2; i++ {
+		if id := fmt.Sprintf("e%03d", i); func() bool { s, _ := tbl.shardIndexFor(id); return s == si }() {
+			sameShard = append(sameShard, id)
+		}
+	}
+	failed, next := sameShard[0], sameShard[1]
+
+	// Swap the shard's active generation for a read-only handle on the
+	// same file: the next append's write fails, and so does the rollback
+	// truncate, which marks the generation for rotation.
+	w := tbl.wal.shard(si)
+	w.mu.Lock()
+	ro, err := os.Open(w.f.Name())
+	if err != nil {
+		w.mu.Unlock()
+		t.Fatal(err)
+	}
+	rw := w.f
+	w.f = ro
+	w.mu.Unlock()
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := tbl.Insert(failed, "s0", row(10)); err == nil {
+		t.Fatal("Insert acknowledged a row whose WAL append failed")
+	}
+	if hasEntity(tbl, failed) {
+		t.Error("row of the failed Insert was applied")
+	}
+	res, err := db1.Query("SELECT SUM(v) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Observed != 1 {
+		t.Errorf("SUM(v) after the failed Insert = %g, want 1", res.Observed)
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Errorf("Flush reports an error Insert already returned: %v", err)
+	}
+
+	if err := tbl.Insert(next, "s0", row(100)); err != nil {
+		t.Fatalf("Insert after the rotation: %v", err)
+	}
+	if res, err = db1.Query("SELECT SUM(v) FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if res.Observed != 101 {
+		t.Errorf("SUM(v) after the next Insert = %g, want 101", res.Observed)
+	}
+	if err := db1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := &DB{Storage: cfg}
+	t.Cleanup(func() { db2.Close() })
+	if _, err := db2.RecoverTables(); err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := db2.Table("t")
+	if !ok {
+		t.Fatal("table t not recovered")
+	}
+	if hasEntity(rt, failed) || !hasEntity(rt, "first") || !hasEntity(rt, next) {
+		t.Errorf("recovered entities: first %v, %s %v (failed, want false), %s %v",
+			hasEntity(rt, "first"), failed, hasEntity(rt, failed), next, hasEntity(rt, next))
+	}
+}
+
 // segFileInfo captures the identity of every sealed segment file under a
 // table directory: name, size and modification time.
 func segFileInfo(t *testing.T, tableDir string) map[string]string {

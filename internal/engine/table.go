@@ -565,7 +565,11 @@ func (t *Table) NumObservations() int {
 // shard is locked, so inserts for different shards proceed in parallel.
 // For streaming workloads prefer the batched staging path
 // (Append/AppendRow/Writer in ingest.go), which amortizes the per-row
-// locking and epoch bumps across whole batches.
+// locking and epoch bumps across whole batches. On a durable table the row
+// is logged to the WAL before it is applied, and a failed log append fails
+// the Insert with nothing applied, so a nil return means the row is in the
+// log. A failed fsync after a complete write also fails the Insert, but
+// the written record may still replay at recovery.
 func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value) error {
 	if err := t.checkAppendArgs(entityID, source); err != nil {
 		return err
@@ -587,12 +591,13 @@ func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value)
 		// hold, so the watermark update below can never be observed early.
 		// An existing entity gets a lineage-only record (all cells
 		// missing) — replay is first-wins like apply, so the values can't
-		// compete with the stored row. A WAL write failure degrades
-		// durability for this row, not availability: it is recorded for
-		// the next Flush and the insert proceeds.
-		if seq, werr := t.wal.appendInsert(si, t.schema, entityID, source, attrs, !exists); werr != nil {
-			t.recordIngestErr(fmt.Errorf("engine: %s: %w", t.name, werr))
-		} else if seq > t.walApplied[si] {
+		// compete with the stored row. A row the log does not hold is not
+		// acknowledged: a WAL failure fails the Insert and applies nothing.
+		seq, werr := t.wal.appendInsert(si, t.schema, entityID, source, attrs, !exists)
+		if werr != nil {
+			return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, werr)
+		}
+		if seq > t.walApplied[si] {
 			t.walApplied[si] = seq
 		}
 	}

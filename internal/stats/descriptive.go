@@ -105,10 +105,14 @@ func Median(xs []float64) float64 {
 
 // Quantile returns the q-quantile of xs using linear interpolation between
 // order statistics (the same convention as R type 7). q is clamped to [0, 1].
-// The input is not modified. An empty slice yields 0.
+// The input is not modified. An empty slice yields 0, and a NaN q yields
+// NaN.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
+	}
+	if math.IsNaN(q) {
+		return math.NaN()
 	}
 	if q < 0 {
 		q = 0

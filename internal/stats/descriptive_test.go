@@ -134,6 +134,14 @@ func TestMedianAndQuantile(t *testing.T) {
 	}
 }
 
+func TestQuantileNaN(t *testing.T) {
+	for _, xs := range [][]float64{{4}, {1, 2, 3}} {
+		if got := Quantile(xs, math.NaN()); !math.IsNaN(got) {
+			t.Errorf("Quantile(%v, NaN) = %g, want NaN", xs, got)
+		}
+	}
+}
+
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	Quantile(xs, 0.5)
