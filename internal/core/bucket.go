@@ -499,14 +499,15 @@ type rangeIndex struct {
 }
 
 // newRangeIndex reads s once into a rangeIndex; ok is false for an empty
-// sample.
-func newRangeIndex(s *freqstats.Sample) (x rangeIndex, ok bool) {
+// sample. spare is the sort's second buffer, len(x.sorted) entities the
+// caller may reuse as split's scratch.
+func newRangeIndex(s *freqstats.Sample) (x rangeIndex, spare []rangeEnt, ok bool) {
 	ents := make([]rangeEnt, 0, s.C())
 	s.EachEntity(func(v float64, count int) {
 		ents = append(ents, rangeEnt{value: v, count: count, seq: len(ents)})
 	})
 	if len(ents) == 0 {
-		return x, false
+		return x, nil, false
 	}
 	x.lo, x.hi = ents[0].value, ents[0].value
 	for _, e := range ents[1:] {
@@ -523,14 +524,61 @@ func newRangeIndex(s *freqstats.Sample) (x rangeIndex, ok bool) {
 			x.bySeq = append(x.bySeq, e)
 		}
 	}
-	x.sorted = slices.Clone(x.bySeq)
-	slices.SortFunc(x.sorted, func(a, b rangeEnt) int {
-		if c := cmp.Compare(a.value, b.value); c != 0 {
-			return c
+	// bySeq holds no NaN and ascends by seq, so a stable sort by value
+	// yields the (value, seq) order.
+	x.sorted, spare = radixSortByValue(slices.Clone(x.bySeq), make([]rangeEnt, len(x.bySeq)))
+	return x, spare, true
+}
+
+// valueKey maps a non-NaN value to a key whose unsigned order is the
+// value's cmp.Compare order: the sign bit is set on non-negative values
+// and every bit flipped on negative ones, after -0 is folded onto +0,
+// which cmp.Compare ties with it.
+func valueKey(v float64) uint64 {
+	if v == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSortByValue stably sorts a by valueKey with a least-significant-
+// byte-first radix sort, moving entities between a and buf (which must be
+// as long as a), and returns the sorted buffer and the other one. A pass
+// on whose byte every key agrees is skipped. a must hold no NaN.
+func radixSortByValue(a, buf []rangeEnt) (sorted, spare []rangeEnt) {
+	if len(a) < 2 {
+		return a, buf
+	}
+	var counts [8][256]int32
+	for _, e := range a {
+		k := valueKey(e.value)
+		for p := range counts {
+			counts[p][byte(k>>(8*p))]++
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	return x, true
+	}
+	first := valueKey(a[0].value)
+	for p := range counts {
+		c := &counts[p]
+		shift := 8 * p
+		if int(c[byte(first>>shift)]) == len(a) {
+			continue
+		}
+		var at int32
+		for d, n := range c {
+			c[d], at = at, at+n
+		}
+		for _, e := range a {
+			d := byte(valueKey(e.value) >> shift)
+			buf[c[d]] = e
+			c[d]++
+		}
+		a, buf = buf, a
+	}
+	return a, buf
 }
 
 // valueRange is a bucket of the dynamic search: the entities sorted[i:j]
@@ -595,7 +643,7 @@ func (x rangeIndex) split(b valueRange, k int, scratch []rangeEnt) (l, r valueRa
 //   - the FIFO queue, the done order and the cost summation order are the
 //     same.
 func splitRanges(s *freqstats.Sample, freq bool) []BucketResult {
-	x, ok := newRangeIndex(s)
+	x, scratch, ok := newRangeIndex(s)
 	if !ok {
 		return nil
 	}
@@ -648,7 +696,6 @@ func splitRanges(s *freqstats.Sample, freq bool) []BucketResult {
 		}
 		return best, best > 0
 	}
-	scratch := make([]rangeEnt, len(sorted))
 	root := x.root()
 	root.cost = cost(root.st)
 	todo := []valueRange{root}

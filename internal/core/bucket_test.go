@@ -450,11 +450,18 @@ func referenceBestSplitSweep(b BucketResult, inner SumEstimator, rest float64, c
 }
 
 // syntheticCuts returns the 16 "value > k" restrictions of the correlated
-// synthetic population: k runs through the 16-quantiles of the entity
-// values, so the cuts range from the whole sample to its top sixteenth.
+// synthetic population (2000 entities, 10 sources x 200 draws): k runs
+// through the 16-quantiles of the entity values, so the cuts range from
+// the whole sample to its top sixteenth.
 func syntheticCuts(t testing.TB) []*freqstats.Sample {
+	return syntheticCutsOf(t, 2000, 200)
+}
+
+// syntheticCutsOf is syntheticCuts of a population of the given number of
+// entities, sampled by 10 sources of perSource draws each.
+func syntheticCutsOf(t testing.TB, entities, perSource int) []*freqstats.Sample {
 	t.Helper()
-	d, err := dataset.Synthetic(1, 2000, 1, 0.5, 10, 200)
+	d, err := dataset.Synthetic(1, entities, 1, 0.5, 10, perSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,13 +604,13 @@ func TestRangeIndexBucketCostMatchesMaterialized(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		samples = append(samples, paritySample(t, seed, 80, uint8(1+seed%3), 40))
 	}
+	samples = append(samples, signedZeroSample(t))
 	rng := rand.New(rand.NewSource(1))
 	for si, s := range samples {
-		x, ok := newRangeIndex(s)
+		x, scratch, ok := newRangeIndex(s)
 		if !ok {
 			t.Fatal("empty sample")
 		}
-		scratch := make([]rangeEnt, len(x.sorted))
 		check := func(b valueRange) {
 			t.Helper()
 			if !slices.IsSortedFunc(x.bySeq[b.i:b.j], func(a, b rangeEnt) int { return cmp.Compare(a.seq, b.seq) }) {
@@ -645,6 +652,97 @@ func TestRangeIndexBucketCostMatchesMaterialized(t *testing.T) {
 			check(l)
 			check(rt)
 			ranges = append(append(ranges[:r:r], ranges[r+1:]...), l, rt)
+		}
+	}
+}
+
+// signedZeroSample draws 60 entities valued -0, +0 or one of a few
+// non-zero values, so both zeros appear in either first-observation order,
+// each seen one to three times by four sources.
+func signedZeroSample(t testing.TB) *freqstats.Sample {
+	pool := []float64{math.Copysign(0, -1), 0, -2.5, -1, 1, 3.75, 8}
+	rng := rand.New(rand.NewSource(7))
+	s := freqstats.NewSample()
+	for e := 0; e < 60; e++ {
+		v := pool[rng.Intn(len(pool))]
+		for k := 0; k <= rng.Intn(3); k++ {
+			mustAdd(t, s, fmt.Sprintf("e%d", e), v, fmt.Sprintf("s%d", (e+k)%4))
+		}
+	}
+	return s
+}
+
+// TestRangeIndexRadixOrder: the radix-sorted index orders the root range
+// exactly as a comparison sort by (cmp.Compare(value), first-observation
+// index) does. Signed zeros tie in either first-observation order;
+// infinities, subnormals and the extreme finite values take their places;
+// interior NaNs stay out of the root range and a leading NaN empties it.
+func TestRangeIndexRadixOrder(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	tiny := math.SmallestNonzeroFloat64
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int, value func() float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = value()
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		values []float64
+	}{
+		{"signed zeros, -0 first", []float64{negZero, 0, 2, negZero, -2, 0}},
+		{"signed zeros, +0 first", []float64{0, negZero, -2, 0, negZero, 2}},
+		{"infinities, subnormals and extremes", []float64{1, math.Inf(1), -math.MaxFloat64, tiny,
+			math.MaxFloat64, -tiny, math.Inf(-1), 0, 2 * tiny, -2 * tiny, negZero, math.MaxFloat64, math.Inf(-1)}},
+		{"all equal", []float64{3.5, 3.5, 3.5, 3.5, 3.5}},
+		{"single entity", []float64{42}},
+		{"heavy ties", draw(400, func() float64 { return float64(rng.Intn(4)) - 1.5 })},
+		{"random normals", draw(500, func() float64 { return rng.NormFloat64() * 1e3 })},
+		{"random magnitudes", draw(500, func() float64 {
+			return math.Copysign(math.Ldexp(rng.Float64(), rng.Intn(2100)-1074), rng.Float64()-0.5)
+		})},
+		{"interior NaNs", []float64{2, nan, 1, nan, 3, 1, nan}},
+		{"leading NaN", []float64{nan, 1, 2, negZero}},
+	}
+	for _, tc := range cases {
+		s := freqstats.NewSample()
+		for i, v := range tc.values {
+			mustAdd(t, s, fmt.Sprintf("e%d", i), v, "s")
+		}
+		x, spare, ok := newRangeIndex(s)
+		if !ok {
+			t.Fatalf("%s: empty index", tc.name)
+		}
+		var want []rangeEnt // the root range in first-observation order
+		if !math.IsNaN(tc.values[0]) {
+			for i, v := range tc.values {
+				if !math.IsNaN(v) {
+					want = append(want, rangeEnt{value: v, count: 1, seq: i})
+				}
+			}
+		}
+		if !slices.Equal(x.bySeq, want) {
+			t.Fatalf("%s: bySeq %v, want %v", tc.name, x.bySeq, want)
+		}
+		slices.SortFunc(want, func(a, b rangeEnt) int {
+			if c := cmp.Compare(a.value, b.value); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		if len(spare) != len(want) {
+			t.Errorf("%s: spare buffer holds %d entities, want %d", tc.name, len(spare), len(want))
+		}
+		if len(x.sorted) != len(want) {
+			t.Fatalf("%s: sorted holds %d entities, want %d", tc.name, len(x.sorted), len(want))
+		}
+		for i, e := range x.sorted {
+			if e.seq != want[i].seq || math.Float64bits(e.value) != math.Float64bits(want[i].value) {
+				t.Fatalf("%s: sorted[%d] = %v (seq %d), comparison sort has %v (seq %d)",
+					tc.name, i, e.value, e.seq, want[i].value, want[i].seq)
+			}
 		}
 	}
 }
@@ -726,6 +824,21 @@ func TestStatsEstimateMatchesEstimateSum(t *testing.T) {
 	a, b, c := 0.3, 0.2, 0.1 // variables: constant arithmetic is exact
 	if seq, value := a+b+c, c+b+a; seq == value {
 		t.Fatalf("0.3, 0.2, 0.1 sum to %v in either order; the fixtures test nothing", seq)
+	}
+}
+
+// BenchmarkRangeIndex builds the dynamic search's range index for the 16
+// "value > k" cuts of the synthetic-avg population (20000 entities, 10
+// sources x 2000 draws): the value-sort and entity walk a filtered AVG,
+// MEDIAN or MAX query pays before its candidate sweep.
+func BenchmarkRangeIndex(b *testing.B) {
+	cuts := syntheticCutsOf(b, 20000, 2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range cuts {
+			newRangeIndex(s)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package freqstats
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -101,10 +102,7 @@ func BenchmarkBulkBuildNoAttribution(b *testing.B) {
 		s := NewSampleWithCapacity(len(rows), benchSourcesPerSamp, 0)
 		internBenchSources(s)
 		for _, r := range rows {
-			prev, _ := s.bumpEntity(r.id, r.value, len(r.srcs))
-			es := prev
-			es.count += len(r.srcs)
-			s.ents[r.id] = es
+			s.bumpEntity(r.id, r.value, len(r.srcs))
 			for _, src := range r.srcs {
 				s.srcTotals[src]++
 			}
@@ -149,15 +147,14 @@ func BenchmarkFilterNoAttribution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := NewSample()
-		for _, id := range s.order {
-			es := s.ents[id]
+		for j, es := range s.ents {
 			if es.value >= 500 {
 				continue
 			}
-			dup := es
-			dup.srcs = nil
-			out.ents[id] = dup
-			out.order = append(out.order, id)
+			es.srcs = nil
+			out.index[s.order[j]] = int32(len(out.ents))
+			out.order = append(out.order, s.order[j])
+			out.ents = append(out.ents, es)
 			out.n += es.count
 			out.fstat[es.count]++
 		}
@@ -173,6 +170,45 @@ func BenchmarkFilterNoAttribution(b *testing.B) {
 		}
 		if out.C() == 0 {
 			b.Fatal("empty filter result")
+		}
+	}
+}
+
+// BenchmarkMergePartials merges 16 frozen partials at the synthetic-avg
+// query's scale — ~6.7k kept entities and ~11k observations from 10
+// sources, hash-sharded over 16 shards with interleaved seqs — the merge
+// a partial-cache hit leaves to every query.
+func BenchmarkMergePartials(b *testing.B) {
+	const (
+		shards   = 16
+		entities = 6700
+		sources  = 10
+	)
+	names := make([]string, sources)
+	for i := range names {
+		names[i] = fmt.Sprintf("src-%d", i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	parts := make([]*Partial, shards)
+	for i := range parts {
+		parts[i] = new(Partial)
+	}
+	for e := 0; e < entities; e++ {
+		lineage := []int32{int32(rng.Intn(sources))}
+		for len(lineage) < 4 && rng.Intn(5) < 2 {
+			lineage = append(lineage, int32(rng.Intn(sources)))
+		}
+		parts[rng.Intn(shards)].AppendRow(uint64(e), fmt.Sprintf("entity-%05d", e), float64(rng.Intn(100000))/7, lineage)
+	}
+	for _, p := range parts {
+		p.Freeze()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := MergePartials(names, parts)
+		if err != nil || s.C() != entities {
+			b.Fatal("bad merge", err)
 		}
 	}
 }

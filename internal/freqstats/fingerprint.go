@@ -61,8 +61,8 @@ func (s *Sample) fingerprint() uint64 {
 		nameHash[i] = fnvString(fnvOffset64, name)
 	}
 	var sum, xor uint64
-	for id, es := range s.ents {
-		h := fnvString(fnvOffset64, id)
+	for i, es := range s.ents {
+		h := fnvString(fnvOffset64, s.order[i])
 		h = fnvUint64(h, uint64(es.count))
 		h = fnvUint64(h, math.Float64bits(es.value))
 		// Attribution cells hash independently (by source NAME, so the hash
@@ -91,15 +91,28 @@ func (s *Sample) fingerprint() uint64 {
 // FootprintBytes estimates the retained heap size of the sample in bytes.
 // It is an accounting approximation (map/slice headers are charged at
 // fixed rates), intended for cache byte budgets, not exact profiling.
+//
+// The per-entity charge follows the entity-columnar layout (64-bit Go):
+//
+//	index   40  map[string]int32 slot: 16 B key + 4 B value padded to 24,
+//	            plus 1 control byte, at a mean load of ~5/8 (the table
+//	            doubles at 7/8 full, so its load runs from 7/16 to 7/8)
+//	order   16  string header
+//	ents    40  entityStat: count 8 + value 8 + srcs slice header 24
+//	      ----
+//	        96  + len(id): the ID bytes, shared by the index key and the
+//	              order entry
+//
+// plus 8 B per attribution cell (srcCount) in the arena.
 func (s *Sample) FootprintBytes() int {
 	const (
-		entityOverhead = 96 // map bucket share + entityStat + order entry
+		entityOverhead = 96 // index slot share + order entry + entityStat
 		cellBytes      = 8  // srcCount
 		sourceOverhead = 56 // interning map entry + name slot + total slot
 	)
 	n := 256 // struct + map headers
-	for id, es := range s.ents {
-		n += entityOverhead + 2*len(id) + cellBytes*len(es.srcs)
+	for i, es := range s.ents {
+		n += entityOverhead + len(s.order[i]) + cellBytes*len(es.srcs)
 	}
 	for _, name := range s.srcNames {
 		n += sourceOverhead + len(name)

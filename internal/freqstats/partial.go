@@ -211,12 +211,17 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 			sort.Slice(p.rows, func(i, j int) bool { return p.rows[i].Seq < p.rows[j].Seq })
 		}
 	}
+	// seqs[pi] caches the seq of partial pi's head row, so picking the
+	// next row scans one flat array.
 	heads := make([]int, len(active))
+	seqs := make([]uint64, len(active))
+	for pi, p := range active {
+		seqs[pi] = p.rows[0].Seq
+	}
 	for len(active) > 0 {
-		best := 0
-		bestSeq := active[0].rows[heads[0]].Seq
-		for pi := 1; pi < len(active); pi++ {
-			if sq := active[pi].rows[heads[pi]].Seq; sq < bestSeq {
+		best, bestSeq := 0, seqs[0]
+		for pi := 1; pi < len(seqs); pi++ {
+			if sq := seqs[pi]; sq < bestSeq {
 				best, bestSeq = pi, sq
 			}
 		}
@@ -242,8 +247,10 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 		}
 		if heads[best]++; heads[best] == len(p.rows) {
 			last := len(active) - 1
-			active[best], heads[best] = active[last], heads[last]
-			active = active[:last]
+			active[best], heads[best], seqs[best] = active[last], heads[last], seqs[last]
+			active, seqs = active[:last], seqs[:last]
+		} else {
+			seqs[best] = p.rows[heads[best]].Seq
 		}
 	}
 	return s, nil

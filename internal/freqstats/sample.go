@@ -28,6 +28,7 @@ package freqstats
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -58,7 +59,8 @@ type srcCount struct {
 	cnt int32
 }
 
-// entityStat is everything the sample tracks per unique entity.
+// entityStat is everything the sample tracks per unique entity: its
+// record in the sample's entity-columnar layout.
 type entityStat struct {
 	count int
 	value float64
@@ -67,11 +69,18 @@ type entityStat struct {
 
 // Sample accumulates observations and maintains all statistics the
 // estimators need. The zero value is an empty sample ready for use.
+//
+// The per-entity state is entity-columnar: entity i (in first-observation
+// order) has its ID in order[i] and its record in ents[i], and index maps
+// an ID back to i. Only the paths that look up or deduplicate an ID hash
+// it; every walk over the entities (sums, filters, fingerprints) reads the
+// slices in first-observation order.
 type Sample struct {
-	ents  map[string]entityStat // entity -> occurrences, value, attribution
-	order []string              // entities in first-observation order
-	n     int                   // |S|
-	fstat map[int]int           // j -> f_j
+	index map[string]int32 // entity ID -> position in order and ents
+	order []string         // entity IDs in first-observation order
+	ents  []entityStat     // per-entity records, aligned with order
+	n     int              // |S|
+	fstat map[int]int      // j -> f_j
 
 	srcIDs    map[string]int32 // source name -> sample-local ID
 	srcNames  []string         // sample-local ID -> source name
@@ -97,7 +106,7 @@ type Sample struct {
 // NewSample returns an empty sample.
 func NewSample() *Sample {
 	return &Sample{
-		ents:   make(map[string]entityStat),
+		index:  make(map[string]int32),
 		fstat:  make(map[int]int),
 		srcIDs: make(map[string]int32),
 	}
@@ -118,8 +127,9 @@ func NewSampleWithCapacity(entities, sources, observations int) *Sample {
 		observations = 0
 	}
 	return &Sample{
-		ents:      make(map[string]entityStat, entities),
+		index:     make(map[string]int32, entities),
 		order:     make([]string, 0, entities),
+		ents:      make([]entityStat, 0, entities),
 		fstat:     make(map[int]int),
 		srcIDs:    make(map[string]int32, sources),
 		srcNames:  make([]string, 0, sources),
@@ -129,8 +139,8 @@ func NewSampleWithCapacity(entities, sources, observations int) *Sample {
 }
 
 func (s *Sample) ensureMaps() {
-	if s.ents == nil {
-		s.ents = make(map[string]entityStat)
+	if s.index == nil {
+		s.index = make(map[string]int32)
 		s.fstat = make(map[int]int)
 	}
 	if s.srcIDs == nil {
@@ -176,27 +186,33 @@ func addToVec(vec []srcCount, src int32, cnt int32) []srcCount {
 	return append(vec, srcCount{src: src, cnt: cnt})
 }
 
-// bumpEntity adds count observations of entity id, maintaining n, c, order
-// and the f-statistics, and returns the entity's previous stat (for
-// attribution and conflict handling). It does not touch attribution.
-func (s *Sample) bumpEntity(id string, value float64, count int) (prev entityStat, conflict bool) {
+// bumpEntity adds count observations of entity id, maintaining n, c, the
+// entity's count, index, order and the f-statistics, and returns the
+// entity's record for the caller to extend its attribution. A new entity
+// takes value; conflict reports that a known entity's (first) value, which
+// the record keeps, differs from value. The pointer is valid until the next
+// entity is added.
+func (s *Sample) bumpEntity(id string, value float64, count int) (es *entityStat, conflict bool) {
 	s.fpValid.Store(false)
-	prev = s.ents[id]
-	if prev.count == 0 {
+	i, ok := s.index[id]
+	if !ok {
+		i = int32(len(s.ents))
+		s.index[id] = i
 		s.order = append(s.order, id)
-		prev.value = value
-	} else if prev.value != value {
-		conflict = true
+		s.ents = append(s.ents, entityStat{value: value})
 	}
-	s.n += count
-	if prev.count > 0 {
-		s.fstat[prev.count]--
-		if s.fstat[prev.count] == 0 {
-			delete(s.fstat, prev.count)
+	es = &s.ents[i]
+	if es.count > 0 {
+		conflict = es.value != value
+		s.fstat[es.count]--
+		if s.fstat[es.count] == 0 {
+			delete(s.fstat, es.count)
 		}
 	}
-	s.fstat[prev.count+count]++
-	return prev, conflict
+	s.n += count
+	es.count += count
+	s.fstat[es.count]++
+	return es, conflict
 }
 
 // Add records one observation. It returns an error if the entity was seen
@@ -210,16 +226,13 @@ func (s *Sample) Add(obs Observation) error {
 		return fmt.Errorf("freqstats: observation with empty entity ID")
 	}
 	src := s.InternSource(obs.Source)
-	prev, conflict := s.bumpEntity(obs.EntityID, obs.Value, 1)
-	es := prev
-	es.count++
+	es, conflict := s.bumpEntity(obs.EntityID, obs.Value, 1)
 	es.srcs = addToVec(es.srcs, src, 1)
-	s.ents[obs.EntityID] = es
 	s.srcTotals[src]++
 
 	if conflict {
 		return fmt.Errorf("freqstats: entity %q observed with conflicting values %g and %g (input not cleaned)",
-			obs.EntityID, prev.value, obs.Value)
+			obs.EntityID, es.value, obs.Value)
 	}
 	return nil
 }
@@ -227,7 +240,7 @@ func (s *Sample) Add(obs Observation) error {
 // AddEntityObservations bulk-records that an entity was observed with the
 // given value once per element of srcs — sample-local source IDs from
 // InternSource, repeats allowed. It is equivalent to len(srcs) Add calls
-// but with one map update, and it keeps the per-source contribution sizes
+// but with one index lookup, and it keeps the per-source contribution sizes
 // n_j exactly attributed (sum_j n_j == n is a checked invariant).
 // Re-adding a known entity extends its count and attribution; a value
 // conflict is reported like Add (first value wins, observations still
@@ -245,9 +258,7 @@ func (s *Sample) AddEntityObservations(id string, value float64, srcs []int32) e
 			return fmt.Errorf("freqstats: entity %q attributed to unknown source ID %d", id, src)
 		}
 	}
-	prev, conflict := s.bumpEntity(id, value, len(srcs))
-	es := prev
-	es.count += len(srcs)
+	es, conflict := s.bumpEntity(id, value, len(srcs))
 	if es.srcs == nil {
 		es.srcs = s.allocVec(len(srcs))
 	}
@@ -255,10 +266,9 @@ func (s *Sample) AddEntityObservations(id string, value float64, srcs []int32) e
 		es.srcs = addToVec(es.srcs, src, 1)
 		s.srcTotals[src]++
 	}
-	s.ents[id] = es
 	if conflict {
 		return fmt.Errorf("freqstats: entity %q observed with conflicting values %g and %g (input not cleaned)",
-			id, prev.value, value)
+			id, es.value, value)
 	}
 	return nil
 }
@@ -266,12 +276,11 @@ func (s *Sample) AddEntityObservations(id string, value float64, srcs []int32) e
 // AddNewEntityObservations is AddEntityObservations for an entity the
 // caller guarantees is not already in the sample — the engine's shard
 // merge qualifies: entities are hash-partitioned across shards with one
-// row each, so every merged row is a first sighting. The guarantee buys
-// one map assignment instead of a read-modify-write (half the string
-// hashing on the scan-merge hot path) and skips the frequency-histogram
-// decrement. A violated guarantee is detected (the map must grow) and
-// reported as an error; the sample is not usable after that — callers
-// treat it as a scan invariant failure, not a recoverable conflict.
+// row each, so every merged row is a first sighting. The guarantee lets it
+// append the entity's record outright, skipping the frequency-histogram
+// decrement and the conflict check. A violated guarantee is still detected
+// and reported as an error before anything changes; callers treat it as a
+// scan invariant failure, not a recoverable conflict.
 func (s *Sample) AddNewEntityObservations(id string, value float64, srcs []int32) error {
 	s.ensureMaps()
 	if id == "" {
@@ -285,18 +294,18 @@ func (s *Sample) AddNewEntityObservations(id string, value float64, srcs []int32
 			return fmt.Errorf("freqstats: entity %q attributed to unknown source ID %d", id, src)
 		}
 	}
+	if _, dup := s.index[id]; dup {
+		return fmt.Errorf("freqstats: AddNewEntityObservations called twice for entity %q", id)
+	}
 	s.fpValid.Store(false)
 	es := entityStat{value: value, count: len(srcs), srcs: s.allocVec(len(srcs))}
 	for _, src := range srcs {
 		es.srcs = addToVec(es.srcs, src, 1)
 		s.srcTotals[src]++
 	}
-	before := len(s.ents)
-	s.ents[id] = es
-	if len(s.ents) == before {
-		return fmt.Errorf("freqstats: AddNewEntityObservations called twice for entity %q", id)
-	}
+	s.index[id] = int32(len(s.ents))
 	s.order = append(s.order, id)
+	s.ents = append(s.ents, es)
 	s.n += len(srcs)
 	s.fstat[len(srcs)]++
 	return nil
@@ -317,6 +326,14 @@ func (s *Sample) N() int { return s.n }
 
 // C returns the number of unique entities c = |K|.
 func (s *Sample) C() int { return len(s.ents) }
+
+// lookup returns entity id's record, or nil for an unknown entity.
+func (s *Sample) lookup(id string) *entityStat {
+	if i, ok := s.index[id]; ok {
+		return &s.ents[i]
+	}
+	return nil
+}
 
 // F returns f_j, the number of entities observed exactly j times.
 func (s *Sample) F(j int) int {
@@ -343,14 +360,19 @@ func (s *Sample) FStatistics() map[int]int {
 
 // Count returns how many times entity id was observed.
 func (s *Sample) Count(id string) int {
-	return s.ents[id].count
+	if es := s.lookup(id); es != nil {
+		return es.count
+	}
+	return 0
 }
 
 // Value returns the attribute value of entity id and whether it was
 // observed.
 func (s *Sample) Value(id string) (float64, bool) {
-	es, ok := s.ents[id]
-	return es.value, ok
+	if es := s.lookup(id); es != nil {
+		return es.value, true
+	}
+	return 0, false
 }
 
 // Entities returns the unique entity IDs in first-observation order. The
@@ -364,9 +386,9 @@ func (s *Sample) Entities() []string {
 // Values returns the attribute values of all unique entities in
 // first-observation order.
 func (s *Sample) Values() []float64 {
-	out := make([]float64, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.ents[id].value)
+	out := make([]float64, len(s.ents))
+	for i := range s.ents {
+		out[i] = s.ents[i].value
 	}
 	return out
 }
@@ -375,8 +397,8 @@ func (s *Sample) Values() []float64 {
 // database K.
 func (s *Sample) SumValues() float64 {
 	var sum float64
-	for _, id := range s.order {
-		sum += s.ents[id].value
+	for i := range s.ents {
+		sum += s.ents[i].value
 	}
 	return sum
 }
@@ -386,8 +408,8 @@ func (s *Sample) SumValues() float64 {
 // adds in first-observation order, so the result is the same on every call.
 func (s *Sample) SumSingletonValues() float64 {
 	var sum float64
-	for _, id := range s.order {
-		if es := s.ents[id]; es.count == 1 {
+	for i := range s.ents {
+		if es := &s.ents[i]; es.count == 1 {
 			sum += es.value
 		}
 	}
@@ -397,9 +419,8 @@ func (s *Sample) SumSingletonValues() float64 {
 // EachEntity calls fn with the value and occurrence count of every unique
 // entity, in first-observation order.
 func (s *Sample) EachEntity(fn func(value float64, count int)) {
-	for _, id := range s.order {
-		es := s.ents[id]
-		fn(es.value, es.count)
+	for i := range s.ents {
+		fn(s.ents[i].value, s.ents[i].count)
 	}
 }
 
@@ -432,8 +453,8 @@ func (s *Sample) SourceContributions() map[string]int {
 // each source contributed for it, keyed by source name. The returned map is
 // a copy; nil is returned for an unknown entity.
 func (s *Sample) EntitySourceCounts(id string) map[string]int {
-	es, ok := s.ents[id]
-	if !ok {
+	es := s.lookup(id)
+	if es == nil {
 		return nil
 	}
 	out := make(map[string]int, len(es.srcs))
@@ -472,9 +493,9 @@ func (s *Sample) NumSources() int {
 // order. This is the "indexed" frequency profile compared by the
 // Monte-Carlo estimator's KL-divergence distance.
 func (s *Sample) OccurrenceCounts() []int {
-	out := make([]int, 0, len(s.ents))
-	for _, es := range s.ents {
-		out = append(out, es.count)
+	out := make([]int, len(s.ents))
+	for i := range s.ents {
+		out[i] = s.ents[i].count
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))
 	return out
@@ -482,23 +503,21 @@ func (s *Sample) OccurrenceCounts() []int {
 
 // Clone returns a deep copy of the sample.
 func (s *Sample) Clone() *Sample {
-	c := NewSampleWithCapacity(len(s.ents), len(s.srcNames), s.n)
-	c.n = s.n
-	for id, es := range s.ents {
-		dup := es
-		dup.srcs = c.allocVec(len(es.srcs))
-		dup.srcs = append(dup.srcs, es.srcs...)
-		c.ents[id] = dup
+	c := &Sample{
+		index:     maps.Clone(s.index),
+		order:     slices.Clone(s.order),
+		ents:      slices.Clone(s.ents),
+		n:         s.n,
+		fstat:     maps.Clone(s.fstat),
+		srcIDs:    maps.Clone(s.srcIDs),
+		srcNames:  slices.Clone(s.srcNames),
+		srcTotals: slices.Clone(s.srcTotals),
+		srcArena:  make([]srcCount, 0, s.n),
 	}
-	for k, v := range s.fstat {
-		c.fstat[k] = v
+	for i := range c.ents {
+		es := &c.ents[i]
+		es.srcs = append(c.allocVec(len(es.srcs)), es.srcs...)
 	}
-	for name, id := range s.srcIDs {
-		c.srcIDs[name] = id
-	}
-	c.srcNames = append(c.srcNames, s.srcNames...)
-	c.srcTotals = append(c.srcTotals[:0], s.srcTotals...)
-	c.order = append(c.order, s.order...)
 	return c
 }
 
@@ -518,9 +537,9 @@ func (s *Sample) Filter(keep func(id string, value float64) bool) *Sample {
 	// memory.
 	out := NewSampleWithCapacity(0, len(s.srcNames), s.n)
 	trans := newSourceTrans(len(s.srcNames))
-	for _, id := range s.order {
-		if es := s.ents[id]; keep(id, es.value) {
-			out.appendFrom(s, id, es, trans)
+	for i, id := range s.order {
+		if keep(id, s.ents[i].value) {
+			out.appendFrom(s, i, trans)
 		}
 	}
 	return out
@@ -536,11 +555,11 @@ func newSourceTrans(n int) []int32 {
 	return trans
 }
 
-// appendFrom adds entity id, with its stat es in the sample src, to out.
-// trans lazily maps src's source IDs to out's (-1 = not yet interned), so
-// only sources with kept observations are interned in out, in first-use
-// order.
-func (out *Sample) appendFrom(src *Sample, id string, es entityStat, trans []int32) {
+// appendFrom adds entity i of the sample src to out. trans lazily maps
+// src's source IDs to out's (-1 = not yet interned), so only sources with
+// kept observations are interned in out, in first-use order.
+func (out *Sample) appendFrom(src *Sample, i int, trans []int32) {
+	es, id := src.ents[i], src.order[i]
 	// Carve the translated vector out of the output's arena (growing it
 	// amortizes to a handful of allocations across the whole filter; a
 	// mid-entity grow is fine, the final carve sees the final array).
@@ -555,8 +574,9 @@ func (out *Sample) appendFrom(src *Sample, id string, es entityStat, trans []int
 		out.srcTotals[local] += int(sc.cnt)
 	}
 	es.srcs = out.srcArena[start:len(out.srcArena):len(out.srcArena)]
-	out.ents[id] = es
+	out.index[id] = int32(len(out.ents))
 	out.order = append(out.order, id)
+	out.ents = append(out.ents, es)
 	out.n += es.count
 	out.fstat[es.count]++
 }
@@ -604,18 +624,16 @@ func (s *Sample) PartitionRanges(los []float64, hi float64) []*Sample {
 		return b
 	}
 	// First pass: assign every entity and size each part, so each part is
-	// built presized and the map is read once per entity.
-	stats := make([]entityStat, len(s.order))
-	assign := make([]int, len(s.order))
+	// built presized.
+	assign := make([]int, len(s.ents))
 	c := make([]int, k)
 	n := make([]int, k)
-	for i, id := range s.order {
-		stats[i] = s.ents[id]
-		b := part(stats[i].value)
+	for i := range s.ents {
+		b := part(s.ents[i].value)
 		assign[i] = b
 		if b >= 0 {
 			c[b]++
-			n[b] += stats[i].count
+			n[b] += s.ents[i].count
 		}
 	}
 	parts := make([]*Sample, k)
@@ -624,9 +642,9 @@ func (s *Sample) PartitionRanges(los []float64, hi float64) []*Sample {
 		parts[b] = NewSampleWithCapacity(c[b], len(s.srcNames), n[b])
 		trans[b] = newSourceTrans(len(s.srcNames))
 	}
-	for i, id := range s.order {
-		if b := assign[i]; b >= 0 {
-			parts[b].appendFrom(s, id, stats[i], trans[b])
+	for i, b := range assign {
+		if b >= 0 {
+			parts[b].appendFrom(s, i, trans[b])
 		}
 	}
 	return parts
@@ -648,15 +666,13 @@ func (s *Sample) Merge(other *Sample) error {
 	for i, name := range other.srcNames {
 		trans[i] = s.InternSource(name)
 	}
-	for _, id := range other.order {
-		oes := other.ents[id]
-		prev, conflict := s.bumpEntity(id, oes.value, oes.count)
+	for i, id := range other.order {
+		oes := &other.ents[i]
+		es, conflict := s.bumpEntity(id, oes.value, oes.count)
 		if conflict && firstErr == nil {
 			firstErr = fmt.Errorf("freqstats: entity %q merged with conflicting values %g and %g",
-				id, prev.value, oes.value)
+				id, es.value, oes.value)
 		}
-		es := prev
-		es.count += oes.count
 		if es.srcs == nil {
 			es.srcs = s.allocVec(len(oes.srcs))
 		}
@@ -665,17 +681,26 @@ func (s *Sample) Merge(other *Sample) error {
 			es.srcs = addToVec(es.srcs, local, sc.cnt)
 			s.srcTotals[local] += int(sc.cnt)
 		}
-		s.ents[id] = es
 	}
 	return firstErr
 }
 
-// CheckInvariants verifies internal consistency: sum_j j*f_j == n,
-// sum_j f_j == c, every count is positive, and the source attribution is
-// exact — each entity's attribution sums to its occurrence count and the
-// per-source totals n_j sum to n. It is used by tests and by the engine's
-// self-checks; a non-nil error indicates a bug in this package.
+// CheckInvariants verifies internal consistency: the entity index, the
+// ID order and the records line up (index[order[i]] == i), sum_j j*f_j ==
+// n, sum_j f_j == c, every count is positive, and the source attribution
+// is exact — each entity's attribution sums to its occurrence count and
+// the per-source totals n_j sum to n. It is used by tests and by the
+// engine's self-checks; a non-nil error indicates a bug in this package.
 func (s *Sample) CheckInvariants() error {
+	if len(s.index) != len(s.order) || len(s.order) != len(s.ents) {
+		return fmt.Errorf("freqstats: index has %d entities, order %d, records %d",
+			len(s.index), len(s.order), len(s.ents))
+	}
+	for i, id := range s.order {
+		if at, ok := s.index[id]; !ok || int(at) != i {
+			return fmt.Errorf("freqstats: entity %q is at position %d but indexed at %d (present %v)", id, i, at, ok)
+		}
+	}
 	var n, c int
 	for j, f := range s.fstat {
 		if j <= 0 || f < 0 {
@@ -690,12 +715,10 @@ func (s *Sample) CheckInvariants() error {
 	if c != len(s.ents) {
 		return fmt.Errorf("freqstats: sum f_j = %d but c = %d", c, len(s.ents))
 	}
-	if len(s.order) != len(s.ents) {
-		return fmt.Errorf("freqstats: order has %d entities but ents has %d", len(s.order), len(s.ents))
-	}
 	var total int
 	recomputed := make([]int, len(s.srcNames))
-	for id, es := range s.ents {
+	for i, es := range s.ents {
+		id := s.order[i]
 		if es.count <= 0 {
 			return fmt.Errorf("freqstats: entity %q has count %d", id, es.count)
 		}

@@ -714,3 +714,219 @@ func TestPartitionRangesDropsNaNValues(t *testing.T) {
 		t.Errorf("parts hold c=%d n=%d, want c=%d n=%d", c, n, s.C()-1, s.N()-s.Count("e08"))
 	}
 }
+
+// indexTestObs is the observation multiset the index-consistency test
+// builds through every constructor: five entities seen one to three times
+// by four sources, first-observation order a, b, c, d, e.
+func indexTestObs() []Observation {
+	return []Observation{
+		obs("a", 10, "s1"), obs("b", 20, "s2"), obs("a", 10, "s2"),
+		obs("c", 30, "s3"), obs("d", 40, "s1"), obs("b", 20, "s2"),
+		obs("e", 50, "s4"), obs("a", 10, "s3"), obs("d", 40, "s4"),
+	}
+}
+
+// addReversed builds the reference sample for a case: Add of the given
+// observations in reverse order, so its entity order differs from the
+// case's and only the order-independent content must agree.
+func addReversed(t *testing.T, in []Observation) *Sample {
+	t.Helper()
+	s := NewSample()
+	for i := len(in) - 1; i >= 0; i-- {
+		must(t, s.Add(in[i]))
+	}
+	return s
+}
+
+// keepObs returns the observations whose value keep accepts.
+func keepObs(in []Observation, keep func(v float64) bool) []Observation {
+	var out []Observation
+	for _, o := range in {
+		if keep(o.Value) {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// groupObs returns the entities of in, in first-observation order, each
+// with its value and the sources of its observations.
+func groupObs(in []Observation) (ids []string, values map[string]float64, srcs map[string][]string) {
+	values, srcs = map[string]float64{}, map[string][]string{}
+	for _, o := range in {
+		if _, ok := values[o.EntityID]; !ok {
+			ids = append(ids, o.EntityID)
+			values[o.EntityID] = o.Value
+		}
+		srcs[o.EntityID] = append(srcs[o.EntityID], o.Source)
+	}
+	return ids, values, srcs
+}
+
+// internAll interns names in s and returns their IDs.
+func internAll(s *Sample, names []string) []int32 {
+	ids := make([]int32, len(names))
+	for i, name := range names {
+		ids[i] = s.InternSource(name)
+	}
+	return ids
+}
+
+// TestIndexConsistencyAcrossConstructors: every way of building a sample
+// leaves the entity index, the ID order and the records aligned
+// (CheckInvariants), answers Count, Value and EntitySourceCounts for
+// present and absent IDs as an Add-built sample of the same observations
+// does, and fingerprints equal to that sample although it was built in
+// another order.
+func TestIndexConsistencyAcrossConstructors(t *testing.T) {
+	all := indexTestObs()
+	full := NewSample()
+	must(t, full.AddAll(all))
+	type built struct {
+		s    *Sample
+		want []Observation // the observations s must hold
+	}
+	below35 := func(v float64) bool { return v < 35 }
+	cases := map[string]func(t *testing.T) []built{
+		"Add": func(t *testing.T) []built {
+			return []built{{full, all}}
+		},
+		"AddEntityObservations": func(t *testing.T) []built {
+			// Each entity's observations go in two calls, so known
+			// entities are extended too.
+			s := NewSample()
+			ids, values, srcs := groupObs(all)
+			for _, id := range ids {
+				must(t, s.AddEntityObservations(id, values[id], internAll(s, srcs[id][:1])))
+			}
+			for _, id := range ids {
+				if rest := srcs[id][1:]; len(rest) > 0 {
+					must(t, s.AddEntityObservations(id, values[id], internAll(s, rest)))
+				}
+			}
+			return []built{{s, all}}
+		},
+		"AddNewEntityObservations": func(t *testing.T) []built {
+			s := NewSample()
+			ids, values, srcs := groupObs(all)
+			for _, id := range ids {
+				must(t, s.AddNewEntityObservations(id, values[id], internAll(s, srcs[id])))
+			}
+			// The duplicate is refused before anything changes.
+			if err := s.AddNewEntityObservations("c", 99, internAll(s, []string{"s1"})); err == nil {
+				t.Fatal("AddNewEntityObservations accepted a known entity")
+			}
+			return []built{{s, all}}
+		},
+		"Merge": func(t *testing.T) []built {
+			var a, b Sample
+			for i, o := range all {
+				must(t, []*Sample{&a, &b}[i%2].Add(o))
+			}
+			must(t, a.Merge(&b))
+			return []built{{&a, all}}
+		},
+		"Merge with a value conflict": func(t *testing.T) []built {
+			s := full.Clone()
+			other := NewSample()
+			must(t, other.Add(obs("b", 21, "s5")))
+			must(t, other.Add(obs("f", 60, "s5")))
+			if err := s.Merge(other); err == nil {
+				t.Fatal("Merge missed a value conflict")
+			}
+			// The first value wins; the observation still counts.
+			return []built{{s, append(slices.Clone(all), obs("b", 20, "s5"), obs("f", 60, "s5"))}}
+		},
+		"Filter": func(t *testing.T) []built {
+			s := full.Filter(func(_ string, v float64) bool { return below35(v) })
+			return []built{{s, keepObs(all, below35)}}
+		},
+		"FilterRange": func(t *testing.T) []built {
+			s := full.FilterRange(20, 40, true)
+			return []built{{s, keepObs(all, func(v float64) bool { return v >= 20 && v <= 40 })}}
+		},
+		"PartitionRanges": func(t *testing.T) []built {
+			parts := full.PartitionRanges([]float64{0, 25, 45}, 50)
+			return []built{
+				{parts[0], keepObs(all, func(v float64) bool { return v < 25 })},
+				{parts[1], keepObs(all, func(v float64) bool { return v >= 25 && v < 45 })},
+				{parts[2], keepObs(all, func(v float64) bool { return v >= 45 })},
+			}
+		},
+		"Clone": func(t *testing.T) []built {
+			return []built{{full.Clone(), all}}
+		},
+		"MergePartials": func(t *testing.T) []built {
+			names := []string{"s1", "s2", "s3", "s4"}
+			srcID := func(name string) int32 { return int32(slices.Index(names, name)) }
+			ids, values, srcs := groupObs(all)
+			parts := []*Partial{new(Partial), new(Partial)}
+			for i, id := range ids {
+				var lineage []int32
+				for _, name := range srcs[id] {
+					lineage = append(lineage, srcID(name))
+				}
+				parts[i%2].AppendRow(uint64(i), id, values[id], lineage)
+			}
+			for _, p := range parts {
+				p.Freeze()
+			}
+			s, err := MergePartials(names, parts)
+			must(t, err)
+			return []built{{s, all}}
+		},
+	}
+	probe := []string{"a", "b", "c", "d", "e", "f", "zz", ""}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			for i, b := range build(t) {
+				label := fmt.Sprintf("sample %d", i)
+				if err := b.s.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				ref := addReversed(t, b.want)
+				if b.s.C() != ref.C() || b.s.N() != ref.N() {
+					t.Errorf("%s: c=%d n=%d, want c=%d n=%d", label, b.s.C(), b.s.N(), ref.C(), ref.N())
+				}
+				for _, id := range probe {
+					if got, want := b.s.Count(id), ref.Count(id); got != want {
+						t.Errorf("%s: Count(%q) = %d, want %d", label, id, got, want)
+					}
+					gv, gok := b.s.Value(id)
+					wv, wok := ref.Value(id)
+					if gv != wv || gok != wok {
+						t.Errorf("%s: Value(%q) = %v, %v, want %v, %v", label, id, gv, gok, wv, wok)
+					}
+					if got, want := b.s.EntitySourceCounts(id), ref.EntitySourceCounts(id); !maps.Equal(got, want) || (got == nil) != (want == nil) {
+						t.Errorf("%s: EntitySourceCounts(%q) = %v, want %v", label, id, got, want)
+					}
+				}
+				if b.s.Fingerprint() != ref.Fingerprint() {
+					t.Errorf("%s: fingerprint %x, Add-built in reverse order %x", label, b.s.Fingerprint(), ref.Fingerprint())
+				}
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsCatchesIndexDrift: a stale index entry, a record
+// without an index entry and a misaligned record slice are all reported.
+func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
+	build := func() *Sample {
+		s := NewSample()
+		must(t, s.AddAll(indexTestObs()))
+		return s
+	}
+	drifts := map[string]func(s *Sample){
+		"swapped index entries": func(s *Sample) { s.index["a"], s.index["b"] = s.index["b"], s.index["a"] },
+		"missing index entry":   func(s *Sample) { delete(s.index, "c") },
+		"extra record":          func(s *Sample) { s.ents = append(s.ents, entityStat{count: 1, value: 1}) },
+	}
+	for name, drift := range drifts {
+		s := build()
+		drift(s)
+		if err := s.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants reported no error", name)
+		}
+	}
+}
