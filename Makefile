@@ -98,6 +98,7 @@ fuzz-smoke:
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatInKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzStringKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/freqstats -run=NONE -fuzz='FuzzMergePartialsParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/server -run=NONE -fuzz='FuzzIngestLineParity$$' -fuzztime=$(FUZZTIME)
 
 # fuzz-smoke-check fails when a `func Fuzz*` in the tree has no line in

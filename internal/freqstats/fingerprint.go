@@ -103,7 +103,10 @@ func (s *Sample) fingerprint() uint64 {
 //	        96  + len(id): the ID bytes, shared by the index key and the
 //	              order entry
 //
-// plus 8 B per attribution cell (srcCount) in the arena.
+// plus 8 B per attribution cell (srcCount) in the arena. The index slot
+// is charged whether or not the index has been built (MergePartials
+// defers it to first use), so the charge stays an upper bound for a
+// sample whose index is built later, while it sits in a cache.
 func (s *Sample) FootprintBytes() int {
 	const (
 		entityOverhead = 96 // index slot share + order entry + entityStat

@@ -2,9 +2,17 @@ package freqstats
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
+	"sync"
 )
+
+// idSeed seeds the row hashes AppendRow takes of entity IDs. The hashes
+// only ever meet inside one process, in MergePartials' duplicate check,
+// so one per-process seed serves every partial; they are never persisted
+// and never enter a fingerprint or a result.
+var idSeed = maphash.MakeSeed()
 
 // Partial is one shard's contribution to a Sample: the kept rows of a
 // shard scan in row (= seq) order, each carrying its lineage as an offset
@@ -28,12 +36,13 @@ type Partial struct {
 }
 
 // PartialRow is one kept row of a Partial: the entity's global insertion
-// seq, its identity and aggregate value, and the offset range of its
-// lineage in the partial's arena.
+// seq, its identity and aggregate value, the hash of its ID, and the
+// offset range of its lineage in the partial's arena.
 type PartialRow struct {
 	Seq    uint64
 	ID     string
 	Value  float64
+	hash   uint64 // maphash of ID under idSeed, taken by AppendRow
 	srcOff int32
 	srcLen int32
 }
@@ -72,6 +81,8 @@ func (p *Partial) Grow(rows, obs int) {
 }
 
 // AppendRow appends one kept row, copying srcs into the partial's arena.
+// It hashes id while the caller's scan still has it in cache, so a merge
+// of this partial — once per query for a cached one — never reads the ID.
 func (p *Partial) AppendRow(seq uint64, id string, value float64, srcs []int32) {
 	if p.frozen {
 		panic("freqstats: AppendRow on a frozen Partial")
@@ -82,6 +93,7 @@ func (p *Partial) AppendRow(seq uint64, id string, value float64, srcs []int32) 
 		Seq:    seq,
 		ID:     id,
 		Value:  value,
+		hash:   maphash.String(idSeed, id),
 		srcOff: off,
 		srcLen: int32(len(srcs)),
 	})
@@ -145,13 +157,17 @@ func (p *Partial) fingerprint() uint64 {
 	return h
 }
 
+// rowBytes is the footprint charge per PartialRow: its exact size on
+// 64-bit Go (TestPartialRowBytes pins it, so the charge cannot fall
+// below the struct).
+const rowBytes = 48
+
 // FootprintBytes estimates the retained heap size of the partial in
 // bytes — an accounting approximation for cache byte budgets (slice
 // headers and string contents charged at fixed rates), not exact
 // profiling.
 func (p *Partial) FootprintBytes() int {
-	const rowBytes = 48 // PartialRow struct size, rounded up
-	n := 64             // Partial struct + slice headers
+	n := 64 // Partial struct + slice headers
 	n += rowBytes * cap(p.rows)
 	n += 4 * cap(p.srcBuf)
 	for _, r := range p.rows {
@@ -172,13 +188,19 @@ func sortedBySeq(rows []PartialRow) bool {
 }
 
 // MergePartials folds per-shard partials into one Sample in global
-// insertion (seq) order, using the bulk builder so per-query map churn
-// stays proportional to the kept entities rather than the raw
-// observations. Every kept row carries its lineage, so the sample's
-// per-entity attribution — and with it the per-source sizes n_j — is
-// exact for any predicate. names maps the partials' source IDs to source
-// names; cached (frozen) and freshly scanned partials mix freely, and the
-// output is bitwise-identical to merging the same rows from any mix.
+// insertion (seq) order. Every kept row carries its lineage, so the
+// sample's per-entity attribution — and with it the per-source sizes n_j —
+// is exact for any predicate. names maps the partials' source IDs to
+// source names; cached (frozen) and freshly scanned partials mix freely,
+// and the output is bitwise-identical to merging the same rows from any
+// mix.
+//
+// Every merged row must be a first sighting of its entity: producers keep
+// one row per entity and an entity lives in one partial. The merge checks
+// that guarantee with the row hashes AppendRow took, comparing IDs only on
+// equal hashes, and fails on a violation. It never hashes an ID itself and
+// touches no Go map per row: the sample's ID index is left to be built on
+// first use (see Sample.ids).
 func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 	totalRows, totalObs := 0, 0
 	active := make([]*Partial, 0, len(parts))
@@ -190,15 +212,22 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 		totalRows += len(p.rows)
 		totalObs += len(p.srcBuf)
 	}
-	s := NewSampleWithCapacity(totalRows, len(names), totalObs)
+	s := &Sample{
+		order:     make([]string, 0, totalRows),
+		ents:      make([]entityStat, 0, totalRows),
+		srcIDs:    make(map[string]int32, len(names)),
+		srcNames:  make([]string, 0, len(names)),
+		srcTotals: make([]int, 0, len(names)),
+		srcArena:  make([]srcCount, 0, totalObs),
+		indexMu:   new(sync.Mutex),
+	}
+	s.indexPending.Store(true)
 	// trans lazily maps the caller's source IDs to sample-local ones, so
 	// the sample only interns sources that actually contributed kept
 	// observations.
-	trans := make([]int32, len(names))
-	for i := range trans {
-		trans[i] = -1
-	}
-	scratch := make([]int32, 0, 16)
+	trans := newSourceTrans(len(names))
+	seen := newRowSet(totalRows)
+	var fcount []int // fcount[j] = f_j, copied into s.fstat at the end
 	// Each partial's rows already ascend by seq: frozen partials guarantee
 	// it (Freeze sorts), and fresh scans emit rows in row order with seqs
 	// drawn under the shard write lock. Global insertion order is
@@ -227,8 +256,9 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 		}
 		p := active[best]
 		r := p.rows[heads[best]]
-		scratch = scratch[:0]
-		for _, sid := range p.lineage(r) {
+		lineage := p.lineage(r)
+		es := entityStat{value: r.Value, count: len(lineage), srcs: s.allocVec(len(lineage))}
+		for _, sid := range lineage {
 			if int(sid) < 0 || int(sid) >= len(trans) {
 				return nil, fmt.Errorf("freqstats: partial lineage ID %d outside source table (len %d)", sid, len(names))
 			}
@@ -237,14 +267,25 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 				local = s.InternSource(names[sid])
 				trans[sid] = local
 			}
-			scratch = append(scratch, local)
+			es.srcs = addToVec(es.srcs, local, 1)
+			s.srcTotals[local]++
 		}
-		// Every merged row is a first sighting: producers keep one row per
-		// entity and an entity lives in one partial, so the insert-only
-		// fast path applies (it still detects a violated guarantee).
-		if err := s.AddNewEntityObservations(r.ID, r.Value, scratch); err != nil {
-			return nil, err
+		if r.ID == "" {
+			return nil, fmt.Errorf("freqstats: observation with empty entity ID")
 		}
+		if len(lineage) == 0 {
+			return nil, fmt.Errorf("freqstats: entity %q added with no source observations", r.ID)
+		}
+		if !seen.add(r.hash, r.ID, s.order) {
+			return nil, fmt.Errorf("freqstats: AddNewEntityObservations called twice for entity %q", r.ID)
+		}
+		s.order = append(s.order, r.ID)
+		s.ents = append(s.ents, es)
+		s.n += es.count
+		for len(fcount) <= es.count {
+			fcount = append(fcount, 0)
+		}
+		fcount[es.count]++
 		if heads[best]++; heads[best] == len(p.rows) {
 			last := len(active) - 1
 			active[best], heads[best], seqs[best] = active[last], heads[last], seqs[last]
@@ -253,5 +294,48 @@ func MergePartials(names []string, parts []*Partial) (*Sample, error) {
 			seqs[best] = p.rows[heads[best]].Seq
 		}
 	}
+	s.fstat = make(map[int]int, len(fcount))
+	for j, f := range fcount {
+		if f > 0 {
+			s.fstat[j] = f
+		}
+	}
 	return s, nil
+}
+
+// rowSet is MergePartials' duplicate check: an open-addressing table
+// (linear probing, at most half full) over the row hashes of the entities
+// merged so far. Two rows collide only on equal 64-bit hashes, and only
+// then are their IDs compared, so the check is exact while a merge of
+// distinct IDs reads no ID string.
+type rowSet struct {
+	slots  []int32  // 0 = empty, else 1 + the entity's merged position
+	hashes []uint64 // row hash of each merged entity, by position
+	mask   uint64
+}
+
+// newRowSet returns an empty rowSet sized for n rows.
+func newRowSet(n int) rowSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return rowSet{slots: make([]int32, size), hashes: make([]uint64, 0, n), mask: uint64(size - 1)}
+}
+
+// add records the entity about to take merged position len(order), with
+// row hash h and ID id, and reports whether id was new. order holds the
+// IDs of the entities already merged.
+func (t *rowSet) add(h uint64, id string, order []string) bool {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		at := t.slots[i]
+		if at == 0 {
+			t.hashes = append(t.hashes, h)
+			t.slots[i] = int32(len(t.hashes))
+			return true
+		}
+		if t.hashes[at-1] == h && order[at-1] == id {
+			return false
+		}
+	}
 }

@@ -2,8 +2,13 @@ package freqstats
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 func buildPartial(rows []PartialRow, lineages [][]int32) *Partial {
@@ -168,7 +173,7 @@ func TestMergePartialsMatchesDirectBuild(t *testing.T) {
 		for i, sn := range f.srcs {
 			ids[i] = direct.InternSource(sn)
 		}
-		if err := direct.AddNewEntityObservations(f.id, f.value, ids); err != nil {
+		if err := direct.AddEntityObservations(f.id, f.value, ids); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,6 +212,269 @@ func TestMergePartialsMatchesDirectBuild(t *testing.T) {
 	if gapped.Fingerprint() != direct.Fingerprint() {
 		t.Fatal("nil/empty partials changed the merge result")
 	}
+}
+
+// TestPartialRowBytes: the per-row footprint charge covers the row, so
+// the partial cache's byte budget never undercounts.
+func TestPartialRowBytes(t *testing.T) {
+	if size := unsafe.Sizeof(PartialRow{}); size > rowBytes {
+		t.Fatalf("PartialRow is %d B but FootprintBytes charges %d per row", size, rowBytes)
+	}
+}
+
+// TestMergePartialsDuplicateCheckExact: the merge refuses a second row of
+// an entity wherever it sits, and row hashes alone never decide: distinct
+// IDs with equal hashes merge, and a duplicate behind such a collision is
+// still found.
+func TestMergePartialsDuplicateCheckExact(t *testing.T) {
+	names := []string{"s0", "s1"}
+	dupErr := fmt.Sprintf("freqstats: AddNewEntityObservations called twice for entity %q", "b")
+	// forceHash sets every row of p to the same hash.
+	forceHash := func(p *Partial) *Partial {
+		for i := range p.rows {
+			p.rows[i].hash = 42
+		}
+		return p
+	}
+	cases := map[string]struct {
+		parts   []*Partial
+		wantErr string
+		wantC   int
+	}{
+		"same ID in two partials": {
+			parts: []*Partial{
+				buildPartial([]PartialRow{{Seq: 1, ID: "a", Value: 1}, {Seq: 4, ID: "b", Value: 2}}, [][]int32{{0}, {1}}),
+				buildPartial([]PartialRow{{Seq: 2, ID: "b", Value: 2}, {Seq: 3, ID: "c", Value: 3}}, [][]int32{{0}, {1}}),
+			},
+			wantErr: dupErr,
+		},
+		"ID twice in one partial": {
+			parts: []*Partial{
+				buildPartial([]PartialRow{{Seq: 1, ID: "b", Value: 2}, {Seq: 2, ID: "a", Value: 1}, {Seq: 3, ID: "b", Value: 2}}, [][]int32{{0}, {0}, {1}}),
+			},
+			wantErr: dupErr,
+		},
+		"distinct IDs with equal hashes": {
+			parts: []*Partial{
+				forceHash(buildPartial([]PartialRow{{Seq: 1, ID: "a", Value: 1}, {Seq: 3, ID: "c", Value: 3}}, [][]int32{{0}, {0, 1}})),
+				forceHash(buildPartial([]PartialRow{{Seq: 2, ID: "b", Value: 2}}, [][]int32{{1}})),
+			},
+			wantC: 3,
+		},
+		"duplicate behind a hash collision": {
+			parts: []*Partial{
+				forceHash(buildPartial([]PartialRow{{Seq: 1, ID: "a", Value: 1}, {Seq: 2, ID: "b", Value: 2}, {Seq: 3, ID: "b", Value: 2}}, [][]int32{{0}, {0}, {1}})),
+			},
+			wantErr: dupErr,
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := MergePartials(names, tc.parts)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr || s != nil {
+					t.Fatalf("got sample %v, error %v; want no sample and error %q", s, err, tc.wantErr)
+				}
+				return
+			}
+			must(t, err)
+			must(t, s.CheckInvariants())
+			if s.C() != tc.wantC {
+				t.Fatalf("c = %d, want %d", s.C(), tc.wantC)
+			}
+			for _, id := range s.Entities() {
+				if s.Count(id) == 0 {
+					t.Errorf("Count(%q) = 0 after the merge", id)
+				}
+			}
+		})
+	}
+}
+
+// TestMergedSampleSharedLookups: goroutines sharing one merged sample race
+// to its deferred index build through every path that needs the index,
+// and all of them see the complete index. It runs under -short too, so
+// the race detector sees it in `make race`.
+func TestMergedSampleSharedLookups(t *testing.T) {
+	// Enough entities that the index build overlaps between goroutines.
+	all := indexTestObs()
+	for i := 0; i < 5000; i++ {
+		all = append(all, obs(fmt.Sprintf("x%04d", i), float64(i), indexTestSources[i%len(indexTestSources)]))
+	}
+	ref := addReversed(t, all)
+	probe := []string{"a", "b", "c", "d", "e", "x0000", "x4999", "zz", ""}
+	s := mergeObs(t, all)
+	if !s.indexPending.Load() {
+		t.Fatal("MergePartials built its index eagerly")
+	}
+	const goroutines = 8
+	start := make(chan struct{})
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			check := func(s *Sample) error {
+				for _, id := range probe {
+					gv, gok := s.Value(id)
+					wv, wok := ref.Value(id)
+					if s.Count(id) != ref.Count(id) || gv != wv || gok != wok ||
+						!maps.Equal(s.EntitySourceCounts(id), ref.EntitySourceCounts(id)) {
+						return fmt.Errorf("goroutine %d: lookups of %q disagree with the Add-built sample", g, id)
+					}
+				}
+				return nil
+			}
+			// Each goroutine reaches the index through a different path
+			// first.
+			var err error
+			switch g % 3 {
+			case 0:
+				err = check(s)
+			case 1:
+				err = s.CheckInvariants()
+			case 2:
+				err = check(s.Clone())
+			}
+			if err == nil {
+				err = check(s)
+			}
+			errs <- err
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestMutateMergedSample: Add and Merge into a merged sample extend the
+// entities it already holds and index the new ones.
+func TestMutateMergedSample(t *testing.T) {
+	all := indexTestObs()
+	extra := []Observation{obs("a", 10, "s5"), obs("f", 60, "s1"), obs("f", 60, "s2")}
+	want := addReversed(t, append(slices.Clone(all), extra...))
+	mutations := map[string]func(s *Sample){
+		"Add": func(s *Sample) { must(t, s.AddAll(extra)) },
+		"Merge": func(s *Sample) {
+			other := NewSample()
+			must(t, other.AddAll(extra))
+			must(t, s.Merge(other))
+		},
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			s := mergeObs(t, all)
+			mutate(s)
+			must(t, s.CheckInvariants())
+			for _, id := range []string{"a", "b", "c", "d", "e", "f", "zz"} {
+				if got, w := s.Count(id), want.Count(id); got != w {
+					t.Errorf("Count(%q) = %d, want %d", id, got, w)
+				}
+				if got, w := s.EntitySourceCounts(id), want.EntitySourceCounts(id); !maps.Equal(got, w) {
+					t.Errorf("EntitySourceCounts(%q) = %v, want %v", id, got, w)
+				}
+			}
+			if s.Fingerprint() != want.Fingerprint() {
+				t.Errorf("fingerprint %x, Add-built %x", s.Fingerprint(), want.Fingerprint())
+			}
+		})
+	}
+}
+
+// FuzzMergePartialsParity: random rows with short IDs (so duplicates
+// occur), split over random partials with interleaved seqs, either fail
+// MergePartials with the error a row-by-row reference build reports, or
+// merge to the sample Add builds from the same observations.
+func FuzzMergePartialsParity(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 3, 5, 2, 2, 7, 9})
+	f.Add([]byte{1, 0, 1, 2, 1, 1, 2, 3, 1, 2, 2, 4, 7, 3, 3, 5, 9})
+	f.Add([]byte{1, 4, 3, 1, 1, 5, 3, 1, 2})
+	f.Add([]byte{0, 2, 0, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		names := []string{"s0", "s1", "s2", "s3"}
+		freeze := data[0]&1 == 1
+		parts := make([]*Partial, 1+int(data[0]>>1)%4)
+		for i := range parts {
+			parts[i] = new(Partial)
+		}
+		ref := NewSample()
+		var refErr error
+		// Each row takes 4 bytes: its partial, its ID (byte 0 names the
+		// empty ID), its value and its lineage (a length of 0-3 and one
+		// source per 2 bits).
+		for seq, i := 0, 1; i+4 <= len(data); seq, i = seq+1, i+4 {
+			part := parts[int(data[i])%len(parts)]
+			id := ""
+			if b := data[i+1] % 7; b > 0 {
+				id = string(rune('a' + b - 1))
+			}
+			value := float64(data[i+2]%5) - 1.5
+			lineage := make([]int32, data[i+3]%4)
+			for k := range lineage {
+				lineage[k] = int32(data[i+3]>>(2+2*k)) % int32(len(names))
+			}
+			part.AppendRow(uint64(seq), id, value, lineage)
+			if refErr != nil {
+				continue
+			}
+			switch {
+			case id == "":
+				refErr = fmt.Errorf("freqstats: observation with empty entity ID")
+			case len(lineage) == 0:
+				refErr = fmt.Errorf("freqstats: entity %q added with no source observations", id)
+			case ref.Count(id) > 0:
+				refErr = fmt.Errorf("freqstats: AddNewEntityObservations called twice for entity %q", id)
+			}
+			for _, src := range lineage {
+				if refErr == nil {
+					refErr = ref.Add(Observation{EntityID: id, Value: value, Source: names[src]})
+				}
+			}
+		}
+		if freeze {
+			for _, p := range parts {
+				p.Freeze()
+			}
+		}
+		s, err := MergePartials(names, parts)
+		if refErr != nil || err != nil {
+			if refErr == nil || err == nil || err.Error() != refErr.Error() || s != nil {
+				t.Fatalf("merge: sample %v, error %v; reference error %v", s, err, refErr)
+			}
+			return
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Fingerprint() != ref.Fingerprint() {
+			t.Errorf("fingerprint %x, reference %x", s.Fingerprint(), ref.Fingerprint())
+		}
+		if !slices.Equal(s.Entities(), ref.Entities()) {
+			t.Errorf("entities %q, reference %q", s.Entities(), ref.Entities())
+		}
+		if math.Float64bits(s.SumValues()) != math.Float64bits(ref.SumValues()) {
+			t.Errorf("SumValues %v, reference %v", s.SumValues(), ref.SumValues())
+		}
+		if !slices.Equal(s.OccurrenceCounts(), ref.OccurrenceCounts()) {
+			t.Errorf("occurrence counts %v, reference %v", s.OccurrenceCounts(), ref.OccurrenceCounts())
+		}
+		if !slices.Equal(s.SourceSizes(), ref.SourceSizes()) {
+			t.Errorf("source sizes %v, reference %v", s.SourceSizes(), ref.SourceSizes())
+		}
+	})
 }
 
 func TestMergePartialsLineageBounds(t *testing.T) {

@@ -32,6 +32,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -75,6 +76,10 @@ type entityStat struct {
 // an ID back to i. Only the paths that look up or deduplicate an ID hash
 // it; every walk over the entities (sums, filters, fingerprints) reads the
 // slices in first-observation order.
+//
+// A sample built by MergePartials defers its index: nothing on the query
+// path looks an ID up, so the index is built from order on first use (see
+// ids). Every other constructor builds it eagerly.
 type Sample struct {
 	index map[string]int32 // entity ID -> position in order and ents
 	order []string         // entity IDs in first-observation order
@@ -101,6 +106,13 @@ type Sample struct {
 	// all writers store the same value.
 	fpMemo  atomic.Uint64
 	fpValid atomic.Bool
+
+	// indexPending marks an index not yet built; indexMu, set with it by
+	// MergePartials, serializes the build between the readers of a shared
+	// sample (see ids). It is a pointer so that an eagerly indexed sample
+	// that never leaves its builder's frame stays off the heap.
+	indexPending atomic.Bool
+	indexMu      *sync.Mutex
 }
 
 // NewSample returns an empty sample.
@@ -138,21 +150,43 @@ func NewSampleWithCapacity(entities, sources, observations int) *Sample {
 	}
 }
 
+// ensureMaps readies the entity maps for a mutation: it builds a deferred
+// index and allocates the maps of a zero-value sample.
 func (s *Sample) ensureMaps() {
-	if s.index == nil {
+	if s.ids() == nil {
 		s.index = make(map[string]int32)
 		s.fstat = make(map[int]int)
 	}
-	if s.srcIDs == nil {
-		s.srcIDs = make(map[string]int32)
+}
+
+// ids returns the entity index, building it from order first if
+// MergePartials deferred it. A merged sample is shared read-only between
+// goroutines (the executor's estimators, the result cache's requests), so
+// the build runs under indexMu, and the atomic store that clears
+// indexPending publishes the built map to readers that skip the lock.
+func (s *Sample) ids() map[string]int32 {
+	if s.indexPending.Load() {
+		s.indexMu.Lock()
+		if s.indexPending.Load() {
+			index := make(map[string]int32, len(s.order))
+			for i, id := range s.order {
+				index[id] = int32(i)
+			}
+			s.index = index
+			s.indexPending.Store(false)
+		}
+		s.indexMu.Unlock()
 	}
+	return s.index
 }
 
 // InternSource returns the sample-local ID for a source name, registering
 // the name on first use. IDs are dense and stable for the lifetime of the
 // sample; they are the currency of the bulk builder AddEntityObservations.
 func (s *Sample) InternSource(name string) int32 {
-	s.ensureMaps()
+	if s.srcIDs == nil {
+		s.srcIDs = make(map[string]int32)
+	}
 	if id, ok := s.srcIDs[name]; ok {
 		return id
 	}
@@ -273,44 +307,6 @@ func (s *Sample) AddEntityObservations(id string, value float64, srcs []int32) e
 	return nil
 }
 
-// AddNewEntityObservations is AddEntityObservations for an entity the
-// caller guarantees is not already in the sample — the engine's shard
-// merge qualifies: entities are hash-partitioned across shards with one
-// row each, so every merged row is a first sighting. The guarantee lets it
-// append the entity's record outright, skipping the frequency-histogram
-// decrement and the conflict check. A violated guarantee is still detected
-// and reported as an error before anything changes; callers treat it as a
-// scan invariant failure, not a recoverable conflict.
-func (s *Sample) AddNewEntityObservations(id string, value float64, srcs []int32) error {
-	s.ensureMaps()
-	if id == "" {
-		return fmt.Errorf("freqstats: observation with empty entity ID")
-	}
-	if len(srcs) == 0 {
-		return fmt.Errorf("freqstats: entity %q added with no source observations", id)
-	}
-	for _, src := range srcs {
-		if src < 0 || int(src) >= len(s.srcNames) {
-			return fmt.Errorf("freqstats: entity %q attributed to unknown source ID %d", id, src)
-		}
-	}
-	if _, dup := s.index[id]; dup {
-		return fmt.Errorf("freqstats: AddNewEntityObservations called twice for entity %q", id)
-	}
-	s.fpValid.Store(false)
-	es := entityStat{value: value, count: len(srcs), srcs: s.allocVec(len(srcs))}
-	for _, src := range srcs {
-		es.srcs = addToVec(es.srcs, src, 1)
-		s.srcTotals[src]++
-	}
-	s.index[id] = int32(len(s.ents))
-	s.order = append(s.order, id)
-	s.ents = append(s.ents, es)
-	s.n += len(srcs)
-	s.fstat[len(srcs)]++
-	return nil
-}
-
 // AddAll records all observations, stopping at the first error.
 func (s *Sample) AddAll(obs []Observation) error {
 	for _, o := range obs {
@@ -329,7 +325,7 @@ func (s *Sample) C() int { return len(s.ents) }
 
 // lookup returns entity id's record, or nil for an unknown entity.
 func (s *Sample) lookup(id string) *entityStat {
-	if i, ok := s.index[id]; ok {
+	if i, ok := s.ids()[id]; ok {
 		return &s.ents[i]
 	}
 	return nil
@@ -504,7 +500,7 @@ func (s *Sample) OccurrenceCounts() []int {
 // Clone returns a deep copy of the sample.
 func (s *Sample) Clone() *Sample {
 	c := &Sample{
-		index:     maps.Clone(s.index),
+		index:     maps.Clone(s.ids()),
 		order:     slices.Clone(s.order),
 		ents:      slices.Clone(s.ents),
 		n:         s.n,
@@ -692,12 +688,13 @@ func (s *Sample) Merge(other *Sample) error {
 // the per-source totals n_j sum to n. It is used by tests and by the
 // engine's self-checks; a non-nil error indicates a bug in this package.
 func (s *Sample) CheckInvariants() error {
-	if len(s.index) != len(s.order) || len(s.order) != len(s.ents) {
+	index := s.ids()
+	if len(index) != len(s.order) || len(s.order) != len(s.ents) {
 		return fmt.Errorf("freqstats: index has %d entities, order %d, records %d",
-			len(s.index), len(s.order), len(s.ents))
+			len(index), len(s.order), len(s.ents))
 	}
 	for i, id := range s.order {
-		if at, ok := s.index[id]; !ok || int(at) != i {
+		if at, ok := index[id]; !ok || int(at) != i {
 			return fmt.Errorf("freqstats: entity %q is at position %d but indexed at %d (present %v)", id, i, at, ok)
 		}
 	}

@@ -536,15 +536,13 @@ func TestFilterRangeMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestAddNewEntityObservationsParity: the insert-only bulk path must
-// produce a sample bitwise-equivalent to the general path for fresh
-// entities, and must detect a violated uniqueness guarantee.
-func TestAddNewEntityObservationsParity(t *testing.T) {
-	general, fast := NewSample(), NewSample()
-	for _, s := range []*Sample{general, fast} {
-		s.InternSource("s0")
-		s.InternSource("s1")
-	}
+// TestMergePartialsBulkParity: merging first sightings must produce a
+// sample bitwise-equivalent to the general bulk path, repeated sources in
+// one lineage included, and must detect a violated uniqueness guarantee.
+func TestMergePartialsBulkParity(t *testing.T) {
+	names := []string{"s0", "s1"}
+	general := NewSample()
+	internAll(general, names)
 	rows := []struct {
 		id   string
 		v    float64
@@ -554,26 +552,24 @@ func TestAddNewEntityObservationsParity(t *testing.T) {
 		{"b", 2, []int32{0, 1}},
 		{"c", 3, []int32{1, 1, 0}},
 	}
-	for _, r := range rows {
-		if err := general.AddEntityObservations(r.id, r.v, r.srcs); err != nil {
-			t.Fatal(err)
-		}
-		if err := fast.AddNewEntityObservations(r.id, r.v, r.srcs); err != nil {
-			t.Fatal(err)
-		}
+	part := new(Partial)
+	for i, r := range rows {
+		must(t, general.AddEntityObservations(r.id, r.v, r.srcs))
+		part.AppendRow(uint64(i), r.id, r.v, r.srcs)
 	}
-	if err := fast.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	merged, err := MergePartials(names, []*Partial{part})
+	must(t, err)
+	must(t, merged.CheckInvariants())
+	if general.Fingerprint() != merged.Fingerprint() {
+		t.Error("merged sample fingerprint differs from the general path")
 	}
-	if general.Fingerprint() != fast.Fingerprint() {
-		t.Error("fast-path sample fingerprint differs from the general path")
-	}
-	if general.N() != fast.N() || general.C() != fast.C() || general.F1() != fast.F1() {
+	if general.N() != merged.N() || general.C() != merged.C() || general.F1() != merged.F1() {
 		t.Errorf("stats differ: n=%d/%d c=%d/%d f1=%d/%d",
-			general.N(), fast.N(), general.C(), fast.C(), general.F1(), fast.F1())
+			general.N(), merged.N(), general.C(), merged.C(), general.F1(), merged.F1())
 	}
-	if err := fast.AddNewEntityObservations("a", 1, []int32{0}); err == nil {
-		t.Error("duplicate entity on the insert-only path was not detected")
+	part.AppendRow(uint64(len(rows)), "a", 1, []int32{0})
+	if _, err := MergePartials(names, []*Partial{part}); err == nil {
+		t.Error("duplicate entity in the merge was not detected")
 	}
 }
 
@@ -763,6 +759,38 @@ func groupObs(in []Observation) (ids []string, values map[string]float64, srcs m
 	return ids, values, srcs
 }
 
+// mergeObs builds the sample of in through MergePartials: one row per
+// entity, in first-observation order, alternating between two partials
+// so their seqs interleave.
+func mergeObs(t *testing.T, in []Observation) *Sample {
+	t.Helper()
+	s, err := MergePartials(indexTestSources, obsPartials(in))
+	must(t, err)
+	return s
+}
+
+// indexTestSources is the source table of the partials obsPartials
+// builds; every source of indexTestObs is in it.
+var indexTestSources = []string{"s1", "s2", "s3", "s4", "s5"}
+
+// obsPartials splits the entities of in between two frozen partials as
+// mergeObs describes.
+func obsPartials(in []Observation) []*Partial {
+	ids, values, srcs := groupObs(in)
+	parts := []*Partial{new(Partial), new(Partial)}
+	for i, id := range ids {
+		var lineage []int32
+		for _, name := range srcs[id] {
+			lineage = append(lineage, int32(slices.Index(indexTestSources, name)))
+		}
+		parts[i%2].AppendRow(uint64(i), id, values[id], lineage)
+	}
+	for _, p := range parts {
+		p.Freeze()
+	}
+	return parts
+}
+
 // internAll interns names in s and returns their IDs.
 func internAll(s *Sample, names []string) []int32 {
 	ids := make([]int32, len(names))
@@ -806,16 +834,18 @@ func TestIndexConsistencyAcrossConstructors(t *testing.T) {
 			}
 			return []built{{s, all}}
 		},
-		"AddNewEntityObservations": func(t *testing.T) []built {
-			s := NewSample()
-			ids, values, srcs := groupObs(all)
-			for _, id := range ids {
-				must(t, s.AddNewEntityObservations(id, values[id], internAll(s, srcs[id])))
+		"MergePartials with a duplicate": func(t *testing.T) []built {
+			// A second row for a known entity is refused: the merge
+			// returns no sample, and the partials still merge cleanly
+			// without the duplicate.
+			parts := obsPartials(all)
+			dup := new(Partial)
+			dup.AppendRow(uint64(len(all)), "c", 99, []int32{0})
+			if s, err := MergePartials(indexTestSources, append(parts, dup)); err == nil || s != nil {
+				t.Fatalf("MergePartials accepted a known entity: sample %v, err %v", s, err)
 			}
-			// The duplicate is refused before anything changes.
-			if err := s.AddNewEntityObservations("c", 99, internAll(s, []string{"s1"})); err == nil {
-				t.Fatal("AddNewEntityObservations accepted a known entity")
-			}
+			s, err := MergePartials(indexTestSources, parts)
+			must(t, err)
 			return []built{{s, all}}
 		},
 		"Merge": func(t *testing.T) []built {
@@ -857,23 +887,7 @@ func TestIndexConsistencyAcrossConstructors(t *testing.T) {
 			return []built{{full.Clone(), all}}
 		},
 		"MergePartials": func(t *testing.T) []built {
-			names := []string{"s1", "s2", "s3", "s4"}
-			srcID := func(name string) int32 { return int32(slices.Index(names, name)) }
-			ids, values, srcs := groupObs(all)
-			parts := []*Partial{new(Partial), new(Partial)}
-			for i, id := range ids {
-				var lineage []int32
-				for _, name := range srcs[id] {
-					lineage = append(lineage, srcID(name))
-				}
-				parts[i%2].AppendRow(uint64(i), id, values[id], lineage)
-			}
-			for _, p := range parts {
-				p.Freeze()
-			}
-			s, err := MergePartials(names, parts)
-			must(t, err)
-			return []built{{s, all}}
+			return []built{{mergeObs(t, all), all}}
 		},
 	}
 	probe := []string{"a", "b", "c", "d", "e", "f", "zz", ""}
@@ -910,23 +924,31 @@ func TestIndexConsistencyAcrossConstructors(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesIndexDrift: a stale index entry, a record
-// without an index entry and a misaligned record slice are all reported.
+// without an index entry and a misaligned record slice are all reported,
+// on an eagerly indexed sample and on a merged one, whose index is built
+// by the drift's first lookup or left deferred.
 func TestCheckInvariantsCatchesIndexDrift(t *testing.T) {
-	build := func() *Sample {
-		s := NewSample()
-		must(t, s.AddAll(indexTestObs()))
-		return s
+	builds := map[string]func() *Sample{
+		"Add": func() *Sample {
+			s := NewSample()
+			must(t, s.AddAll(indexTestObs()))
+			return s
+		},
+		"MergePartials": func() *Sample { return mergeObs(t, indexTestObs()) },
 	}
 	drifts := map[string]func(s *Sample){
-		"swapped index entries": func(s *Sample) { s.index["a"], s.index["b"] = s.index["b"], s.index["a"] },
-		"missing index entry":   func(s *Sample) { delete(s.index, "c") },
+		"swapped index entries": func(s *Sample) { index := s.ids(); index["a"], index["b"] = index["b"], index["a"] },
+		"missing index entry":   func(s *Sample) { delete(s.ids(), "c") },
 		"extra record":          func(s *Sample) { s.ents = append(s.ents, entityStat{count: 1, value: 1}) },
+		"repeated ID":           func(s *Sample) { s.order[1] = s.order[0] },
 	}
-	for name, drift := range drifts {
-		s := build()
-		drift(s)
-		if err := s.CheckInvariants(); err == nil {
-			t.Errorf("%s: CheckInvariants reported no error", name)
+	for bname, build := range builds {
+		for name, drift := range drifts {
+			s := build()
+			drift(s)
+			if err := s.CheckInvariants(); err == nil {
+				t.Errorf("%s, %s: CheckInvariants reported no error", bname, name)
+			}
 		}
 	}
 }
