@@ -11,7 +11,7 @@ BENCH_NOTE ?=
 BENCH_RECORD_OUT ?= BENCH_PR3.json
 FUZZTIME ?= 10s
 
-.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke ci
+.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke crash-smoke ci
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -97,6 +97,7 @@ fuzz-smoke:
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatBetweenKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzFloatInKernelParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/engine -run=NONE -fuzz='FuzzStringKernelParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/engine -run=NONE -fuzz='FuzzWritePathParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/freqstats -run=NONE -fuzz='FuzzMergePartialsParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/server -run=NONE -fuzz='FuzzIngestLineParity$$' -fuzztime=$(FUZZTIME)

@@ -21,18 +21,18 @@ import (
 //     evaluation, gather, lineage copy and all — leaving only the k-way
 //     merge and the estimators. Keyed by (predicate, aggregate attribute,
 //     shard). A shard's rows change exactly when its write epoch changes:
-//     every mutating Insert bumps the epoch under the shard's write lock,
-//     and every applied ingestion batch bumps it once for the whole batch
-//     (ingest.go) — under streaming writes a shard's partials are
-//     invalidated per batch, not per row. Staged-but-unapplied rows do not
-//     move the epoch: they are invisible to scans, so a cached partial is
-//     still exact for the data a scan would see. A partial is therefore
-//     served while `built-at epoch == current epoch` and dropped on probe
-//     the moment its epoch is stale. This is what makes repeated queries
-//     incremental: after an ingest batch dirties one shard, the next run
-//     rescans that shard alone and re-merges it with 15 cached partials.
-//     Cached partials are immutable (frozen) and shared read-only across
-//     concurrent merges.
+//     every applied ingestion batch that changed the store bumps it once,
+//     under the shard's write lock, for the whole batch (ingest.go; an
+//     Insert is a one-row batch) — under streaming writes a shard's
+//     partials are invalidated per batch, not per row. Staged-but-
+//     unapplied rows do not move the epoch: they are invisible to scans,
+//     so a cached partial is still exact for the data a scan would see.
+//     A partial is therefore served while `built-at epoch == current
+//     epoch` and dropped on probe the moment its epoch is stale. This is
+//     what makes repeated queries incremental: after an ingest batch
+//     dirties one shard, the next run rescans that shard alone and
+//     re-merges it with 15 cached partials. Cached partials are immutable
+//     (frozen) and shared read-only across concurrent merges.
 //  3. Whole query results (executor level, opt-in — see resultCache in
 //     executor.go wiring). Keyed by (table identity, canonical SQL,
 //     estimator configuration) plus the full vector of shard epochs

@@ -6,11 +6,13 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +195,160 @@ func TestDurableInsertWALFailureNotAcked(t *testing.T) {
 	if hasEntity(rt, failed) || !hasEntity(rt, "first") || !hasEntity(rt, next) {
 		t.Errorf("recovered entities: first %v, %s %v (failed, want false), %s %v",
 			hasEntity(rt, "first"), failed, hasEntity(rt, failed), next, hasEntity(rt, next))
+	}
+}
+
+// TestDurableInsertReplaysInApplyOrder: an Insert applies after the rows
+// staged before it on its shard, and its WAL record follows theirs, so a
+// replay in log order rebuilds exactly the state the live table served.
+// Here a staged Append reports x first; the later Insert conflicts, gets
+// the conflict as its error, and the first value is what both the live
+// and the recovered table answer.
+func TestDurableInsertReplaysInApplyOrder(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	db1 := &DB{Storage: cfg}
+	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(v float64) map[string]sqlparse.Value { return map[string]sqlparse.Value{"v": sqlparse.Number(v)} }
+	if err := tbl.Append("x", "s0", row(1)); err != nil {
+		t.Fatal(err)
+	}
+	insErr := tbl.Insert("x", "s1", row(2))
+	flushErr := tbl.Flush()
+
+	type state struct {
+		sum     float64
+		records []Record
+		obs     int
+	}
+	read := func(db *DB, tb *Table) state {
+		t.Helper()
+		res, err := db.Query("SELECT SUM(v) FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return state{res.Observed, tb.Records(), tb.ObservationCount("x")}
+	}
+	live := read(db1, tbl)
+	// No Close: the process "crashed" with everything in the WAL.
+
+	db2 := &DB{Storage: cfg}
+	t.Cleanup(func() { db2.Close() })
+	if _, err := db2.RecoverTables(); err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := db2.Table("t")
+	if !ok {
+		t.Fatal("table t not recovered")
+	}
+	replayErr := rt.Flush()
+	got := read(db2, rt)
+	if got.sum != live.sum || got.obs != live.obs || !reflect.DeepEqual(got.records, live.records) {
+		t.Fatalf("recovered state differs from the live one:\n live      %+v\n recovered %+v", live, got)
+	}
+	if live.sum != 1 || live.obs != 2 {
+		t.Errorf("live SUM(v) = %g over %d observations, want the first value 1 over 2", live.sum, live.obs)
+	}
+	if !errors.Is(insErr, ErrConflict) || flushErr != nil {
+		t.Errorf("Insert error %v, Flush error %v; want the conflict from Insert and nothing left for Flush", insErr, flushErr)
+	}
+	if n := countConflicts(replayErr); n != 1 {
+		t.Errorf("first Flush after recovery reports %d conflicts (%v), want the replayed 1", n, replayErr)
+	}
+}
+
+// breakActiveWAL swaps shard si's active WAL generation for a read-only
+// handle on the same file: the next append's write fails, and so does the
+// rollback truncate, which marks the generation for rotation.
+func breakActiveWAL(t *testing.T, tbl *Table, si int) {
+	t.Helper()
+	w := tbl.wal.shard(si)
+	w.mu.Lock()
+	ro, err := os.Open(w.f.Name())
+	if err != nil {
+		w.mu.Unlock()
+		t.Fatal(err)
+	}
+	rw := w.f
+	w.f = ro
+	w.mu.Unlock()
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableAppendWALFailureNotAcked: when the WAL append of a per-row
+// Append or AppendRow fails, the call returns the error and the row is
+// unstaged — never applied, never recovered — while rows staged before it
+// stay staged; the log rotates, so the next Append succeeds and survives.
+func TestDurableAppendWALFailureNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	db1 := &DB{Storage: cfg}
+	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(v float64) map[string]sqlparse.Value { return map[string]sqlparse.Value{"v": sqlparse.Number(v)} }
+	if err := tbl.Append("first", "s0", row(1)); err != nil {
+		t.Fatal(err)
+	}
+	si, _ := tbl.shardIndexFor("first")
+	var sameShard []string // three more entities of the same shard
+	for i := 0; len(sameShard) < 3; i++ {
+		if id := fmt.Sprintf("e%03d", i); func() bool { s, _ := tbl.shardIndexFor(id); return s == si }() {
+			sameShard = append(sameShard, id)
+		}
+	}
+	failed, failedRow, next := sameShard[0], sameShard[1], sameShard[2]
+
+	breakActiveWAL(t, tbl, si)
+	if err := tbl.Append(failed, "s0", row(10)); err == nil {
+		t.Fatal("Append acknowledged a row whose WAL append failed")
+	}
+	if got := tbl.StagedRows(); got != 1 {
+		t.Errorf("StagedRows after the failed Append = %d, want 1", got)
+	}
+	if err := tbl.Append(next, "s0", row(100)); err != nil {
+		t.Fatalf("Append after the rotation: %v", err)
+	}
+	breakActiveWAL(t, tbl, si)
+	if err := tbl.AppendRow(failedRow, "s0", []sqlparse.Value{sqlparse.Number(1000)}); err == nil {
+		t.Fatal("AppendRow acknowledged a row whose WAL append failed")
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Errorf("Flush reports an error the staging calls already returned: %v", err)
+	}
+	if hasEntity(tbl, failed) || hasEntity(tbl, failedRow) {
+		t.Error("row of a failed staging call was applied")
+	}
+	res, err := db1.Query("SELECT SUM(v) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Observed != 101 {
+		t.Errorf("SUM(v) = %g, want 101", res.Observed)
+	}
+	if err := db1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := &DB{Storage: cfg}
+	t.Cleanup(func() { db2.Close() })
+	if _, err := db2.RecoverTables(); err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := db2.Table("t")
+	if !ok {
+		t.Fatal("table t not recovered")
+	}
+	for id, want := range map[string]bool{"first": true, next: true, failed: false, failedRow: false} {
+		if hasEntity(rt, id) != want {
+			t.Errorf("recovered %s: present %v, want %v", id, !want, want)
+		}
 	}
 }
 

@@ -1,12 +1,10 @@
 package engine
 
-// Batched, asynchronous ingestion. The per-row Insert path locks the
-// entity's shard, validates and applies one observation at a time; at
-// streaming rates the per-row locking, map traffic and epoch bumps
-// dominate. The batched path splits ingestion in two halves connected by
-// per-shard staging buffers:
+// Ingestion. Every write reaches a shard's store through one path:
+// per-shard staging buffers drained in batches.
 //
-//	writers ──Append/AppendRow──▶ per-shard staging ──drain──▶ columnar shard
+//	writers ──Append/AppendRow/Writer──▶ per-shard staging ──drain──▶ columnar shard
+//	Insert ──one-row chunk──────────────────────────────────▶ drain (applied last)
 //
 //   - Staging. Observations are validated against the schema up front
 //     (synchronously, so the writer still gets immediate feedback for
@@ -22,6 +20,12 @@ package engine
 //     applied batch instead of once per row (see cache.go for why epochs
 //     matter). Drains of one shard are serialized (stagingBuf.applyMu), so
 //     rows apply in exactly the order they were staged.
+//   - Insert. The synchronous write stages its row into a private one-row
+//     chunk and drains its own shard with that chunk appended after the
+//     swapped-out staging, so it applies (and, on a durable table, is
+//     logged) after every row staged before it and before any row staged
+//     later. Its own conflict comes back as its error; the drain is
+//     otherwise an ordinary batch.
 //   - Appliers. Table.StartIngest starts a bounded set of background
 //     applier goroutines that drain shards whose staging crossed the batch
 //     threshold, plus an optional periodic drain. Without an Ingester the
@@ -33,17 +37,17 @@ package engine
 // cut exactly as before. Table.Flush is the barrier: when it returns,
 // every row staged before the call is applied, giving the flushing
 // goroutine read-your-writes for its subsequent queries (DB.FlushOnQuery
-// turns this into an automatic per-query barrier).
+// turns this into an automatic per-query barrier). An Insert is a
+// barrier for its own shard.
 //
 // Error semantics: schema violations (unknown column, type mismatch) are
-// reported synchronously by Append/AppendRow before the row is staged —
-// for EVERY row, deliberately stricter than Insert, which skips attrs
-// validation for already-known entities (an async pipeline must reject
-// malformed rows while the producer still has context). Value conflicts
-// (an entity re-reported with different values) can only be detected at
-// apply time; like Insert, the conflicting observation still extends the
-// lineage, and the error is recorded and surfaced by the next Flush (or
-// Ingester.Close).
+// reported synchronously for every row before it is staged (an async
+// pipeline must reject malformed rows while the producer still has
+// context). Value conflicts (an entity re-reported with different values)
+// can only be detected at apply time; the conflicting observation still
+// extends the lineage, the first value in apply order is kept, and the
+// error is recorded and surfaced by the next Flush (or Ingester.Close) —
+// except for Insert's own row, whose conflict Insert returns.
 
 import (
 	"errors"
@@ -272,9 +276,9 @@ func typeErr(c Column, v sqlparse.Value) error {
 	return invalidRowf("column %q expects %s, got %s", c.Name, c.Type, v)
 }
 
-// stageRowAttrs validates (via the same Table.validate as Insert) and
-// stages one map-shaped row. Nothing is staged on error. dict is the
-// target shard's dictionary.
+// stageRowAttrs validates (Table.validate) and stages one map-shaped row
+// — the staging step of Append, Writer.Append and Insert. Nothing is
+// staged on error. dict is the target shard's dictionary.
 func (c *obsChunk) stageRowAttrs(t *Table, id string, src int32, attrs map[string]sqlparse.Value, dict *stringDict) error {
 	if err := t.validate(attrs); err != nil {
 		return err
@@ -475,8 +479,22 @@ func (t *Table) Append(entityID, source string, attrs map[string]sqlparse.Value)
 		st.mu.Unlock()
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
+	return t.commitStagedRow(si, st, c, entityID)
+}
+
+// commitStagedRow acknowledges the row just staged at the end of chunk c:
+// on a durable table it is logged first, and a failed log append unstages
+// it again and fails the call, so a nil return means the row is in the
+// log. Caller holds st.mu; commitStagedRow releases it.
+func (t *Table) commitStagedRow(si int, st *stagingBuf, c *obsChunk, entityID string) error {
 	if t.wal != nil {
-		t.logStagedRows(si, st, c, c.n-1, c.n)
+		seq, err := t.logRows(si, c, c.n-1, c.n)
+		if err != nil {
+			c.n--
+			st.mu.Unlock()
+			return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
+		}
+		st.walPending = append(st.walPending, seq)
 	}
 	st.rows++
 	rows := st.rows
@@ -488,14 +506,12 @@ func (t *Table) Append(entityID, source string, attrs map[string]sqlparse.Value)
 	return nil
 }
 
-// logStagedRows appends rows [lo, hi) of the chunk as one record to the
-// shard's WAL and tracks the record seq as pending. By the time the
-// staging call returns to its caller the row is in the log — that write
-// is the acknowledgement the crash-recovery contract stands on. A WAL
-// append failure degrades durability, not availability: the rows stay
-// staged and will apply normally, and the failure is recorded for the
-// next Flush (matching the disk-seal error policy). Caller holds st.mu.
-func (t *Table) logStagedRows(si int, st *stagingBuf, c *obsChunk, lo, hi int) {
+// logRows appends rows [lo, hi) of the chunk as one record to the
+// shard's WAL and returns its seq. By the time a staging call returns to
+// its caller the row is in the log — that write is the acknowledgement
+// the crash-recovery contract stands on. Callers hold st.mu, so record
+// seqs follow staging order.
+func (t *Table) logRows(si int, c *obsChunk, lo, hi int) (uint64, error) {
 	var maxSid int32
 	for i := lo; i < hi; i++ {
 		if c.srcs[i] > maxSid {
@@ -503,7 +519,17 @@ func (t *Table) logStagedRows(si int, st *stagingBuf, c *obsChunk, lo, hi int) {
 		}
 	}
 	names := t.srcNamesCovering(maxSid)
-	seq, err := t.wal.appendChunkRows(si, t.schema, names, c, lo, hi)
+	return t.wal.appendChunkRows(si, t.schema, names, c, lo, hi)
+}
+
+// logStagedRows logs a chunk pushed by a Writer and tracks the record seq
+// as pending. Unlike the per-row calls, a push reports no error: its rows
+// were already accepted by earlier Writer.Append calls, so a WAL append
+// failure degrades durability, not availability — the rows stay staged
+// and will apply normally, and the failure is recorded for the next
+// Flush (matching the disk-seal error policy). Caller holds st.mu.
+func (t *Table) logStagedRows(si int, st *stagingBuf, c *obsChunk) {
+	seq, err := t.logRows(si, c, 0, c.rows())
 	if err != nil {
 		t.recordIngestErr(fmt.Errorf("engine: %s: %w", t.name, err))
 		return
@@ -531,17 +557,7 @@ func (t *Table) AppendRow(entityID, source string, vals []sqlparse.Value) error 
 		st.mu.Unlock()
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
-	if t.wal != nil {
-		t.logStagedRows(si, st, c, c.n-1, c.n)
-	}
-	st.rows++
-	rows := st.rows
-	// Counted before the lock drops, so a concurrent drain can never
-	// decrement past it (StagedRows must not go transiently negative).
-	t.ingest.staged.Add(1)
-	st.mu.Unlock()
-	t.afterStage(si, rows)
-	return nil
+	return t.commitStagedRow(si, st, c, entityID)
 }
 
 // afterStage runs the post-staging policy: hand the shard to the
@@ -557,18 +573,21 @@ func (t *Table) afterStage(si, stagedRows int) {
 		ing.notifyShard(si)
 		if stagedRows >= batch*stagePressureFactor {
 			t.ingest.inlineDrains.Add(1)
-			t.drainShard(si)
+			t.drainShard(si, nil)
 		}
 		return
 	}
 	t.ingest.inlineDrains.Add(1)
-	t.drainShard(si)
+	t.drainShard(si, nil)
 }
 
 // drainShard applies everything staged on one shard. Drains are
 // serialized per shard (FIFO apply order); apply errors are recorded for
-// the next Flush.
-func (t *Table) drainShard(si int) {
+// the next Flush. own is Insert's private one-row chunk (nil for every
+// other drain): it is logged while the staged list is swapped out and
+// applied after it, in the same batch, and drainShard returns its WAL
+// failure or value conflict instead of recording it.
+func (t *Table) drainShard(si int, own *obsChunk) error {
 	sh := t.shards[si]
 	st := &sh.staging
 	st.applyMu.Lock()
@@ -580,31 +599,52 @@ func (t *Table) drainShard(si int) {
 	st.chunks = nil
 	st.rows = 0
 	st.walPending = nil
+	var ownErr error
+	if own != nil && t.wal != nil {
+		// Logged under st.mu, like every staged row: the record's seq
+		// follows every swapped-out staged seq and precedes any later one,
+		// so replay (in seq order) applies it exactly where this drain does.
+		// A row the log does not hold is not acknowledged: it is dropped,
+		// while the swapped-out rows (acknowledged already) still apply.
+		if seq, err := t.logRows(si, own, 0, own.n); err != nil {
+			ownErr = fmt.Errorf("engine: %s: entity %q: %w", t.name, own.ids[0], err)
+			own = nil
+		} else {
+			pending = append(pending, seq)
+		}
+	}
 	// The batch's WAL records move from pending to applying for the
 	// duration of the apply: the checkpoint watermark must not pass them
 	// until their rows are actually in the store.
 	st.applying = pending
 	st.mu.Unlock()
-	if len(chunks) == 0 {
-		return
+	if len(chunks) == 0 && own == nil {
+		return ownErr
 	}
-	t.applyChunks(si, chunks, pending)
+	applied := rows
+	if own != nil {
+		applied += own.n
+	}
+	if err := t.applyChunks(si, chunks, own, pending); err != nil {
+		ownErr = err // own's conflict (a failed log append left own nil)
+	}
 	st.mu.Lock()
 	st.applying = nil
 	st.mu.Unlock()
 	t.ingest.staged.Add(-int64(rows))
 	t.ingest.batches.Add(1)
-	t.ingest.appliedRows.Add(uint64(rows))
+	t.ingest.appliedRows.Add(uint64(applied))
 	for _, c := range chunks {
 		t.recycleChunk(c)
 	}
+	return ownErr
 }
 
 // drainAll drains every shard without consuming recorded errors (the
 // periodic applier path); Flush adds the error barrier on top.
 func (t *Table) drainAll() {
 	for si := range t.shards {
-		t.drainShard(si)
+		t.drainShard(si, nil)
 	}
 }
 
@@ -612,9 +652,8 @@ func (t *Table) drainAll() {
 // staged before the call — by any writer — is applied and visible to
 // queries, giving the caller read-your-writes semantics. It returns the
 // apply errors (value conflicts) recorded since the previous Flush; the
-// conflicting observations still extended the lineage, exactly like
-// Insert. Flush is safe for concurrent use and cheap when staging is
-// empty.
+// conflicting observations still extended the lineage. Flush is safe for
+// concurrent use and cheap when staging is empty.
 func (t *Table) Flush() error {
 	t.ingest.flushes.Add(1)
 	t.drainAll()
@@ -623,13 +662,15 @@ func (t *Table) Flush() error {
 
 // applyChunks applies one drained batch to the shard's store under a
 // single write-lock acquisition, bumping the write epoch at most once.
-// The per-row semantics live in ShardStore.ApplyBatch and mirror Insert
-// exactly: first insertion fixes the attribute values, later mentions
-// extend the lineage idempotently, conflicting re-reports are recorded as
-// errors (via the hooks) but still counted. pending carries the batch's
-// WAL record seqs (durable mode; nil otherwise): once the batch is in
-// the store, the shard's applied watermark advances past them.
-func (t *Table) applyChunks(si int, chunks []*obsChunk, pending []uint64) {
+// The per-row semantics live in ShardStore.ApplyBatch: first insertion
+// fixes the attribute values, later mentions extend the lineage
+// idempotently, conflicting re-reports are recorded as errors (via the
+// hooks) but still counted. own (Insert's private chunk, or nil) applies
+// after chunks within the same lock hold, and its conflict is returned
+// instead of recorded. pending carries the batch's WAL record seqs
+// (durable mode; nil otherwise): once the batch is in the store, the
+// shard's applied watermark advances past them.
+func (t *Table) applyChunks(si int, chunks []*obsChunk, own *obsChunk, pending []uint64) (ownErr error) {
 	sh := t.shards[si]
 	hooks := applyHooks{
 		schema:  t.schema,
@@ -640,10 +681,17 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, pending []uint64) {
 	}
 	sh.mu.Lock()
 	changed := sh.store.ApplyBatch(chunks, hooks)
+	if own != nil {
+		hooks.conflict = func(id string, err error) {
+			ownErr = fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err)
+		}
+		if sh.store.ApplyBatch([]*obsChunk{own}, hooks) {
+			changed = true
+		}
+	}
 	if changed {
 		// One epoch bump per applied batch: every cached partial/result
-		// built before this batch stops matching, exactly as with per-row
-		// Insert but at batch granularity (see cache.go).
+		// built before this batch stops matching (see cache.go).
 		sh.store.BumpEpoch()
 	}
 	for _, seq := range pending {
@@ -653,7 +701,7 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, pending []uint64) {
 	}
 	// Housekeeping (sealing, compaction, durable checkpointing) failures
 	// are recorded for the next Flush: the rows are applied and remain
-	// served from memory either way.
+	// served from memory either way, so they never fail a write.
 	t.maintainShardLocked(sh, si)
 	sh.mu.Unlock()
 	if changed {
@@ -663,10 +711,11 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, pending []uint64) {
 		// the hook live subscriptions re-estimate on (see subscribe.go).
 		t.notifyCommit()
 	}
+	return ownErr
 }
 
-// stagedConflictErr renders the conflict in Insert's error shape (values
-// are only boxed on this error path).
+// stagedConflictErr renders a conflict between a stored and a staged cell
+// (values are only boxed on this error path).
 func stagedConflictErr(colName string, cols []colVector, sc *stagedCol, ci, row, srcRow int) error {
 	prev, _ := cols[ci].value(row)
 	v, _ := sc.value(srcRow)
@@ -755,7 +804,7 @@ func (ing *Ingester) applierLoop() {
 		case <-ing.stop:
 			return
 		case si := <-ing.notify:
-			ing.t.drainShard(si)
+			ing.t.drainShard(si, nil)
 		}
 	}
 }
@@ -908,7 +957,7 @@ func (w *Writer) pushChunk(si int) {
 		// buffering) is the durability acknowledgement point, matching the
 		// visibility contract — writer-local rows are invisible to Flush
 		// too until pushed.
-		t.logStagedRows(si, st, c, 0, c.rows())
+		t.logStagedRows(si, st, c)
 	}
 	st.rows += c.rows()
 	rows := st.rows

@@ -14,10 +14,9 @@ import (
 // to an optional label column. The table must have been created with those
 // columns. The load rides the batched Writer staging path (ingest.go) —
 // per-shard columnar chunks applied under one lock acquisition and one
-// epoch bump per batch, ~3x faster than the historical per-row Insert
-// loop — with a terminal Flush barrier, so the load is fully applied and
-// visible when it returns. Value conflicts surface at that Flush and are
-// counted, not fatal (the first value wins, exactly like Insert). Returns
+// epoch bump per batch — with a terminal Flush barrier, so the load is
+// fully applied and visible when it returns. Value conflicts surface at
+// that Flush and are counted, not fatal (the first value wins). Returns
 // the number of conflicts.
 func LoadObservations(t *Table, obs []freqstats.Observation, valueColumn, labelColumn string) (int, error) {
 	if err := checkLoadColumns(t, valueColumn, labelColumn); err != nil {

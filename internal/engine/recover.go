@@ -185,7 +185,7 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 			seqs = append(seqs, rec.seq)
 		}
 		if len(chunks) > 0 {
-			t.applyChunks(si, chunks, seqs)
+			t.applyChunks(si, chunks, nil, seqs)
 			for _, c := range chunks {
 				t.recycleChunk(c)
 			}

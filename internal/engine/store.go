@@ -20,16 +20,15 @@ package engine
 //
 // Locking contract: a ShardStore is NOT internally synchronized. The
 // owning shard's RWMutex serializes access exactly as it always did —
-// mutators (AppendEntity, AddLineage, ApplyBatch, BumpEpoch, Maintain)
-// run under the shard write lock, readers (View, Value, Lookup, ...)
-// under at least the read lock, and a storeView is only valid while the
-// lock that produced it is held.
+// mutators (ApplyBatch, BumpEpoch, Maintain) run under the shard write
+// lock, readers (View, Value, Lookup, ...) under at least the read lock,
+// and a storeView is only valid while the lock that produced it is held.
 //
 // Epoch contract: the store carries the shard's write epoch but never
-// advances it by itself. Callers bump it exactly once per visible
-// mutation — per changed Insert, per applied batch (the one-bump-per-
-// batch contract ApplyBatch reports `changed` for) — which is what keeps
-// the selection-bitmap and whole-result caches exact (see cache.go).
+// advances it by itself. Callers bump it exactly once per applied batch
+// that changed the store (the one-bump-per-batch contract ApplyBatch
+// reports `changed` for) — which is what keeps the selection-bitmap and
+// whole-result caches exact (see cache.go).
 
 import (
 	"fmt"
@@ -142,7 +141,7 @@ func resolveStorage(cfg StorageConfig) StorageConfig {
 // applyHooks carries the table-side callbacks ShardStore.ApplyBatch needs
 // without exposing the Table: schema access, global sequence allocation
 // and conflict reporting (apply-time value conflicts are recorded for the
-// writer's next Flush, exactly like the pre-extraction applier).
+// writer's next Flush, or returned by Insert for its own row).
 type applyHooks struct {
 	schema   Schema
 	nextSeq  func() uint64
@@ -175,25 +174,16 @@ type ShardStore interface {
 	Seq(row int) uint64
 	Lineage(row int) []int32
 
-	// AppendEntity appends a new row. cell is asked once per schema column
-	// for the boxed value and whether the insert provided the column at
-	// all. Returns the new row index.
-	AppendEntity(id string, seq uint64, cell func(ci int) (v sqlparse.Value, provided bool)) int
-	// AddLineage records that source sid reported the row, idempotently
-	// (sorted insert; one mention per (row, source)). Reports whether the
-	// store changed.
-	AddLineage(row int, sid int32) bool
-
 	// Value reconstructs the boxed value at (row, column); ok is false
 	// when the row never provided the column.
 	Value(row, ci int) (v sqlparse.Value, ok bool)
 
 	// ApplyBatch applies drained staging chunks under the caller's single
-	// write-lock acquisition: per row it mirrors Insert exactly (first
-	// insertion fixes the values, later mentions extend the lineage
-	// idempotently, conflicting re-reports go to hooks.conflict but still
-	// count). Returns whether the store changed; the caller bumps the
-	// epoch at most once per batch on true.
+	// write-lock acquisition — the only way rows enter a store. Per row:
+	// the first insertion fixes the values, later mentions extend the
+	// lineage idempotently, and a conflicting re-report goes to
+	// hooks.conflict but still counts. Returns whether the store changed;
+	// the caller bumps the epoch at most once per batch on true.
 	ApplyBatch(chunks []*obsChunk, hooks applyHooks) (changed bool)
 
 	// Maintain runs post-mutation housekeeping (the disk backend seals

@@ -183,16 +183,6 @@ func (d *diskStore) segmentFor(row int) *segment {
 	return d.segs[lo]
 }
 
-func (d *diskStore) AppendEntity(id string, seq uint64, cell func(ci int) (sqlparse.Value, bool)) int {
-	row := d.appendIdentity(id, seq)
-	for ci := range d.tail {
-		v, provided := cell(ci)
-		d.tail[ci].appendRow(v, provided)
-	}
-	d.view.Store(nil)
-	return row
-}
-
 // ApplyBatch mirrors memStore.ApplyBatch: new rows append (typed) to the
 // in-memory tail; consistency checks against already-stored rows go
 // through the boxed Value accessor because the prior value may live in a

@@ -145,11 +145,20 @@ func TestDiskMmapVsFallbackParity(t *testing.T) {
 // failed seal is non-fatal — this test targets the parser directly).
 func TestDiskSegmentFormatErrors(t *testing.T) {
 	schema := Schema{{Name: "v", Type: TypeFloat}, {Name: "s", Type: TypeString}}
-	tail := newTailCols(schema, newStringDict())
-	tail[0].appendRow(sqlparse.Number(1.5), true)
-	tail[1].appendRow(sqlparse.StringValue("hello"), true)
-	tail[0].appendRow(sqlparse.Null(), true)
-	tail[1].appendRow(sqlparse.Value{}, false)
+	dict := newStringDict()
+	tail := newTailCols(schema, dict)
+	// Row 0 provides both cells; row 1 a NULL float and no string at all.
+	var c obsChunk
+	c.init(schema)
+	c.cols[0].setCell(0, sqlparse.Number(1.5), true, dict)
+	c.cols[1].setCell(0, sqlparse.StringValue("hello"), true, dict)
+	c.cols[0].setCell(1, sqlparse.Null(), true, dict)
+	c.cols[1].setCell(1, sqlparse.Value{}, false, dict)
+	for row := 0; row < 2; row++ {
+		for ci := range tail {
+			appendStagedCell(&tail[ci], &c.cols[ci], row, row)
+		}
+	}
 	dicts, err := planSegDicts(schema, tail, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -51,43 +51,6 @@ type colVector struct {
 	valid   bitmap
 }
 
-// appendRow appends one row's value. provided reports whether the insert
-// supplied the column; v is only read when provided.
-func (c *colVector) appendRow(v sqlparse.Value, provided bool) {
-	row := 0
-	switch c.typ {
-	case TypeFloat:
-		row = len(c.floats)
-		var x float64
-		if provided && v.Kind == sqlparse.ValueNumber {
-			x = v.Num
-		}
-		c.floats = append(c.floats, x)
-	case TypeString:
-		row = len(c.codes)
-		x := dictEmptyCode
-		if provided && v.Kind == sqlparse.ValueString {
-			x = c.dict.intern(v.Str)
-		}
-		c.codes = append(c.codes, x)
-	case TypeBool:
-		row = len(c.bools)
-		var x bool
-		if provided && v.Kind == sqlparse.ValueBool {
-			x = v.Bool
-		}
-		c.bools = append(c.bools, x)
-	}
-	c.defined.grow(row + 1)
-	c.valid.grow(row + 1)
-	if provided {
-		c.defined.set(row)
-		if v.Kind != sqlparse.ValueNull {
-			c.valid.set(row)
-		}
-	}
-}
-
 // value reconstructs the sqlparse.Value at row; ok is false when the row
 // never provided the column.
 func (c *colVector) value(row int) (v sqlparse.Value, ok bool) {
@@ -133,20 +96,9 @@ func (m *memStore) Value(row, ci int) (sqlparse.Value, bool) {
 	return m.cols[ci].value(row)
 }
 
-func (m *memStore) AppendEntity(id string, seq uint64, cell func(ci int) (sqlparse.Value, bool)) int {
-	row := m.appendIdentity(id, seq)
-	for ci := range m.cols {
-		v, provided := cell(ci)
-		m.cols[ci].appendRow(v, provided)
-	}
-	m.view.Store(nil)
-	return row
-}
-
-// ApplyBatch applies drained staging chunks row by row with the same
-// semantics as Insert, staying typed end to end (no boxed values on the
-// apply path). The caller holds the shard write lock and bumps the epoch
-// once iff the batch changed the store.
+// ApplyBatch applies drained staging chunks row by row, staying typed end
+// to end (no boxed values on the apply path). The caller holds the shard
+// write lock and bumps the epoch once iff the batch changed the store.
 func (m *memStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 	changed := false
 	for _, c := range chunks {
@@ -161,9 +113,9 @@ func (m *memStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 			}
 			if m.AddLineage(row, c.srcs[i]) {
 				changed = true
-				// Mirror Insert exactly: value consistency is only checked
-				// when the observation actually extended the lineage — an
-				// idempotent duplicate returns before the check there too.
+				// Value consistency is only checked when the observation
+				// actually extended the lineage: an idempotent duplicate
+				// (same source again) is not a new report.
 				if exists {
 					if err := checkStagedConsistentMem(m.cols, hooks.schema, row, c, i); err != nil {
 						hooks.conflict(id, err)
@@ -204,8 +156,8 @@ func (m *memStore) Backend() Backend { return BackendMemory }
 
 func (m *memStore) Close() error { return nil }
 
-// appendStagedCell moves one staged cell into a live column vector — the
-// typed twin of colVector.appendRow. Shared with the disk backend's tail.
+// appendStagedCell moves one staged cell into a live column vector.
+// Shared with the disk backend's tail.
 func appendStagedCell(col *colVector, sc *stagedCol, srcRow, dstRow int) {
 	switch col.typ {
 	case TypeFloat:

@@ -22,10 +22,7 @@ import (
 // Delivery is latest-wins with a one-result buffer: a subscriber that
 // falls behind observes the newest result and misses intermediate ones;
 // ingestion and the subscription's re-query loop never block on a slow
-// consumer. Per-row Insert does not notify subscriptions — it predates
-// the batch contract and is not the streaming path; a subscription over a
-// table fed by Insert only re-emits on the periodic/explicit drains of an
-// active Ingester or on Close.
+// consumer.
 
 // Subscription is a live query registered with DB.Subscribe. Results
 // arrive on Updates; Close unregisters the query and closes the channel.

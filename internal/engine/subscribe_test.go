@@ -2,8 +2,8 @@ package engine
 
 // Live-subscription contract: DB.Subscribe re-emits the subscribed
 // query's full Result after each applied ingest batch, each emission
-// bitwise-identical to a fresh cold query at the same epochs; per-row
-// Insert does not notify; delivery is latest-wins; Close is idempotent
+// bitwise-identical to a fresh cold query at the same epochs; Insert, a
+// one-row batch, notifies too; delivery is latest-wins; Close is idempotent
 // and closes Updates. The soak variant runs a live subscription under
 // four concurrent streaming writers (run with -race in CI).
 
@@ -141,9 +141,10 @@ func TestSubscribeUnknownTableAndBadQuery(t *testing.T) {
 	}
 }
 
-// TestSubscribePerRowInsertDoesNotNotify: the per-row path predates the
-// batch contract and must not wake subscriptions.
-func TestSubscribePerRowInsertDoesNotNotify(t *testing.T) {
+// TestSubscribeInsertNotifies: Insert applies as a one-row batch, so it
+// wakes subscriptions like any other batch, and its emission also covers
+// rows staged earlier on the same shard.
+func TestSubscribeInsertNotifies(t *testing.T) {
 	db, tbl := subTable(t)
 	sub, err := db.Subscribe("SELECT COUNT(*) FROM t")
 	if err != nil {
@@ -162,31 +163,52 @@ func TestSubscribePerRowInsertDoesNotNotify(t *testing.T) {
 	if err := tbl.Insert("e00", "s0", mapAttrs3("e00", 10, "g0")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case res := <-sub.Updates():
-		t.Fatalf("per-row Insert produced an emission: %+v", res)
-	case <-time.After(150 * time.Millisecond):
-	}
-	if got := sub.Emitted(); got != baseline {
-		t.Fatalf("per-row Insert moved Emitted %d -> %d", baseline, got)
-	}
-
-	// The batched path, by contrast, does notify — and its emission
-	// observes the earlier per-row insert too.
-	if err := tbl.Append("e01", "s0", mapAttrs3("e01", 20, "g1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := db.Query("SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := awaitEmission(t, sub, fresh.Sample.Fingerprint())
-	if res.Observed != 2 {
-		t.Fatalf("post-flush emission observed %v rows, want 2", res.Observed)
+	if res := awaitEmission(t, sub, fresh.Sample.Fingerprint()); res.Observed != 1 {
+		t.Fatalf("Insert emission observed %v rows, want 1", res.Observed)
 	}
+	if got := sub.Emitted(); got <= baseline {
+		t.Fatalf("Insert left Emitted at %d (baseline %d)", got, baseline)
+	}
+
+	// A staged row of the next Insert's shard is applied by that Insert's
+	// drain, so the emission after it observes both.
+	staged, next := sameShardIDs(tbl, 2)
+	if err := tbl.Append(staged, "s0", mapAttrs3(staged, 20, "g1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(next, "s0", mapAttrs3(next, 30, "g2")); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.StagedRows(); got != 0 {
+		t.Fatalf("%d rows still staged after Insert drained their shard", got)
+	}
+	if fresh, err = db.Query("SELECT COUNT(*) FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if res := awaitEmission(t, sub, fresh.Sample.Fingerprint()); res.Observed != 3 {
+		t.Fatalf("second Insert emission observed %v rows, want 3", res.Observed)
+	}
+}
+
+// sameShardIDs returns two distinct entity IDs that hash to one shard.
+func sameShardIDs(tbl *Table, from int) (string, string) {
+	var ids []string
+	want := -1
+	for i := from; len(ids) < 2; i++ {
+		id := fmt.Sprintf("e%02d", i)
+		si, _ := tbl.shardIndexFor(id)
+		if want < 0 {
+			want = si
+		}
+		if si == want {
+			ids = append(ids, id)
+		}
+	}
+	return ids[0], ids[1]
 }
 
 // TestSubscribeLatestWins: a consumer that sleeps through several

@@ -14,10 +14,9 @@
 // (store_mem.go) and an mmap'd disk-backed backend (store_disk.go).
 // Ingestion locks only the target entity's shard, and query scans run
 // shard-parallel with predicates compiled once into vectorized filters
-// over the store's column views (see filter.go). Besides the per-row
-// Insert path, tables support batched asynchronous ingestion through
-// per-shard staging buffers with a Flush barrier for read-your-writes
-// (see ingest.go).
+// over the store's column views (see filter.go). Every write — Insert,
+// Append, Writer — goes through per-shard staging buffers applied in
+// batches, with a Flush barrier for read-your-writes (see ingest.go).
 package engine
 
 import (
@@ -388,11 +387,11 @@ func (t *Table) checkpointShardLocked(sh *shard, si int, force bool) bool {
 
 // walSafeApplied computes the WAL watermark a checkpoint may persist:
 // the highest record seq applied to the shard, clamped below any record
-// that is still pending in staging or in an in-flight drain. Seqs are
-// assigned per record under the wal shard mutex while rows are staged
-// under the staging mutex, so an Insert can apply seq N while staged
-// seq N-1 is still waiting — persisting N would let the WAL drop the
-// unapplied N-1. Caller holds the shard's write lock (so walApplied is
+// that is still pending in staging or in an in-flight drain. Every record
+// is logged under the staging mutex and drains apply in log order, so
+// the clamp never fires on a consistent state; it stays as the guard
+// that keeps a checkpoint from releasing a record whose rows are not in
+// the store. Caller holds the shard's write lock (so walApplied is
 // stable); the staging mutex is taken briefly underneath it.
 func (t *Table) walSafeApplied(si int) uint64 {
 	safe := t.walApplied[si]
@@ -555,80 +554,47 @@ func (t *Table) NumObservations() int {
 }
 
 // Insert records that source reported the entity with the given attribute
-// values. The first insertion of an entity fixes its attribute values
-// (the model assumes cleaned, fused input); later insertions from new
-// sources only extend the lineage, and a value mismatch is reported as an
-// error while still counting the observation. Attribute values are
-// validated against the schema (for a new entity; a later insertion of a
-// known entity only has its values checked for consistency — the batched
-// Append path is stricter and validates every row). Only the entity's
-// shard is locked, so inserts for different shards proceed in parallel.
-// For streaming workloads prefer the batched staging path
-// (Append/AppendRow/Writer in ingest.go), which amortizes the per-row
-// locking and epoch bumps across whole batches. On a durable table the row
-// is logged to the WAL before it is applied, and a failed log append fails
-// the Insert with nothing applied, so a nil return means the row is in the
+// values, synchronously: when it returns, the observation is applied and
+// visible to queries. The first insertion of an entity fixes its attribute
+// values (the model assumes cleaned, fused input); later insertions from
+// new sources only extend the lineage, and a value mismatch is reported
+// as an error while still counting the observation.
+//
+// Insert is a one-row batch on the ingestion path (ingest.go): the row is
+// validated and staged into a private chunk exactly like Append, then the
+// entity's shard is drained with that chunk applied last. Hence:
+//   - every row is validated against the schema, a known entity included;
+//   - rows staged earlier on the entity's shard (Append, AppendRow, pushed
+//     Writer chunks) become visible with it, and when one of them already
+//     reported the entity with a different value, that first value is
+//     kept and the conflict is Insert's error;
+//   - the apply is an ordinary batch, so live subscriptions are notified;
+//   - apply-time conflicts of the earlier staged rows are recorded for the
+//     next Flush, not returned here.
+//
+// On a durable table the row is logged to the WAL after every row staged
+// before it and before any row staged later, so replay restores the order
+// the drain applied. The record carries the row's values even for a known
+// entity, like a staged row's; replay is first-wins, so the state is the
+// same, and a conflict it replays is reported again by the first Flush
+// after recovery, as for Append. A failed log append fails the Insert
+// with its own row not applied, so a nil return means the row is in the
 // log. A failed fsync after a complete write also fails the Insert, but
-// the written record may still replay at recovery.
+// the written record may still replay at recovery. For streaming
+// workloads prefer the batched staging path (Append/AppendRow/Writer),
+// which amortizes the locking and epoch bumps across whole batches.
 func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value) error {
 	if err := t.checkAppendArgs(entityID, source); err != nil {
 		return err
 	}
 	sid := t.internSource(source)
 	si, sh := t.shardIndexFor(entityID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.store
-	row, exists := st.Lookup(entityID)
-	if !exists {
-		if err := t.validate(attrs); err != nil {
-			return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
-		}
+	c := t.borrowChunk()
+	defer t.recycleChunk(c)
+	if err := c.stageRowAttrs(t, entityID, sid, attrs, sh.store.Dict()); err != nil {
+		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
-	if t.wal != nil {
-		// Log after validation (a rejected Insert must never replay) and
-		// before applying: the record is applied within this same lock
-		// hold, so the watermark update below can never be observed early.
-		// An existing entity gets a lineage-only record (all cells
-		// missing) — replay is first-wins like apply, so the values can't
-		// compete with the stored row. A row the log does not hold is not
-		// acknowledged: a WAL failure fails the Insert and applies nothing.
-		seq, werr := t.wal.appendInsert(si, t.schema, entityID, source, attrs, !exists)
-		if werr != nil {
-			return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, werr)
-		}
-		if seq > t.walApplied[si] {
-			t.walApplied[si] = seq
-		}
-	}
-	if !exists {
-		row = st.AppendEntity(entityID, t.seq.Add(1), func(ci int) (sqlparse.Value, bool) {
-			v, ok := attrs[t.schema[ci].Name]
-			return v, ok
-		})
-	}
-	if !st.AddLineage(row, sid) {
-		// Idempotent: one source mentions an entity once.
-		return nil
-	}
-	// The store changed (new row and/or new lineage mention): bump the
-	// write epoch so cached partials and results built before this insert
-	// stop matching. The idempotent re-insert path above returns without
-	// bumping — nothing changed, caches stay warm.
-	st.BumpEpoch()
-	// Housekeeping failures (a disk-backend seal hitting an IO error) are
-	// deliberately NOT Insert failures: the observation is fully applied
-	// and visible either way, and returning an error here would make
-	// callers miscount a successful insert as a failed one. Like the
-	// batched path, the condition is recorded and surfaced by the table's
-	// next Flush.
-	t.maintainShardLocked(sh, si)
-	if exists {
-		if err := t.checkConsistent(st, row, attrs); err != nil {
-			return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
-		}
-	}
-	return nil
+	return t.drainShard(si, c)
 }
 
 func (t *Table) validate(attrs map[string]sqlparse.Value) error {
@@ -651,23 +617,6 @@ func (t *Table) validate(attrs map[string]sqlparse.Value) error {
 		}
 		if !ok {
 			return invalidRowf("column %q expects %s, got %s", name, t.schema[ci].Type, v)
-		}
-	}
-	return nil
-}
-
-func (t *Table) checkConsistent(st ShardStore, row int, attrs map[string]sqlparse.Value) error {
-	for name, v := range attrs {
-		ci, ok := t.colIdx[name]
-		if !ok {
-			continue
-		}
-		prev, ok := st.Value(row, ci)
-		if !ok {
-			continue
-		}
-		if prev != v {
-			return fmt.Errorf("%w for column %q: %s vs %s (input not cleaned)", ErrConflict, name, prev, v)
 		}
 	}
 	return nil

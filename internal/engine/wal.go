@@ -6,7 +6,10 @@ package engine
 // shard's WAL file, so a SIGKILL between acknowledgement and the batch
 // applier's drain loses nothing — recovery replays the staged-but-
 // unapplied suffix of the log through the exact same ApplyBatch path the
-// applier would have taken.
+// applier would have taken. Every record is a block of staged chunk rows,
+// appended under the shard's staging mutex (Insert's one-row chunk
+// included), so record seqs follow the order drains apply rows and a
+// replay in seq order rebuilds the state the live table served.
 //
 // Layout: each shard owns a sequence of generation files
 // (shardNN-GGGGGG.wal) in the table's segment directory. A generation
@@ -57,8 +60,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"repro/internal/sqlparse"
 )
 
 const (
@@ -335,47 +336,6 @@ func appendWALCell(buf []byte, sc *stagedCol, row int) []byte {
 		buf = append(buf, b)
 	}
 	return buf
-}
-
-// appendInsert logs one Insert as a single-row record. full=false means
-// the entity already existed and only its lineage grew: every cell is
-// logged missing, so replay (which is first-wins like apply) adds the
-// lineage mention without competing values.
-func (tw *tableWAL) appendInsert(si int, schema Schema, id, src string, attrs map[string]sqlparse.Value, full bool) (uint64, error) {
-	return tw.shards[si].appendFrame(func(buf []byte, seq uint64) []byte {
-		buf = binary.AppendUvarint(buf, seq)
-		buf = binary.AppendUvarint(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(schema)))
-		buf = appendWALString(buf, id)
-		buf = appendWALString(buf, src)
-		for ci := range schema {
-			v, ok := sqlparse.Value{}, false
-			if full {
-				v, ok = attrs[schema[ci].Name]
-			}
-			switch {
-			case !ok:
-				buf = append(buf, stagedMissing)
-			case v.Kind == sqlparse.ValueNull:
-				buf = append(buf, stagedNull)
-			default:
-				buf = append(buf, stagedValue)
-				switch schema[ci].Type {
-				case TypeFloat:
-					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Num))
-				case TypeString:
-					buf = appendWALString(buf, v.Str)
-				case TypeBool:
-					b := byte(0)
-					if v.Bool {
-						b = 1
-					}
-					buf = append(buf, b)
-				}
-			}
-		}
-		return buf
-	})
 }
 
 // walRecord is one decoded log record: a columnar block of rows with
