@@ -11,7 +11,7 @@ BENCH_NOTE ?=
 BENCH_RECORD_OUT ?= BENCH_PR3.json
 FUZZTIME ?= 10s
 
-.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke crash-smoke ci
+.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke crash-smoke netlines ci
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -106,5 +106,11 @@ fuzz-smoke:
 # fuzz-smoke above, so a new fuzz target cannot silently skip CI.
 fuzz-smoke-check:
 	./scripts/fuzz_smoke_check.sh
+
+# netlines prints the added, removed and net non-test Go lines against
+# BASE (default: the merge-base with origin/main); _test.go files and
+# testdata/ are not counted. Each change reports its net line count.
+netlines:
+	./scripts/netlines.sh
 
 ci: fmt fuzz-smoke-check vet build race test bench-smoke bench-module serve-smoke crash-smoke fuzz-smoke

@@ -33,8 +33,7 @@ func coldTable(b *testing.B, tbl *engine.Table) {
 // open-world query (compile, scan, estimate) re-executed from scratch
 // every time. Comparable to BenchmarkColumnarQueryFanOut at PR 2.
 func BenchmarkRepeatedQueryCold(b *testing.B) {
-	db, tbl := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
+	db, tbl := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
 	coldTable(b, tbl)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -54,8 +53,7 @@ func BenchmarkRepeatedQueryCold(b *testing.B) {
 // configuration): the predicate compiles once and every shard reuses its
 // cached partial, but the merge and estimators still run.
 func BenchmarkRepeatedQueryWarmScanCache(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
+	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,9 +71,7 @@ func BenchmarkRepeatedQueryWarmScanCache(b *testing.B) {
 // cache: after the first execution a repeat is a key build plus an epoch
 // check. This is the repeated-query fast path the CI gate protects.
 func BenchmarkRepeatedQueryWarmResultCache(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
-	db.EnableResultCache(64 << 20)
+	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...), engine.WithResultCache(64<<20))
 	if _, err := db.Query(repeatedQuerySQL); err != nil {
 		b.Fatal(err)
 	}
@@ -97,9 +93,7 @@ func BenchmarkRepeatedQueryWarmResultCache(b *testing.B) {
 // shard's epoch, invalidating its partial and the whole-result entry)
 // before querying, so this is the worst case for cache bookkeeping.
 func BenchmarkRepeatedQueryInvalidated(b *testing.B) {
-	db, tbl := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
-	db.EnableResultCache(64 << 20)
+	db, tbl := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...), engine.WithResultCache(64<<20))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,11 +185,10 @@ func BenchmarkMultiPassScanWarm(b *testing.B) {
 // inner estimators). Each pass builds all its buckets in one partition
 // pass over the root sample, so two passes cost two partitions.
 func BenchmarkMultiBucketQuery(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b)
-	db.Estimators = []core.SumEstimator{
+	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(
 		core.Bucket{Strategy: core.EquiWidth{K: 16}, Inner: core.Naive{}},
 		core.Bucket{Strategy: core.EquiWidth{K: 16}, Inner: core.Frequency{}},
-	}
+	))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,9 +27,9 @@ const (
 // buildColumnarBenchTable fills a table with benchEntities entities across
 // three columns; every entity is reported by 1 + (i % benchSources) sources
 // so lineage sizes vary like a real integration.
-func buildColumnarBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
+func buildColumnarBenchTable(b *testing.B, opts ...engine.Option) (*engine.DB, *engine.Table) {
 	b.Helper()
-	var db engine.DB
+	db := engine.Open(opts...)
 	tbl, err := db.CreateTable("metrics", engine.Schema{
 		{Name: "name", Type: engine.TypeString},
 		{Name: "region", Type: engine.TypeString},
@@ -51,7 +51,7 @@ func buildColumnarBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 			}
 		}
 	}
-	return &db, tbl
+	return db, tbl
 }
 
 func benchPredicate(b *testing.B) sqlparse.Expr {
@@ -215,8 +215,7 @@ func queryBenchEstimators() []core.SumEstimator {
 // BenchmarkColumnarQueryFanOut runs the full open-world SUM query
 // (vectorized scan + estimators fanned out across the worker pool).
 func BenchmarkColumnarQueryFanOut(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
+	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,8 +293,7 @@ func BenchmarkScalingFilteredScan(b *testing.B) {
 // BenchmarkScalingQueryFanOut is the full-query leg: scan plus the
 // estimator fan-out across the worker pool.
 func BenchmarkScalingQueryFanOut(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
+	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,7 @@ import (
 // the mmap'd serving path, not the tail.
 func buildDiskBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 	b.Helper()
-	db := &engine.DB{Storage: engine.StorageConfig{
+	db := engine.Open(engine.WithBackend(engine.StorageConfig{
 		Backend:     engine.BackendDisk,
 		Dir:         b.TempDir(),
 		SegmentRows: 512,
@@ -28,7 +28,7 @@ func buildDiskBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 		// multi-segment layout they always measured; the compacted layout
 		// has its own benchmark (BenchmarkDiskCompactedFilteredSumScan).
 		CompactSegments: -1,
-	}}
+	}))
 	b.Cleanup(func() { db.Close() })
 	tbl, err := db.CreateTable("metrics", engine.Schema{
 		{Name: "name", Type: engine.TypeString},

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sqlparse"
 )
 
@@ -24,8 +25,7 @@ import (
 const incrementalRequerySQL = "SELECT SUM(v) FROM metrics WHERE name LIKE '%777%' AND v < 900"
 
 func incrementalRequeryLoop(b *testing.B, cold bool) {
-	db, tbl := buildColumnarBenchTable(b)
-	db.Estimators = queryBenchEstimators()
+	db, tbl := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
 	if cold {
 		coldTable(b, tbl)
 	}

@@ -240,9 +240,8 @@ func BenchmarkStreamingIngest(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			db := engine.DB{Estimators: serveEstimators}
-			db.EnableResultCache(16 << 20)
-			tbl := ingestBenchTable(b, &db)
+			db := engine.Open(engine.WithEstimators(serveEstimators...), engine.WithResultCache(16<<20))
+			tbl := ingestBenchTable(b, db)
 			b.StartTimer()
 			row := 0
 			for s := 0; s < ingestBenchSources; s++ {
@@ -258,7 +257,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 						b.Fatal(err)
 					}
 					if row++; row%serveQueryEvery == 0 {
-						serveQuery(b, &db)
+						serveQuery(b, db)
 					}
 				}
 			}
@@ -271,9 +270,8 @@ func BenchmarkStreamingIngest(b *testing.B) {
 		vals := make([]sqlparse.Value, 5)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			db := engine.DB{Estimators: serveEstimators}
-			db.EnableResultCache(16 << 20)
-			tbl := ingestBenchTable(b, &db)
+			db := engine.Open(engine.WithEstimators(serveEstimators...), engine.WithResultCache(16<<20))
+			tbl := ingestBenchTable(b, db)
 			ing, err := tbl.StartIngest(engine.IngestConfig{BatchRows: 256})
 			if err != nil {
 				b.Fatal(err)
@@ -292,7 +290,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 						b.Fatal(err)
 					}
 					if row++; row%serveQueryEvery == 0 {
-						serveQuery(b, &db)
+						serveQuery(b, db)
 					}
 				}
 			}

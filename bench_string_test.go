@@ -29,14 +29,14 @@ func buildStringBenchTable(b *testing.B, disk bool) (*engine.DB, *engine.Table) 
 	b.Helper()
 	var db *engine.DB
 	if disk {
-		db = &engine.DB{Storage: engine.StorageConfig{
+		db = engine.Open(engine.WithBackend(engine.StorageConfig{
 			Backend:         engine.BackendDisk,
 			Dir:             b.TempDir(),
 			SegmentRows:     512,
 			CompactSegments: -1,
-		}}
+		}))
 	} else {
-		db = &engine.DB{}
+		db = engine.Open()
 	}
 	b.Cleanup(func() { db.Close() })
 	tbl, err := db.CreateTable("obs", engine.Schema{

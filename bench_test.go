@@ -125,7 +125,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db := OpenDB()
+	db := Open()
 	tbl, err := db.CreateTable("companies", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "employees", Type: TypeFloat},

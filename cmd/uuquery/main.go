@@ -104,7 +104,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := []engine.Option{engine.WithEstimators(engine.DefaultEstimators()...)}
+	var opts []engine.Option
 	if backend == engine.BackendDisk {
 		dir := *backendDir
 		if dir == "" {

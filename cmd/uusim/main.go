@@ -93,7 +93,7 @@ func run() error {
 // barriers) and answers the open-world SUM at the end — an end-to-end
 // exercise of the streaming pipeline on a controlled scenario.
 func ingestScenario(stream *sim.Stream, truth *sim.GroundTruth, batch, flushEvery int, watch bool) error {
-	db := engine.Open(engine.WithEstimators(engine.DefaultEstimators()...))
+	db := engine.Open()
 	defer db.Close()
 	tbl, err := db.CreateTable("data", engine.Schema{
 		{Name: "name", Type: engine.TypeString},

@@ -63,8 +63,8 @@ func ExampleCollector_ObserveCSV() {
 	// Output: 3 observations, 2 unique, 0 conflicts
 }
 
-func ExampleOpenDB() {
-	db := repro.OpenDB()
+func ExampleOpen() {
+	db := repro.Open()
 	tbl, _ := db.CreateTable("companies", repro.Schema{
 		{Name: "employees", Type: repro.TypeFloat},
 	})

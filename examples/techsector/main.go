@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("simulated crowd: %d answers about %d companies (truth SUM = %.0f)\n\n",
 		d.Stream.Len(), d.Truth.N(), d.TruthSum())
 
-	db := repro.OpenDB()
+	db := repro.Open()
 	tbl, err := db.CreateTable("us_tech_companies", repro.Schema{
 		{Name: "name", Type: repro.TypeString},
 		{Name: "employees", Type: repro.TypeFloat},

@@ -162,7 +162,7 @@ func TestCountConfidenceInterval(t *testing.T) {
 }
 
 func TestDiagnoseThroughFacade(t *testing.T) {
-	db := OpenDB()
+	db := Open()
 	tbl, err := db.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestDiagnoseThroughFacade(t *testing.T) {
 }
 
 func TestGroupByThroughFacade(t *testing.T) {
-	db := OpenDB()
+	db := Open()
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "sector", Type: TypeString},
 		{Name: "v", Type: TypeFloat},

@@ -8,10 +8,11 @@ import (
 
 // TestMain lets the whole engine test package run against an alternative
 // storage backend: UU_ENGINE_BACKEND=disk points every default-configured
-// table (NewTable, zero DB.Storage) at a disk-backed store in a temp
-// directory, with a small segment size so seals happen constantly. CI
-// runs the package once per backend (see the engine-backends matrix in
-// ci.yml); UU_ENGINE_MMAP=off additionally forces the ReadAt fallback.
+// table (NewTable, or a DB opened without WithBackend) at a disk-backed
+// store in a temp directory, with a small segment size so seals happen
+// constantly. CI runs the package once per backend (see the
+// engine-backends matrix in ci.yml); UU_ENGINE_MMAP=off additionally
+// forces the ReadAt fallback.
 func TestMain(m *testing.M) {
 	code, err := runWithBackendEnv(m)
 	if err != nil {

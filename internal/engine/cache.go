@@ -33,11 +33,12 @@ import (
 //     dirties one shard, the next run rescans that shard alone and
 //     re-merges it with 15 cached partials. Cached partials are immutable
 //     (frozen) and shared read-only across concurrent merges.
-//  3. Whole query results (executor level, opt-in — see resultCache in
-//     executor.go wiring). Keyed by (table identity, canonical SQL,
-//     estimator configuration) plus the full vector of shard epochs
-//     captured during the scan, so a hit is only possible when not a
-//     single observation changed since the cached run.
+//  3. Whole query results (executor level, opt-in through
+//     WithResultCache). Keyed by (table identity, canonical SQL) plus the
+//     full vector of shard epochs captured during the scan, so a hit is
+//     only possible when not a single observation changed since the
+//     cached run. The estimator set is fixed at Open, so one DB's cache
+//     never mixes configurations.
 //
 // All layers are safe for concurrent use and bounded: programs by entry
 // count, partials and results by an approximate byte budget with LRU
@@ -291,13 +292,12 @@ func (c *scanCache) stats() CacheStats {
 
 // resultKey identifies a whole-query result: which table object (the id
 // survives DROP + re-CREATE under the same name), which canonical query,
-// which estimator configuration, and the exact shard epochs the scan ran
-// at. Epochs are part of the key, so invalidation is free: any mutation
+// and the exact shard epochs the scan ran at. The estimator set is fixed
+// at Open, so it needs no place in the key. Epochs are part of the key, so invalidation is free: any mutation
 // bumps an epoch and every later lookup simply misses.
 type resultKey struct {
 	table  uint64
 	query  string
-	config string
 	epochs [numShards]uint64
 }
 
@@ -308,16 +308,15 @@ type resultEntry struct {
 }
 
 // resultBase is a resultKey without the epochs: all entries sharing a
-// base answer the same (table, query, config), just at different data
-// versions — of which only the newest can ever hit again.
+// base answer the same (table, query), just at different data versions —
+// of which only the newest can ever hit again.
 type resultBase struct {
-	table  uint64
-	query  string
-	config string
+	table uint64
+	query string
 }
 
 func (k resultKey) base() resultBase {
-	return resultBase{table: k.table, query: k.query, config: k.config}
+	return resultBase{table: k.table, query: k.query}
 }
 
 // resultCache is the executor's opt-in layer-3 cache. Cached *Result
@@ -360,7 +359,7 @@ func (c *resultCache) store(key resultKey, res *Result) {
 	nbytes := approxResultBytes(res)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Replace any entry for the same (table, query, config) at an older
+	// Replace any entry for the same (table, query) at an older
 	// epoch vector: epochs only grow, so once a newer version exists the
 	// older one can never hit again — under write churn it would just sit
 	// dead in the budget until LRU pressure found it. The replacement is

@@ -12,9 +12,9 @@ import (
 
 // buildCacheTable fills a table with n entities spread over every shard;
 // entity i carries v = i and is reported by 1 + i%3 sources.
-func buildCacheTable(t testing.TB, n int) (*DB, *Table) {
+func buildCacheTable(t testing.TB, n int, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	var db DB
+	db := Open(opts...)
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "grp", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -34,7 +34,7 @@ func buildCacheTable(t testing.TB, n int) (*DB, *Table) {
 			}
 		}
 	}
-	return &db, tbl
+	return db, tbl
 }
 
 func mustPredicate(t testing.TB, s string) sqlparse.Expr {
@@ -185,9 +185,7 @@ func assertResultsEqual(t *testing.T, sql string, a, b *Result) {
 }
 
 func TestResultCacheHitMissAndInvalidation(t *testing.T) {
-	db, tbl := buildCacheTable(t, 1200)
-	db.Estimators = []core.SumEstimator{core.Naive{}, core.Bucket{}}
-	db.EnableResultCache(16 << 20)
+	db, tbl := buildCacheTable(t, 1200, WithEstimators(core.Naive{}, core.Bucket{}), WithResultCache(16<<20))
 	const sql = "SELECT SUM(v) FROM t WHERE v >= 100"
 
 	first, err := db.Query(sql)
@@ -247,9 +245,7 @@ func TestResultCacheHitMissAndInvalidation(t *testing.T) {
 // the same query must replace the dead older-epoch entry instead of
 // accumulating unreachable results up to the byte budget.
 func TestResultCacheDropsSupersededEpochs(t *testing.T) {
-	db, tbl := buildCacheTable(t, 600)
-	db.Estimators = []core.SumEstimator{core.Naive{}}
-	db.EnableResultCache(64 << 20)
+	db, tbl := buildCacheTable(t, 600, WithEstimators(core.Naive{}), WithResultCache(64<<20))
 	const sql = "SELECT SUM(v) FROM t WHERE v >= 10"
 
 	if _, err := db.Query(sql); err != nil {
@@ -280,7 +276,7 @@ func TestResultCacheDropsSupersededEpochs(t *testing.T) {
 // result after the fresher one landed; the fresher entry must survive.
 func TestResultCacheStaleStoreDoesNotDisplaceFresh(t *testing.T) {
 	rc := newResultCache(1 << 20)
-	key := resultKey{table: 1, query: "q", config: "c"}
+	key := resultKey{table: 1, query: "q"}
 	oldKey, newKey := key, key
 	oldKey.epochs[3] = 1
 	newKey.epochs[3] = 2
@@ -308,34 +304,6 @@ func TestResultCacheStaleStoreDoesNotDisplaceFresh(t *testing.T) {
 	}
 }
 
-func TestResultCacheDistinguishesEstimatorConfig(t *testing.T) {
-	db, _ := buildCacheTable(t, 600)
-	db.Estimators = []core.SumEstimator{core.Naive{}}
-	db.EnableResultCache(16 << 20)
-	const sql = "SELECT SUM(v) FROM t"
-
-	r1, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same query, different estimator configuration: must not hit.
-	db.Estimators = []core.SumEstimator{core.Frequency{}}
-	r2, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 == r1 {
-		t.Fatal("estimator config change still hit the result cache")
-	}
-	if _, ok := r2.Estimates["freq"]; !ok {
-		t.Fatalf("second result has estimates %v, want freq", r2.Estimates)
-	}
-	stats := db.CacheStats()
-	if stats.ResultHits != 0 {
-		t.Fatalf("result hits=%d, want 0", stats.ResultHits)
-	}
-}
-
 // TestConcurrentInsertNeverServesStaleEpoch hammers a cached table with
 // writers while readers repeatedly run the same filtered query (maximum
 // partial-cache traffic) and a result-cached query. Run under -race. Each
@@ -344,9 +312,7 @@ func TestResultCacheDistinguishesEstimatorConfig(t *testing.T) {
 // would show up as a shrinking sample — and a final quiesced query must
 // agree exactly with a cache-free rebuild.
 func TestConcurrentInsertNeverServesStaleEpoch(t *testing.T) {
-	db, tbl := buildCacheTable(t, 400)
-	db.Estimators = []core.SumEstimator{core.Naive{}}
-	db.EnableResultCache(16 << 20)
+	db, tbl := buildCacheTable(t, 400, WithEstimators(core.Naive{}), WithResultCache(16<<20))
 
 	const writers = 4
 	const perWriter = 300
@@ -434,15 +400,13 @@ func multiBucketEstimators() []core.SumEstimator {
 // give bit-identical estimates to each pass run alone on a fresh database.
 func TestMultiBucketEstimateParity(t *testing.T) {
 	const sql = "SELECT SUM(v) FROM t WHERE v >= 100 AND v < 900"
-	db, _ := buildCacheTable(t, 1200)
-	db.Estimators = multiBucketEstimators()
+	db, _ := buildCacheTable(t, 1200, WithEstimators(multiBucketEstimators()...))
 	res, err := db.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, est := range multiBucketEstimators() {
-		solo, _ := buildCacheTable(t, 1200)
-		solo.Estimators = []core.SumEstimator{est}
+		solo, _ := buildCacheTable(t, 1200, WithEstimators(est))
 		soloRes, err := solo.Query(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -464,9 +428,7 @@ func TestMultiBucketWarmColdParity(t *testing.T) {
 		"SELECT SUM(v) FROM t WHERE v >= 100 AND v < 900",
 		"SELECT SUM(v) FROM t GROUP BY grp",
 	} {
-		db, _ := buildCacheTable(t, 1200)
-		db.Estimators = multiBucketEstimators()
-		db.EnableResultCache(16 << 20)
+		db, _ := buildCacheTable(t, 1200, WithEstimators(multiBucketEstimators()...), WithResultCache(16<<20))
 		cold, err := db.Query(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -478,8 +440,7 @@ func TestMultiBucketWarmColdParity(t *testing.T) {
 		if warm != cold {
 			t.Errorf("%s: warm query was not served from the result cache", sql)
 		}
-		rebuild, _ := buildCacheTable(t, 1200)
-		rebuild.Estimators = multiBucketEstimators()
+		rebuild, _ := buildCacheTable(t, 1200, WithEstimators(multiBucketEstimators()...))
 		coldAgain, err := rebuild.Query(sql)
 		if err != nil {
 			t.Fatal(err)

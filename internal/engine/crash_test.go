@@ -37,7 +37,7 @@ func TestCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-harness child entry point; driven by TestCrashRecoverySIGKILL")
 	}
-	db := &DB{Storage: crashCfg(dir)}
+	db := Open(WithBackend(crashCfg(dir)))
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -132,7 +132,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("child died early: only %d acks", len(acked))
 	}
 
-	db := &DB{Storage: crashCfg(dir)}
+	db := Open(WithBackend(crashCfg(dir)))
 	t.Cleanup(func() { db.Close() })
 	names, err := db.RecoverTables()
 	if err != nil {

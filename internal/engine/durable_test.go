@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/freqstats"
 	"repro/internal/sqlparse"
 )
 
@@ -49,7 +50,7 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := &DB{Storage: durableCfg(dir)}
+	db2 := Open(WithBackend(durableCfg(dir)))
 	t.Cleanup(func() { db2.Close() })
 	names, err := db2.RecoverTables()
 	if err != nil {
@@ -66,7 +67,7 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 // WAL-acknowledged at Append time, so recovery must replay them.
 func TestDurableStagedRowsSurviveClose(t *testing.T) {
 	dir := t.TempDir()
-	db1 := &DB{Storage: durableCfg(dir)}
+	db1 := Open(WithBackend(durableCfg(dir)))
 	tbl, err := db1.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -90,7 +91,7 @@ func TestDurableStagedRowsSurviveClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := &DB{Storage: durableCfg(dir)}
+	db2 := Open(WithBackend(durableCfg(dir)))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestDurableStagedRowsSurviveClose(t *testing.T) {
 func TestDurableInsertWALFailureNotAcked(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	db1 := &DB{Storage: cfg}
+	db1 := Open(WithBackend(cfg))
 	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +184,7 @@ func TestDurableInsertWALFailureNotAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := &DB{Storage: cfg}
+	db2 := Open(WithBackend(cfg))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestDurableInsertWALFailureNotAcked(t *testing.T) {
 func TestDurableInsertReplaysInApplyOrder(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	db1 := &DB{Storage: cfg}
+	db1 := Open(WithBackend(cfg))
 	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +236,7 @@ func TestDurableInsertReplaysInApplyOrder(t *testing.T) {
 	live := read(db1, tbl)
 	// No Close: the process "crashed" with everything in the WAL.
 
-	db2 := &DB{Storage: cfg}
+	db2 := Open(WithBackend(cfg))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -287,7 +288,7 @@ func breakActiveWAL(t *testing.T, tbl *Table, si int) {
 func TestDurableAppendWALFailureNotAcked(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	db1 := &DB{Storage: cfg}
+	db1 := Open(WithBackend(cfg))
 	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +337,7 @@ func TestDurableAppendWALFailureNotAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := &DB{Storage: cfg}
+	db2 := Open(WithBackend(cfg))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -349,6 +350,155 @@ func TestDurableAppendWALFailureNotAcked(t *testing.T) {
 		if hasEntity(rt, id) != want {
 			t.Errorf("recovered %s: present %v, want %v", id, !want, want)
 		}
+	}
+}
+
+// TestDurableWriterWALFailureNotAcked: when the WAL append of a Writer
+// push fails, the Append (or Flush) that pushed returns the error and the
+// pushed chunk is dropped — not staged, not applied, not recovered — while
+// the log rotates, so the Writer's next push succeeds and survives.
+func TestDurableWriterWALFailureNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableCfg(dir)
+	db1 := Open(WithBackend(cfg))
+	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(v float64) map[string]sqlparse.Value { return map[string]sqlparse.Value{"v": sqlparse.Number(v)} }
+	if err := tbl.Append("first", "s0", row(1)); err != nil {
+		t.Fatal(err)
+	}
+	w := tbl.NewWriter()
+	si, _ := tbl.shardIndexFor("first")
+	var sameShard []string // two full pushes plus two rows, all on shard si
+	for i := 0; len(sameShard) < 2*w.push+2; i++ {
+		if id := fmt.Sprintf("e%05d", i); func() bool { s, _ := tbl.shardIndexFor(id); return s == si }() {
+			sameShard = append(sameShard, id)
+		}
+	}
+	dropped, kept := sameShard[:w.push], sameShard[w.push:2*w.push]
+	flushDropped, reopen := sameShard[2*w.push], sameShard[2*w.push+1]
+	staged := tbl.StagedRows()
+
+	for _, id := range dropped[:len(dropped)-1] {
+		if err := w.Append(id, "s0", row(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	breakActiveWAL(t, tbl, si)
+	if err := w.Append(dropped[len(dropped)-1], "s0", row(10)); err == nil {
+		t.Fatal("Writer.Append acknowledged a push whose WAL append failed")
+	}
+	if got := tbl.StagedRows(); got != staged {
+		t.Errorf("StagedRows after the failed push = %d, want %d", got, staged)
+	}
+	for _, id := range kept {
+		if err := w.AppendRow(id, "s0", []sqlparse.Value{sqlparse.Number(100)}); err != nil {
+			t.Fatalf("push after the rotation: %v", err)
+		}
+	}
+	if err := w.Append(flushDropped, "s0", row(1000)); err != nil {
+		t.Fatal(err)
+	}
+	// The inline drain of the last push checkpointed the log; a per-row
+	// Append (v=0, so SUM is unchanged) opens a new generation to break.
+	if err := tbl.Append(reopen, "s0", row(0)); err != nil {
+		t.Fatal(err)
+	}
+	breakActiveWAL(t, tbl, si)
+	if err := w.Flush(); err == nil {
+		t.Fatal("Writer.Flush acknowledged a push whose WAL append failed")
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Errorf("Flush reports an error the pushing calls already returned: %v", err)
+	}
+	for _, id := range append([]string{flushDropped}, dropped...) {
+		if hasEntity(tbl, id) {
+			t.Fatalf("row %s of a failed push was applied", id)
+		}
+	}
+	res, err := db1.Query("SELECT SUM(v) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + 100*float64(len(kept)); res.Observed != want {
+		t.Errorf("SUM(v) = %g, want %g", res.Observed, want)
+	}
+	if err := db1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := Open(WithBackend(cfg))
+	t.Cleanup(func() { db2.Close() })
+	if _, err := db2.RecoverTables(); err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := db2.Table("t")
+	if !ok {
+		t.Fatal("table t not recovered")
+	}
+	want := map[string]bool{"first": true, reopen: true, flushDropped: false}
+	for _, id := range kept {
+		want[id] = true
+	}
+	for _, id := range dropped {
+		want[id] = false
+	}
+	for id, present := range want {
+		if hasEntity(rt, id) != present {
+			t.Errorf("recovered %s: present %v, want %v", id, !present, present)
+		}
+	}
+}
+
+// TestDurableLoadersReturnWALFailure: a bulk load whose Writer push hits
+// a failed WAL append returns that error instead of counting it as a
+// value conflict, and the rows of the failed push are not applied.
+func TestDurableLoadersReturnWALFailure(t *testing.T) {
+	loaders := map[string]func(*Table, []freqstats.Observation) (int, error){
+		"LoadObservations": func(tbl *Table, obs []freqstats.Observation) (int, error) {
+			return LoadObservations(tbl, obs, "v", "name")
+		},
+		"StreamObservations": func(tbl *Table, obs []freqstats.Observation) (int, error) {
+			return StreamObservations(tbl, obs, "v", "name", 0, 0)
+		},
+	}
+	for name, load := range loaders {
+		t.Run(name, func(t *testing.T) {
+			db := Open(WithBackend(durableCfg(t.TempDir())))
+			t.Cleanup(func() { db.Close() })
+			tbl, err := db.CreateTable("t", Schema{{Name: "name", Type: TypeString}, {Name: "v", Type: TypeFloat}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A per-row append opens shard si's WAL generation to break.
+			if err := tbl.AppendRow("first", "s0", []sqlparse.Value{sqlparse.StringValue("first"), sqlparse.Number(1)}); err != nil {
+				t.Fatal(err)
+			}
+			si, _ := tbl.shardIndexFor("first")
+			lost := ""
+			for i := 0; lost == ""; i++ {
+				if id := fmt.Sprintf("e%03d", i); func() bool { s, _ := tbl.shardIndexFor(id); return s == si }() {
+					lost = id
+				}
+			}
+			breakActiveWAL(t, tbl, si)
+			conflicts, err := load(tbl, []freqstats.Observation{{EntityID: lost, Value: 5, Source: "s0"}})
+			if err == nil {
+				t.Fatalf("load acknowledged a push whose WAL append failed (%d conflicts)", conflicts)
+			}
+			if conflicts != 0 {
+				t.Errorf("conflicts = %d, want 0", conflicts)
+			}
+			if err := tbl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if hasEntity(tbl, lost) || !hasEntity(tbl, "first") {
+				t.Errorf("after the failed load: %s present %v (want false), first present %v (want true)",
+					lost, hasEntity(tbl, lost), hasEntity(tbl, "first"))
+			}
+		})
 	}
 }
 
@@ -380,7 +530,7 @@ func segFileInfo(t *testing.T, tableDir string) map[string]string {
 // re-insert path would rewrite them).
 func TestDurableAdoptionNoReinsert(t *testing.T) {
 	dir := t.TempDir()
-	db1 := &DB{Storage: durableCfg(dir)}
+	db1 := Open(WithBackend(durableCfg(dir)))
 	tbl, err := db1.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -411,7 +561,7 @@ func TestDurableAdoptionNoReinsert(t *testing.T) {
 	// ModTime granularity guard: make any rewrite observable.
 	time.Sleep(10 * time.Millisecond)
 
-	db2 := &DB{Storage: durableCfg(dir)}
+	db2 := Open(WithBackend(durableCfg(dir)))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -464,7 +614,7 @@ func TestSnapshotLoadAdoptsSegments(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 
-	adopt := &DB{Storage: cfg}
+	adopt := Open(WithBackend(cfg))
 	t.Cleanup(func() { adopt.Close() })
 	if err := adopt.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
@@ -479,7 +629,7 @@ func TestSnapshotLoadAdoptsSegments(t *testing.T) {
 
 	// Fallback: same snapshot, fresh directory — record replay through the
 	// bulk writer, same answers.
-	fresh := &DB{Storage: durableCfg(t.TempDir())}
+	fresh := Open(WithBackend(durableCfg(t.TempDir())))
 	t.Cleanup(func() { fresh.Close() })
 	if err := fresh.Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatal(err)
@@ -582,7 +732,7 @@ func TestCompactionDurableRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := &DB{Storage: cfg}
+	db2 := Open(WithBackend(cfg))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)
@@ -604,7 +754,7 @@ func TestCompactionDurableRecover(t *testing.T) {
 func TestLoadFailureCleansOwnDirs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	db := &DB{Storage: cfg}
+	db := Open(WithBackend(cfg))
 	t.Cleanup(func() { db.Close() })
 
 	// Two tables; the second one's records are corrupt, so Load fails
@@ -634,7 +784,7 @@ func TestLoadFailureCleansOwnDirs(t *testing.T) {
 func TestRecoverSweepsOrphans(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableCfg(dir)
-	db1 := &DB{Storage: cfg}
+	db1 := Open(WithBackend(cfg))
 	tbl, err := db1.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -657,7 +807,7 @@ func TestRecoverSweepsOrphans(t *testing.T) {
 		}
 	}
 
-	db2 := &DB{Storage: cfg}
+	db2 := Open(WithBackend(cfg))
 	t.Cleanup(func() { db2.Close() })
 	if _, err := db2.RecoverTables(); err != nil {
 		t.Fatal(err)

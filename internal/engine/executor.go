@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/freqstats"
@@ -14,61 +11,33 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// DB is a catalog of tables. The zero value is an empty database ready to
-// use.
+// DB is a catalog of tables. Every setting is fixed when the DB is built
+// by Open and its With* options; the zero value is an empty in-memory
+// database equal to Open().
 type DB struct {
 	tables map[string]*Table
-	// Storage selects the shard-storage backend for tables created through
-	// this DB (CreateTable and snapshot Load). The zero value is the
-	// in-memory default; see StorageConfig for the disk backend. Like
-	// Estimators, configure before creating tables.
-	Storage StorageConfig
+	// storage selects the shard-storage backend for tables created through
+	// this DB (CreateTable and snapshot Load); the zero value is the
+	// in-memory default (WithBackend).
+	storage StorageConfig
 	// dropped holds tables removed from the catalog whose storage has not
 	// been released yet (see DropTable); Close drains it.
 	dropped []*Table
-	// Estimators are the unknown-unknowns estimators attached to query
-	// results; nil means DefaultEstimators. Like CreateTable, reassigning
-	// it is not synchronized with in-flight queries — configure before
-	// serving concurrent traffic.
-	Estimators []core.SumEstimator
-	// results is the opt-in whole-result cache (EnableResultCache); nil
-	// when disabled. Atomic so enabling/disabling at runtime is safe
-	// against concurrent queries.
-	results atomic.Pointer[resultCache]
+	// ests are the unknown-unknowns estimators attached to query results;
+	// nil means DefaultEstimators (WithEstimators).
+	ests []core.SumEstimator
+	// results is the opt-in whole-result cache (WithResultCache); nil
+	// when disabled.
+	results *resultCache
 	// ingestCfg holds the Open-time per-table option WithIngest, applied
 	// to each table at CreateTable/Load adoption; ingesters collects the
 	// auto-started Ingesters so Close can stop them (flushing their staged
 	// tails) before releasing table storage.
 	ingestCfg *IngestConfig
 	ingesters []*Ingester
-	// FlushOnQuery, when set, drains the queried table's ingestion
-	// staging before each query scan, so the query sees every observation
-	// staged to that table before it started (read-your-writes for all
-	// its writers). The drain is
-	// a pure visibility barrier: apply-time value conflicts stay queued
-	// for the writer's next explicit Flush — a reader's query neither
-	// fails on nor consumes another writer's data-quality warnings. Off
-	// by default: queries then serve a consistent point-in-time snapshot
-	// of the applied rows and never wait for ingestion — the streaming
-	// posture of online aggregation. Like Estimators, configure before
-	// serving concurrent traffic.
-	FlushOnQuery bool
-}
-
-// EnableResultCache turns on whole-query result caching with the given
-// approximate byte budget (maxBytes <= 0 disables). Results are cached
-// keyed by (table, canonical query, estimator configuration) and the
-// exact vector of shard write epochs the scan observed, so any insert
-// that changes the table invalidates its entries implicitly. Cached
-// *Result values are shared between callers and must be treated
-// read-only. Enabling replaces any previous result cache (and its
-// statistics); it is safe to call while queries are running.
-func (db *DB) EnableResultCache(maxBytes int) {
-	if maxBytes <= 0 {
-		db.results.Store(nil)
-		return
-	}
-	db.results.Store(newResultCache(maxBytes))
+	// flushOnQuery drains the queried table's ingestion staging before
+	// each query scan (WithFlushOnQuery).
+	flushOnQuery bool
 }
 
 // CacheStats aggregates cache counters across every registered table's
@@ -78,8 +47,8 @@ func (db *DB) CacheStats() CacheStats {
 	for _, t := range db.tables {
 		stats.add(t.CacheStats())
 	}
-	if rc := db.results.Load(); rc != nil {
-		stats.add(rc.stats())
+	if db.results != nil {
+		stats.add(db.results.stats())
 	}
 	return stats
 }
@@ -104,7 +73,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	if _, exists := db.tables[name]; exists {
 		return nil, fmt.Errorf("engine: table %q %w", name, ErrTableExists)
 	}
-	t, err := NewTableWithStorage(name, schema, db.Storage)
+	t, err := NewTableWithStorage(name, schema, db.storage)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +116,7 @@ func (db *DB) Close() error {
 // StorageBackend reports the backend the DB creates tables on, resolved
 // to a concrete implementation (the zero config reads as mem).
 func (db *DB) StorageBackend() Backend {
-	return resolveStorage(db.Storage).Backend
+	return resolveStorage(db.storage).Backend
 }
 
 // Table returns a registered table.
@@ -345,7 +314,7 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 	if attr == "*" {
 		attr = ""
 	}
-	if db.FlushOnQuery {
+	if db.flushOnQuery {
 		// The drain barrier runs before the epoch vector is captured, so
 		// the cache lookup below already sees the post-drain epochs and
 		// can never serve a pre-drain result to a read-your-writes query.
@@ -353,10 +322,10 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 		// writer's own Flush.
 		t.drainAll()
 	}
-	rc := db.results.Load()
+	rc := db.results
 	var baseKey resultKey
 	if rc != nil {
-		baseKey = resultKey{table: t.id, query: q.String(), config: db.estimatorsConfig()}
+		baseKey = resultKey{table: t.id, query: q.String()}
 		lookup := baseKey
 		lookup.epochs = t.epochVector()
 		if res, ok := rc.lookup(lookup); ok {
@@ -417,44 +386,13 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 	return res, nil
 }
 
-// estimators returns the active estimator set (Estimators or the paper's
-// defaults).
+// estimators returns the active estimator set (WithEstimators or the
+// paper's defaults).
 func (db *DB) estimators() []core.SumEstimator {
-	if db.Estimators != nil {
-		return db.Estimators
+	if db.ests != nil {
+		return db.ests
 	}
 	return DefaultEstimators()
-}
-
-// defaultEstimatorsCfg memoizes the DefaultEstimators fingerprint (the
-// defaults are fixed; rendering them needs no live slice).
-var (
-	defaultEstimatorsCfg     string
-	defaultEstimatorsCfgOnce sync.Once
-)
-
-// estimatorsConfig fingerprints the DB's estimator configuration for
-// result-cache keys: the concrete type and every exported knob of each
-// estimator, in order. Two DBs with the same rendered configuration
-// produce identical estimates for identical samples. Rendered per query
-// (it is cheap next to even a cache hit's lock round), so in-place
-// estimator mutations are picked up naturally.
-func (db *DB) estimatorsConfig() string {
-	if db.Estimators == nil {
-		defaultEstimatorsCfgOnce.Do(func() {
-			defaultEstimatorsCfg = renderEstimators(DefaultEstimators())
-		})
-		return defaultEstimatorsCfg
-	}
-	return renderEstimators(db.Estimators)
-}
-
-func renderEstimators(ests []core.SumEstimator) string {
-	var sb strings.Builder
-	for _, e := range ests {
-		fmt.Fprintf(&sb, "%T%+v;", e, e)
-	}
-	return sb.String()
 }
 
 // verifyCachedResult is the result cache's test-time guard: with the

@@ -14,7 +14,7 @@ import (
 // toyDB builds the paper's Appendix F toy example as a database.
 func toyDB(t *testing.T, withS5 bool) *DB {
 	t.Helper()
-	db := &DB{Estimators: []core.SumEstimator{core.Naive{}, core.Frequency{}, core.Bucket{}}}
+	db := Open(WithEstimators(core.Naive{}, core.Frequency{}, core.Bucket{}))
 	tbl, err := db.CreateTable("companies", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "employees", Type: TypeFloat},
@@ -225,7 +225,7 @@ func TestBestPrefersBucketThenMC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{Estimators: []core.SumEstimator{core.Bucket{}, core.MonteCarlo{Runs: 1, Seed: 1}}}
+	db := Open(WithEstimators(core.Bucket{}, core.MonteCarlo{Runs: 1, Seed: 1}))
 	tbl, err := db.CreateTable("items", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestBestPrefersBucketThenMC(t *testing.T) {
 
 	// A dominating streaker flips the recommendation to MC.
 	streaked := sim.InjectStreaker(st, g, 50, "streaker")
-	db2 := &DB{Estimators: []core.SumEstimator{core.Bucket{}, core.MonteCarlo{Runs: 1, Seed: 1}}}
+	db2 := Open(WithEstimators(core.Bucket{}, core.MonteCarlo{Runs: 1, Seed: 1}))
 	tbl2, err := db2.CreateTable("items", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +278,7 @@ func TestEndToEndSimulatedCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := &DB{Estimators: []core.SumEstimator{core.Naive{}, core.Bucket{}}}
+	db := Open(WithEstimators(core.Naive{}, core.Bucket{}))
 	tbl, err := db.CreateTable("t", Schema{{Name: "v", Type: TypeFloat}})
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +301,60 @@ func TestEndToEndSimulatedCrowd(t *testing.T) {
 	}
 }
 
+// TestOpenOptionsFixedAtOpen: WithEstimators copies its slice, so a
+// caller overwriting it after Open changes neither the estimates nor the
+// result cache's answer to a repeat query; WithResultCache(0) leaves the
+// result cache off.
+func TestOpenOptionsFixedAtOpen(t *testing.T) {
+	const sql = "SELECT SUM(v) FROM t WHERE v >= 100"
+	ests := []core.SumEstimator{core.Naive{}, core.Bucket{}}
+	cached, _ := buildCacheTable(t, 600, WithEstimators(ests...), WithResultCache(16<<20))
+	plain, _ := buildCacheTable(t, 600, WithEstimators(ests...))
+	first, err := cached.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests[0] = core.Frequency{}
+	again, err := cached.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("repeat query missed the result cache after the caller's estimator slice changed")
+	}
+	if hits := cached.CacheStats().ResultHits; hits != 1 {
+		t.Errorf("result hits = %d, want 1", hits)
+	}
+	res, err := plain.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"naive", "bucket"} {
+		if _, ok := res.Estimates[name]; !ok {
+			t.Errorf("estimates %v lack %q", res.Estimates, name)
+		}
+	}
+	if _, ok := res.Estimates["freq"]; ok {
+		t.Error("an estimator written into the caller's slice after Open ran")
+	}
+
+	for _, opts := range [][]Option{
+		{WithResultCache(0)},
+		{WithResultCache(16 << 20), WithResultCache(0)},
+	} {
+		db, _ := buildCacheTable(t, 200, opts...)
+		for i := 0; i < 2; i++ {
+			if _, err := db.Query(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := db.CacheStats()
+		if st.ResultHits != 0 || st.ResultMisses != 0 || st.ResultEvictions != 0 || st.ResultBytes != 0 {
+			t.Errorf("disabled result cache counted: %+v", st)
+		}
+	}
+}
+
 func abs(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -309,8 +363,7 @@ func abs(x float64) float64 {
 }
 
 func ExampleDB_Query() {
-	var db DB
-	db.Estimators = []core.SumEstimator{core.Bucket{}}
+	db := Open(WithEstimators(core.Bucket{}))
 	tbl, _ := db.CreateTable("companies", Schema{
 		{Name: "employees", Type: TypeFloat},
 	})

@@ -10,7 +10,7 @@ import (
 // sectorDB builds a table with two sectors for GROUP BY tests.
 func sectorDB(t *testing.T) *DB {
 	t.Helper()
-	db := &DB{Estimators: []core.SumEstimator{core.Naive{}, core.Bucket{}}}
+	db := Open(WithEstimators(core.Naive{}, core.Bucket{}))
 	tbl, err := db.CreateTable("companies", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "sector", Type: TypeString},

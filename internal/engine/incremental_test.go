@@ -187,8 +187,7 @@ func TestMetamorphicIncrementalRequery(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	obs := metaWorkload(rng, 30, 6, 360)
 
-	liveDB, liveTbl := metaTable(t)
-	liveDB.EnableResultCache(8 << 20)
+	liveDB, liveTbl := metaTable(t, WithResultCache(8<<20))
 
 	checkpoints := 0
 	for next := 0; next < len(obs); {

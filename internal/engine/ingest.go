@@ -36,7 +36,7 @@ package engine
 // applied rows under the scan's read locks, a consistent point-in-time
 // cut exactly as before. Table.Flush is the barrier: when it returns,
 // every row staged before the call is applied, giving the flushing
-// goroutine read-your-writes for its subsequent queries (DB.FlushOnQuery
+// goroutine read-your-writes for its subsequent queries (WithFlushOnQuery
 // turns this into an automatic per-query barrier). An Insert is a
 // barrier for its own shard.
 //
@@ -522,21 +522,6 @@ func (t *Table) logRows(si int, c *obsChunk, lo, hi int) (uint64, error) {
 	return t.wal.appendChunkRows(si, t.schema, names, c, lo, hi)
 }
 
-// logStagedRows logs a chunk pushed by a Writer and tracks the record seq
-// as pending. Unlike the per-row calls, a push reports no error: its rows
-// were already accepted by earlier Writer.Append calls, so a WAL append
-// failure degrades durability, not availability — the rows stay staged
-// and will apply normally, and the failure is recorded for the next
-// Flush (matching the disk-seal error policy). Caller holds st.mu.
-func (t *Table) logStagedRows(si int, st *stagingBuf, c *obsChunk) {
-	seq, err := t.logRows(si, c, 0, c.rows())
-	if err != nil {
-		t.recordIngestErr(fmt.Errorf("engine: %s: %w", t.name, err))
-		return
-	}
-	st.walPending = append(st.walPending, seq)
-}
-
 // AppendRow is the positional fast path of Append: vals holds one value
 // per schema column, in order (use sqlparse.Null() for NULL; all columns
 // are treated as provided). vals is copied, so callers can reuse the
@@ -672,16 +657,10 @@ func (t *Table) Flush() error {
 // shard's applied watermark advances past them.
 func (t *Table) applyChunks(si int, chunks []*obsChunk, own *obsChunk, pending []uint64) (ownErr error) {
 	sh := t.shards[si]
-	hooks := applyHooks{
-		schema:  t.schema,
-		nextSeq: func() uint64 { return t.seq.Add(1) },
-		conflict: func(id string, err error) {
-			t.recordIngestErr(fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err))
-		},
-	}
 	sh.mu.Lock()
-	changed := sh.store.ApplyBatch(chunks, hooks)
+	changed := sh.store.ApplyBatch(chunks, t.hooks)
 	if own != nil {
+		hooks := t.hooks
 		hooks.conflict = func(id string, err error) {
 			ownErr = fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err)
 		}
@@ -712,6 +691,19 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, own *obsChunk, pending [
 		t.notifyCommit()
 	}
 	return ownErr
+}
+
+// stagedApplyHooks builds the table's apply hooks for staged rows, whose
+// conflicts are recorded for the next Flush. Built once per table, so a
+// drain allocates no closures.
+func (t *Table) stagedApplyHooks() applyHooks {
+	return applyHooks{
+		schema: t.schema,
+		seq:    &t.seq,
+		conflict: func(id string, err error) {
+			t.recordIngestErr(fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err))
+		},
+	}
 }
 
 // stagedConflictErr renders a conflict between a stored and a staged cell
@@ -855,6 +847,12 @@ func (ing *Ingester) Close() error {
 // concurrent use — give each producer goroutine its own. Rows buffered
 // locally are invisible even to Table.Flush until the Writer pushes them
 // (chunk full, or Writer.Flush).
+//
+// On a durable table the push is the acknowledgement point: the chunk is
+// logged before it is staged. An error from the Append, AppendRow or
+// Flush call that pushed means the shard's buffered rows were not staged
+// — not applied, not logged, not recovered. Re-sending them is safe: a
+// same-source re-report of an entity is idempotent.
 type Writer struct {
 	t     *Table
 	local [numShards]*obsChunk
@@ -904,7 +902,7 @@ func (w *Writer) Append(entityID, source string, attrs map[string]sqlparse.Value
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
 	if c.rows() >= w.push {
-		w.pushChunk(si)
+		return w.pushChunk(si)
 	}
 	return nil
 }
@@ -926,7 +924,7 @@ func (w *Writer) AppendRow(entityID, source string, vals []sqlparse.Value) error
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
 	if c.rows() >= w.push {
-		w.pushChunk(si)
+		return w.pushChunk(si)
 	}
 	return nil
 }
@@ -941,37 +939,57 @@ func (w *Writer) chunk(si int) *obsChunk {
 }
 
 // pushChunk hands the writer-local chunk for one shard to the shard's
-// staging (a pointer append — no row copying).
-func (w *Writer) pushChunk(si int) {
+// staging (a pointer append — no row copying). On a durable table the
+// chunk is logged first, as one WAL record under st.mu (so record seqs
+// follow staging order); a failed log append drops the chunk, leaving the
+// staging untouched, and returns the error.
+func (w *Writer) pushChunk(si int) error {
 	c := w.local[si]
 	if c == nil || c.rows() == 0 {
-		return
+		return nil
 	}
 	w.local[si] = nil
 	t := w.t
 	st := &t.shards[si].staging
 	st.mu.Lock()
-	st.chunks = append(st.chunks, c)
 	if t.wal != nil {
-		// One WAL record per pushed chunk: the push (not the writer-local
-		// buffering) is the durability acknowledgement point, matching the
-		// visibility contract — writer-local rows are invisible to Flush
-		// too until pushed.
-		t.logStagedRows(si, st, c)
+		seq, err := t.logRows(si, c, 0, c.rows())
+		if err != nil {
+			st.mu.Unlock()
+			t.recycleChunk(c)
+			return fmt.Errorf("engine: %s: %w", t.name, err)
+		}
+		st.walPending = append(st.walPending, seq)
 	}
+	st.chunks = append(st.chunks, c)
 	st.rows += c.rows()
 	rows := st.rows
 	t.ingest.staged.Add(int64(c.rows())) // before unlock: see Append
 	st.mu.Unlock()
 	t.afterStage(si, rows)
+	return nil
 }
 
 // Flush pushes every writer-local buffer to its shard and runs the table
 // barrier: when it returns, everything this writer appended is applied
 // and visible (read-your-writes), and pending apply errors are returned.
+// If a push fails, Flush returns the push errors without running the
+// barrier; recorded apply errors then stay queued for the next Flush.
 func (w *Writer) Flush() error {
-	for si := range w.local {
-		w.pushChunk(si)
+	if err := w.pushAll(); err != nil {
+		return err
 	}
 	return w.t.Flush()
+}
+
+// pushAll pushes every writer-local buffer to its shard and returns the
+// joined push errors (nil when every push was staged).
+func (w *Writer) pushAll() error {
+	var errs []error
+	for si := range w.local {
+		if err := w.pushChunk(si); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sqlparse"
 )
 
-func ingestTestTable(t *testing.T) (*DB, *Table) {
+func ingestTestTable(t *testing.T, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	db := &DB{}
+	db := Open(opts...)
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -466,36 +466,32 @@ func TestConflictSurfacesAtFlush(t *testing.T) {
 // TestFlushOnQuery: the executor's opt-in barrier gives queries
 // read-your-writes over staged rows.
 func TestFlushOnQuery(t *testing.T) {
-	db, tbl := ingestTestTable(t)
-	for i := 0; i < 5; i++ {
-		id := fmt.Sprintf("e%d", i)
-		if err := tbl.Append(id, "s", rowAttrs(id, 10)); err != nil {
+	for _, on := range []bool{false, true} {
+		db, tbl := ingestTestTable(t, WithFlushOnQuery(on))
+		for i := 0; i < 5; i++ {
+			id := fmt.Sprintf("e%d", i)
+			if err := tbl.Append(id, "s", rowAttrs(id, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := db.Query("SELECT COUNT(*) FROM t")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	res, err := db.Query("SELECT COUNT(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Observed != 0 {
-		t.Fatalf("point-in-time query saw staged rows: %g", res.Observed)
-	}
-	db.FlushOnQuery = true
-	res, err = db.Query("SELECT COUNT(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Observed != 5 {
-		t.Errorf("FlushOnQuery query = %g rows, want 5", res.Observed)
+		want := 0.0 // point-in-time: staged rows are invisible
+		if on {
+			want = 5
+		}
+		if res.Observed != want {
+			t.Errorf("FlushOnQuery=%v query = %g rows, want %g", on, res.Observed, want)
+		}
 	}
 }
 
 // TestFlushOnQueryWithResultCache: the barrier runs before the epoch
 // vector is captured, so a cached result can never mask staged rows.
 func TestFlushOnQueryWithResultCache(t *testing.T) {
-	db, tbl := ingestTestTable(t)
-	db.FlushOnQuery = true
-	db.EnableResultCache(1 << 20)
+	db, tbl := ingestTestTable(t, WithFlushOnQuery(true), WithResultCache(1<<20))
 	if err := tbl.Append("e0", "s", rowAttrs("e0", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -523,8 +519,7 @@ func TestFlushOnQueryWithResultCache(t *testing.T) {
 // consumes another writer's pending conflict warnings; the writer's own
 // Flush still receives them.
 func TestFlushOnQueryKeepsConflictWarnings(t *testing.T) {
-	db, tbl := ingestTestTable(t)
-	db.FlushOnQuery = true
+	db, tbl := ingestTestTable(t, WithFlushOnQuery(true))
 	if err := tbl.Insert("e0", "s0", rowAttrs("e0", 1)); err != nil {
 		t.Fatal(err)
 	}

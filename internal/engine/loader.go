@@ -16,7 +16,8 @@ import (
 // per-shard columnar chunks applied under one lock acquisition and one
 // epoch bump per batch — with a terminal Flush barrier, so the load is
 // fully applied and visible when it returns. Value conflicts surface at
-// that Flush and are counted, not fatal (the first value wins). Returns
+// that Flush and are counted, not fatal (the first value wins); a failed
+// WAL append of a durable table's push is returned as the error. Returns
 // the number of conflicts.
 func LoadObservations(t *Table, obs []freqstats.Observation, valueColumn, labelColumn string) (int, error) {
 	if err := checkLoadColumns(t, valueColumn, labelColumn); err != nil {
@@ -64,7 +65,8 @@ func checkLoadColumns(t *Table, valueColumn, labelColumn string) error {
 // writeObservations is the shared staging loop of LoadObservations and
 // StreamObservations: every observation goes through the Writer w, with a
 // read-your-writes Flush barrier every flushEvery observations (0 = only
-// at the end). Conflicts are counted via the Flush error semantics.
+// at the end). Conflicts are counted via the Flush error semantics; a
+// failed push ends the load with its error.
 func writeObservations(w *Writer, t *Table, obs []freqstats.Observation, valueColumn, labelColumn string, flushEvery int) (conflicts int, err error) {
 	// The LoadCSVTable shape — exactly (labelColumn STRING, valueColumn
 	// FLOAT) — takes the positional fast path; any other schema goes
@@ -91,11 +93,24 @@ func writeObservations(w *Writer, t *Table, obs []freqstats.Observation, valueCo
 			return conflicts, err
 		}
 		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			conflicts += countConflicts(w.Flush())
+			if err = flushCounted(w, &conflicts); err != nil {
+				return conflicts, err
+			}
 		}
 	}
-	conflicts += countConflicts(w.Flush())
-	return conflicts, nil
+	err = flushCounted(w, &conflicts)
+	return conflicts, err
+}
+
+// flushCounted is Writer.Flush with the loaders' accounting: a failed
+// push (its rows were not staged) is returned as the load's error, while
+// the barrier's apply errors are added to *conflicts.
+func flushCounted(w *Writer, conflicts *int) error {
+	if err := w.pushAll(); err != nil {
+		return err
+	}
+	*conflicts += countConflicts(w.t.Flush())
+	return nil
 }
 
 // countConflicts counts the individual errors inside a (possibly joined)

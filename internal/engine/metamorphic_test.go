@@ -76,16 +76,16 @@ func buildReference(t *testing.T, obs []metaObs) *DB {
 	return db
 }
 
-func metaTable(t *testing.T) (*DB, *Table) {
+func metaTable(t *testing.T, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	return metaTableStorage(t, StorageConfig{})
+	return metaTableStorage(t, StorageConfig{}, opts...)
 }
 
 // metaTableStorage is metaTable on an explicit storage backend (the
 // cross-backend parity suite builds mem and disk variants side by side).
-func metaTableStorage(t *testing.T, storage StorageConfig) (*DB, *Table) {
+func metaTableStorage(t *testing.T, storage StorageConfig, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	db := &DB{Storage: storage}
+	db := Open(append([]Option{WithBackend(storage)}, opts...)...)
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},

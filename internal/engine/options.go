@@ -1,15 +1,16 @@
 package engine
 
-import "repro/internal/core"
+import (
+	"slices"
 
-// Functional-options construction. Open(opts...) replaces the historical
-// zero-value-plus-setters idiom (&DB{Estimators: ...} followed by
-// EnableResultCache / StartIngest calls scattered over the call site):
-// every knob is declared up front, before the DB serves traffic, which is
-// exactly the window the DB's own documentation demands for Storage,
-// Estimators and FlushOnQuery. The old setters keep working — Open merely
-// folds them into one construction expression — but new code (and
-// everything in this repository) goes through Open.
+	"repro/internal/core"
+)
+
+// Functional-options construction. Open(opts...) is the only way to
+// configure a DB: every setting is declared up front, before the DB serves
+// traffic, and none can change afterwards. That is what lets queries read
+// the settings without synchronization and key the result cache by table,
+// query and data version alone.
 
 // Option configures a DB at Open time.
 type Option func(*DB)
@@ -31,31 +32,47 @@ func Open(opts ...Option) *DB {
 // through the DB (see StorageConfig; the zero config is the in-memory
 // default).
 func WithBackend(cfg StorageConfig) Option {
-	return func(db *DB) { db.Storage = cfg }
+	return func(db *DB) { db.storage = cfg }
 }
 
 // WithEstimators sets the unknown-unknowns estimator set attached to
 // query results. Omitting it (or passing none) keeps the paper's
-// DefaultEstimators.
+// DefaultEstimators. The slice is copied, so later writes to the caller's
+// slice do not reach the DB.
 func WithEstimators(ests ...core.SumEstimator) Option {
 	return func(db *DB) {
 		if len(ests) > 0 {
-			db.Estimators = ests
+			db.ests = slices.Clone(ests)
 		}
 	}
 }
 
 // WithResultCache enables the whole-query result cache with the given
-// approximate byte budget (see EnableResultCache; <= 0 keeps it
-// disabled).
+// approximate byte budget (<= 0 keeps it disabled). Results are keyed by
+// (table, canonical query) and the exact vector of shard write epochs the
+// scan observed, so any write that changes the table invalidates its
+// entries implicitly. Cached *Result values are shared between callers
+// and must be treated read-only.
 func WithResultCache(maxBytes int) Option {
-	return func(db *DB) { db.EnableResultCache(maxBytes) }
+	return func(db *DB) {
+		db.results = nil
+		if maxBytes > 0 {
+			db.results = newResultCache(maxBytes)
+		}
+	}
 }
 
-// WithFlushOnQuery sets the read-your-writes drain barrier before every
-// query scan (see the FlushOnQuery field).
+// WithFlushOnQuery sets the read-your-writes barrier: each query first
+// drains the queried table's ingestion staging, so it sees every
+// observation staged to that table before it started. The drain is a pure
+// visibility barrier: apply-time value conflicts stay queued for the
+// writer's next explicit Flush — a reader's query neither fails on nor
+// consumes another writer's data-quality warnings. Off by default:
+// queries then serve a consistent point-in-time snapshot of the applied
+// rows and never wait for ingestion — the streaming posture of online
+// aggregation.
 func WithFlushOnQuery(on bool) Option {
-	return func(db *DB) { db.FlushOnQuery = on }
+	return func(db *DB) { db.flushOnQuery = on }
 }
 
 // WithIngest starts batched background ingestion (Table.StartIngest) on

@@ -179,9 +179,9 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version > snapshotVersion {
 		return fmt.Errorf("engine: snapshot version %d is newer than supported %d", snap.Version, snapshotVersion)
 	}
-	storage := resolveStorage(db.Storage)
+	storage := resolveStorage(db.storage)
 	durable := storage.Backend == BackendDisk && storage.Durable
-	staged := DB{Storage: db.Storage}
+	staged := DB{storage: db.storage}
 	adoptedDisk := make(map[string]bool)
 	adopted := false
 	defer func() {
@@ -241,8 +241,8 @@ func (db *DB) Load(r io.Reader) error {
 				return fmt.Errorf("engine: table %q entity %q has no sources", st.Name, sr.Entity)
 			}
 			for _, src := range sr.Sources {
-				// Synchronous Append errors are schema violations — those
-				// fail the load outright, matching the old per-row path.
+				// Append errors (schema violations, or a failed WAL append
+				// of a durable table's push) fail the load outright.
 				if err := w.Append(sr.Entity, src, attrs); err != nil {
 					return fmt.Errorf("engine: restoring table %q: %w", st.Name, err)
 				}

@@ -34,11 +34,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var dst DB
+	dst := Open(WithEstimators(src.ests...))
 	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst.Estimators = src.Estimators
 
 	// The restored database answers queries identically.
 	want, err := src.Query("SELECT SUM(employees) FROM companies")
@@ -325,12 +324,12 @@ func TestSnapshotCrossBackendCompat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := &DB{Storage: tc.from(t)}
+			src := Open(WithBackend(tc.from(t)))
 			t.Cleanup(func() { src.Close() })
 			buildSnapshotFixture(t, src)
 			snap := saveToString(t, src)
 
-			dst := &DB{Storage: tc.to(t)}
+			dst := Open(WithBackend(tc.to(t)))
 			t.Cleanup(func() { dst.Close() })
 			loadFromString(t, dst, snap)
 

@@ -70,6 +70,7 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 		cache:      newScanCache(defaultProgramCacheEntries, defaultPartialCacheBytes),
 		uid:        m.UID,
 	}
+	t.hooks = t.stagedApplyHooks()
 
 	// Shard checkpoints: the recovery points for sealed state.
 	var cks [numShards]*shardCheckpoint
@@ -268,7 +269,7 @@ func sweepOrphans(dir string, keep map[string]bool) {
 // sorted. A no-op returning (nil, nil) unless the DB's storage is the
 // disk backend with Durable set.
 func (db *DB) RecoverTables() ([]string, error) {
-	storage := resolveStorage(db.Storage)
+	storage := resolveStorage(db.storage)
 	if storage.Backend != BackendDisk || !storage.Durable {
 		return nil, nil
 	}

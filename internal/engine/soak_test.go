@@ -25,8 +25,7 @@ import (
 )
 
 func TestSoakStreamingWritersCachedQueries(t *testing.T) {
-	db := &DB{}
-	db.EnableResultCache(8 << 20)
+	db := Open(WithResultCache(8 << 20))
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},

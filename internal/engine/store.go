@@ -32,6 +32,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/sqlparse"
 )
@@ -76,7 +77,7 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // StorageConfig selects and configures the shard-storage backend of a
-// table (or of every table of a DB, via DB.Storage). The zero value is
+// table (or of every table of a DB, via WithBackend). The zero value is
 // the in-memory default.
 type StorageConfig struct {
 	// Backend picks the implementation; BackendDefault means memory.
@@ -120,10 +121,11 @@ type StorageConfig struct {
 }
 
 // defaultStorage is the storage used when a table is created without an
-// explicit configuration (NewTable, or a DB whose Storage is zero). It is
-// the in-memory backend in production; the engine test harness points it
-// at other backends to run the whole test package per backend (see
-// TestMain in backend_test.go and the UU_ENGINE_BACKEND matrix in CI).
+// explicit configuration (NewTable, or a DB opened without WithBackend).
+// It is the in-memory backend in production; the engine test harness
+// points it at other backends to run the whole test package per backend
+// (see TestMain in backend_test.go and the UU_ENGINE_BACKEND matrix in
+// CI).
 var defaultStorage StorageConfig
 
 // resolveStorage applies the default to a zero/partial config.
@@ -138,13 +140,14 @@ func resolveStorage(cfg StorageConfig) StorageConfig {
 	return cfg
 }
 
-// applyHooks carries the table-side callbacks ShardStore.ApplyBatch needs
-// without exposing the Table: schema access, global sequence allocation
-// and conflict reporting (apply-time value conflicts are recorded for the
-// writer's next Flush, or returned by Insert for its own row).
+// applyHooks carries the table-side state ShardStore.ApplyBatch needs
+// without exposing the Table: the schema, the table's global sequence
+// counter (a new row takes seq.Add(1)) and conflict reporting
+// (apply-time value conflicts are recorded for the writer's next Flush,
+// or returned by Insert for its own row).
 type applyHooks struct {
 	schema   Schema
-	nextSeq  func() uint64
+	seq      *atomic.Uint64
 	conflict func(entityID string, err error)
 }
 
@@ -173,10 +176,6 @@ type ShardStore interface {
 	EntityID(row int) string
 	Seq(row int) uint64
 	Lineage(row int) []int32
-
-	// Value reconstructs the boxed value at (row, column); ok is false
-	// when the row never provided the column.
-	Value(row, ci int) (v sqlparse.Value, ok bool)
 
 	// ApplyBatch applies drained staging chunks under the caller's single
 	// write-lock acquisition — the only way rows enter a store. Per row:

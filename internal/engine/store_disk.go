@@ -160,7 +160,9 @@ func newTailCols(schema Schema, dict *stringDict) []colVector {
 
 func (d *diskStore) tailRows() int { return d.Rows() - d.sealed }
 
-func (d *diskStore) Value(row, ci int) (sqlparse.Value, bool) {
+// value reconstructs the boxed value at (row, column); ok is false when
+// the row never provided the column.
+func (d *diskStore) value(row, ci int) (sqlparse.Value, bool) {
 	if row >= d.sealed {
 		return d.tail[ci].value(row - d.sealed)
 	}
@@ -195,7 +197,7 @@ func (d *diskStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 			id := c.ids[i]
 			row, exists := d.Lookup(id)
 			if !exists {
-				row = d.appendIdentity(id, hooks.nextSeq())
+				row = d.appendIdentity(id, hooks.seq.Add(1))
 				tr := row - d.sealed
 				for ci := range d.tail {
 					appendStagedCell(&d.tail[ci], &c.cols[ci], i, tr)
@@ -409,18 +411,18 @@ func openDiskStoreFromCheckpoint(cfg StorageConfig, schema Schema, dir string, s
 	return d, nil
 }
 
-// checkStagedConsistentBoxed is the backend-neutral consistency check of
-// a staged row against stored values: the stored side may live in a
-// sealed segment, so cells are compared boxed. Semantics match the typed
+// checkStagedConsistentBoxed is the disk store's consistency check of a
+// staged row against stored values: the stored side may live in a sealed
+// segment, so cells are compared boxed. Semantics match the typed
 // memStore check exactly (missing stored column conflicts with nothing;
 // NULL only equals NULL).
-func checkStagedConsistentBoxed(s ShardStore, schema Schema, row int, c *obsChunk, srcRow int) error {
+func checkStagedConsistentBoxed(d *diskStore, schema Schema, row int, c *obsChunk, srcRow int) error {
 	for ci := range schema {
 		sc := &c.cols[ci]
 		if sc.state[srcRow] == stagedMissing {
 			continue
 		}
-		prev, ok := s.Value(row, ci)
+		prev, ok := d.value(row, ci)
 		if !ok {
 			continue
 		}

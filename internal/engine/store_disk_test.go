@@ -236,7 +236,7 @@ func TestDiskBackendMetadata(t *testing.T) {
 	if got := tbl.StorageBackend(); got != BackendDisk {
 		t.Fatalf("table backend = %v", got)
 	}
-	db := &DB{Storage: StorageConfig{Backend: BackendDisk, Dir: t.TempDir()}}
+	db := Open(WithBackend(StorageConfig{Backend: BackendDisk, Dir: t.TempDir()}))
 	t.Cleanup(func() { db.Close() })
 	if got := db.StorageBackend(); got != BackendDisk {
 		t.Fatalf("db backend = %v", got)

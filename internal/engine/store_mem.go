@@ -92,10 +92,6 @@ func (c *colVector) liveExtent(base, n int) colExtent {
 	return e
 }
 
-func (m *memStore) Value(row, ci int) (sqlparse.Value, bool) {
-	return m.cols[ci].value(row)
-}
-
 // ApplyBatch applies drained staging chunks row by row, staying typed end
 // to end (no boxed values on the apply path). The caller holds the shard
 // write lock and bumps the epoch once iff the batch changed the store.
@@ -106,7 +102,7 @@ func (m *memStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 			id := c.ids[i]
 			row, exists := m.Lookup(id)
 			if !exists {
-				row = m.appendIdentity(id, hooks.nextSeq())
+				row = m.appendIdentity(id, hooks.seq.Add(1))
 				for ci := range m.cols {
 					appendStagedCell(&m.cols[ci], &c.cols[ci], i, row)
 				}

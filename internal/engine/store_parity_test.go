@@ -128,7 +128,7 @@ func TestCrossBackendSnapshotConversion(t *testing.T) {
 
 	snap := saveToString(t, ref)
 
-	disk := &DB{Storage: diskVariantCfg(t, 8, false)}
+	disk := Open(WithBackend(diskVariantCfg(t, 8, false)))
 	t.Cleanup(func() { disk.Close() })
 	loadFromString(t, disk, snap)
 	querySurface(t, ref, disk, "mem snapshot -> disk backend")
@@ -139,7 +139,7 @@ func TestCrossBackendSnapshotConversion(t *testing.T) {
 	if snap != snap2 {
 		t.Fatalf("snapshot is not backend-independent:\nmem->  %d bytes\ndisk-> %d bytes", len(snap), len(snap2))
 	}
-	mem := &DB{Storage: StorageConfig{Backend: BackendMemory}}
+	mem := Open(WithBackend(StorageConfig{Backend: BackendMemory}))
 	loadFromString(t, mem, snap2)
 	querySurface(t, ref, mem, "disk snapshot -> mem backend")
 }

@@ -18,9 +18,9 @@ import (
 	"repro/internal/sqlparse"
 )
 
-func subTable(t *testing.T) (*DB, *Table) {
+func subTable(t *testing.T, opts ...Option) (*DB, *Table) {
 	t.Helper()
-	db := &DB{}
+	db := Open(opts...)
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},
@@ -286,8 +286,7 @@ closed:
 // point-in-time cut: full freqstats invariants hold, and once the
 // writers quiesce the subscription converges on the final table state.
 func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
-	db, tbl := subTable(t)
-	db.EnableResultCache(8 << 20)
+	db, tbl := subTable(t, WithResultCache(8<<20))
 	ing, err := tbl.StartIngest(IngestConfig{BatchRows: 32, Appliers: 2, FlushEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -121,6 +121,7 @@ type Table struct {
 	colIdx     map[string]int
 	shards     [numShards]*shard
 	seq        atomic.Uint64
+	hooks      applyHooks    // staged-row apply hooks, built once (stagedApplyHooks)
 	storage    StorageConfig // resolved backend configuration
 	storageDir string        // this instance's segment directory ("" for mem)
 
@@ -209,6 +210,7 @@ func NewTableWithStorage(name string, schema Schema, storage StorageConfig) (*Ta
 		id:      tableIDs.Add(1),
 		cache:   newScanCache(defaultProgramCacheEntries, defaultPartialCacheBytes),
 	}
+	t.hooks = t.stagedApplyHooks()
 	dir := ""
 	durable := storage.Backend == BackendDisk && storage.Durable
 	if storage.Backend == BackendDisk {

@@ -27,7 +27,7 @@ func walFixture(t *testing.T) (cfg StorageConfig, byShard [numShards][]string, t
 		SegmentRows: 4096,
 		WALSync:     1,
 	}
-	db := &DB{Storage: cfg}
+	db := Open(WithBackend(cfg))
 	tbl, err := db.CreateTable("t", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "v", Type: TypeFloat},

@@ -356,12 +356,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// them, and the final Flush is the read-your-writes barrier that also
 	// surfaces data-quality warnings. Append copies what it stages, so one
 	// attribute map serves every row.
+	//
+	// A request that fails part way (an invalid row, or a push whose WAL
+	// append failed) may already have pushed earlier chunks: those rows
+	// are staged and apply with the next drain. The tenant is marked
+	// dirty so they reach the next snapshot, and the row count only
+	// grows for a fully accepted request. Retrying the whole request is
+	// safe: a same-source re-report of an entity is idempotent.
 	writer := tbl.NewWriter()
+	fail := func(err error) {
+		t.dirty.Store(true)
+		writeError(w, err)
+	}
 	var attrs map[string]sqlparse.Value
 	for i, row := range batch.rows {
 		attrs = batch.attrMap(attrs, row)
 		if err := writer.Append(row.entity, row.source, attrs); err != nil {
-			writeError(w, fmt.Errorf("line %d: %w", i+1, err))
+			fail(fmt.Errorf("line %d: %w", i+1, err))
 			return
 		}
 	}
@@ -377,7 +388,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusConflict
 			resp.Warnings = append(resp.Warnings, strings.Split(err.Error(), "\n")...)
 		} else {
-			writeError(w, err)
+			fail(err)
 			return
 		}
 	}

@@ -47,7 +47,7 @@ type Config struct {
 	// value = engine defaults: one applier, 256-row batches).
 	Ingest engine.IngestConfig
 	// FlushOnQuery turns on the read-your-writes barrier before every
-	// query scan (see engine.DB.FlushOnQuery).
+	// query scan (see engine.WithFlushOnQuery).
 	FlushOnQuery bool
 	// MaxConcurrent bounds in-flight query/ingest work across all tenants
 	// (default 2 x GOMAXPROCS via engine worker sizing — practically, 32).

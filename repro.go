@@ -23,7 +23,7 @@
 //	fmt.Println(res.Observed, res.Estimated) // phi_K and phi_K + Delta-hat
 //
 // Or go through the SQL layer: build tables with engine-level lineage and
-// run textual queries with OpenDB / DB.Query (see the examples directory).
+// run textual queries with Open / DB.Query (see the examples directory).
 //
 // # Estimators
 //
@@ -235,16 +235,7 @@ type Option = engine.Option
 
 // Open returns a database built from functional options; with none it is
 // an empty in-memory database with the paper's default estimator set.
-// This is the preferred constructor; see engine.Open.
+// Every setting is fixed here; see engine.Open.
 func Open(opts ...Option) *DB {
 	return engine.Open(opts...)
-}
-
-// OpenDB returns an empty database with the paper's default estimator set
-// attached to every query result.
-//
-// Deprecated: use Open, which accepts functional options for storage,
-// caching and ingestion configuration. OpenDB remains as a thin wrapper.
-func OpenDB() *DB {
-	return Open(engine.WithEstimators(engine.DefaultEstimators()...))
 }

@@ -114,8 +114,8 @@ func TestCollectorConflictReported(t *testing.T) {
 	}
 }
 
-func TestOpenDBEndToEnd(t *testing.T) {
-	db := OpenDB()
+func TestOpenEndToEnd(t *testing.T) {
+	db := Open()
 	tbl, err := db.CreateTable("companies", Schema{
 		{Name: "name", Type: TypeString},
 		{Name: "employees", Type: TypeFloat},
