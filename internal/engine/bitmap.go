@@ -42,8 +42,17 @@ func (b *bitmap) grow(n int) {
 }
 
 // setAll sets every valid bit.
-func (b *bitmap) setAll() {
-	for i := range b.words {
+func (b *bitmap) setAll() { b.setFrom(0) }
+
+// setFrom sets every valid bit from lo on; the bits below lo are left as
+// they are.
+func (b *bitmap) setFrom(lo int) {
+	if lo >= b.n {
+		return
+	}
+	w0 := lo >> 6
+	b.words[w0] |= ^uint64(0) << (uint(lo) & 63)
+	for i := w0 + 1; i < len(b.words); i++ {
 		b.words[i] = ^uint64(0)
 	}
 	b.clearTail()

@@ -24,15 +24,18 @@ import (
 //     every applied ingestion batch that changed the store bumps it once,
 //     under the shard's write lock, for the whole batch (ingest.go; an
 //     Insert is a one-row batch) — under streaming writes a shard's
-//     partials are invalidated per batch, not per row. Staged-but-
-//     unapplied rows do not move the epoch: they are invisible to scans,
-//     so a cached partial is still exact for the data a scan would see.
-//     A partial is therefore served while `built-at epoch == current
-//     epoch` and dropped on probe the moment its epoch is stale. This is
-//     what makes repeated queries incremental: after an ingest batch
-//     dirties one shard, the next run rescans that shard alone and
-//     re-merges it with 15 cached partials. Cached partials are immutable
-//     (frozen) and shared read-only across concurrent merges.
+//     partials go stale per batch, not per row. Staged-but-unapplied rows
+//     do not move the epoch: they are invisible to scans, so a cached
+//     partial is still exact for the data a scan would see. A partial is
+//     therefore served while `built-at epoch == current epoch`. A stale
+//     one stays cached as the base the next query catches up from: the
+//     predicate runs on the rows stored since and the kept rows' lineage
+//     is refreshed from the shard's delta log (delta.go), with a full
+//     rescan only when the log does not reach back to the base. Since a
+//     batch of a few hundred rows usually lands in every shard, this is
+//     what keeps a repeated query under streaming writes from rescanning
+//     the table. Cached partials are immutable (frozen) and shared
+//     read-only across concurrent merges.
 //  3. Whole query results (executor level, opt-in through
 //     WithResultCache). Keyed by (table identity, canonical SQL) plus the
 //     full vector of shard epochs captured during the scan, so a hit is
@@ -61,8 +64,10 @@ type CacheStats struct {
 	BitmapHits, BitmapMisses uint64
 	// Partial* count the per-shard sample-partial layer: a hit is one
 	// shard whose scan was skipped entirely because its cached partial was
-	// built at the shard's current epoch. A query over a table with one
-	// dirty shard therefore accounts numShards-1 hits and 1 miss.
+	// built at the shard's current epoch. Every other shard is a miss,
+	// whether it was caught up from a stale cached partial (delta.go) or
+	// rescanned in full. A query over a table with one dirty shard
+	// therefore accounts numShards-1 hits and 1 miss.
 	PartialHits, PartialMisses uint64
 	PartialEvictions           uint64
 	PartialBytes               int
@@ -147,6 +152,7 @@ type scanCache struct {
 	progHits, progMisses atomic.Uint64
 	pHits, pMisses       atomic.Uint64
 	pEvictions           atomic.Uint64
+	pDeltas              atomic.Uint64 // misses caught up from a stale partial
 }
 
 func newScanCache(maxProgs, maxPartBytes int) *scanCache {
@@ -201,38 +207,44 @@ func (c *scanCache) storeProgram(key string, prog *filterProgram) {
 	c.evictLocked()
 }
 
-// lookupPartial returns the cached sample partial for a key if it was
-// built at exactly the given epoch. A stale entry is removed on the spot
-// (its epoch can never match again — epochs only grow). The returned
-// partial is frozen and shared; callers merge from it read-only and must
-// not release it to the scan pool (releaseSamplePart skips frozen
-// partials).
-func (c *scanCache) lookupPartial(k partialKey, epoch uint64) (*freqstats.Partial, bool) {
+// lookupPartial returns the cached sample partial for a key and the epoch
+// it was built at; hit reports that this is the given epoch. A stale
+// entry (hit false, part non-nil) stays cached: it is the base the caller
+// catches up from (delta.go), and the caller's store of the caught-up
+// partial replaces it. The returned partial is frozen and shared; callers
+// read it only and must not release it to the scan pool
+// (releaseSamplePart skips frozen partials).
+func (c *scanCache) lookupPartial(k partialKey, epoch uint64) (part *freqstats.Partial, builtAt uint64, hit bool) {
 	c.mu.Lock()
-	e, ok := c.partials[k]
-	if ok {
+	if e, ok := c.partials[k]; ok {
+		c.pLRU.MoveToFront(e)
 		ent := e.Value.(*partialEntry)
-		if ent.epoch == epoch {
-			c.pLRU.MoveToFront(e)
-			c.mu.Unlock()
-			c.pHits.Add(1)
-			return ent.part, true
-		}
-		c.removePartialLocked(e)
+		part, builtAt = ent.part, ent.epoch
 	}
 	c.mu.Unlock()
+	if part != nil && builtAt == epoch {
+		c.pHits.Add(1)
+		return part, builtAt, true
+	}
 	c.pMisses.Add(1)
-	return nil, false
+	return part, builtAt, false
 }
 
 // acceptsPartial reports whether the cache would keep a partial of the
-// given footprint. Scans consult it before freezing a fresh partial: when
-// the answer is no (layer disabled, or the partial alone over budget) the
-// partial stays mutable and poolable.
-func (c *scanCache) acceptsPartial(nbytes int) bool {
+// given footprint for key k. Scans consult it before freezing a fresh
+// partial: when the answer is no (layer disabled, or the partial alone
+// over budget) the partial stays mutable and poolable, and k's stale
+// entry, which nothing will replace, is dropped.
+func (c *scanCache) acceptsPartial(k partialKey, nbytes int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.maxPartBytes > 0 && nbytes <= c.maxPartBytes
+	if c.maxPartBytes > 0 && nbytes <= c.maxPartBytes {
+		return true
+	}
+	if e, ok := c.partials[k]; ok {
+		c.removePartialLocked(e)
+	}
+	return false
 }
 
 // storePartial publishes a frozen sample partial. The partial must be

@@ -658,20 +658,28 @@ func (t *Table) Flush() error {
 func (t *Table) applyChunks(si int, chunks []*obsChunk, own *obsChunk, pending []uint64) (ownErr error) {
 	sh := t.shards[si]
 	sh.mu.Lock()
-	changed := sh.store.ApplyBatch(chunks, t.hooks)
+	hooks := t.hooks
+	hooks.delta = &sh.delta
+	sh.delta.begin(sh.store.Rows())
+	changed := sh.store.ApplyBatch(chunks, hooks)
 	if own != nil {
-		hooks := t.hooks
-		hooks.conflict = func(id string, err error) {
-			ownErr = fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err)
-		}
-		if sh.store.ApplyBatch([]*obsChunk{own}, hooks) {
+		sh.own[0] = own
+		hooks.conflictOut = &sh.ownErr
+		if sh.store.ApplyBatch(sh.own[:], hooks) {
 			changed = true
+		}
+		sh.own[0] = nil
+		if err := sh.ownErr; err != nil {
+			sh.ownErr = nil
+			ownErr = fmt.Errorf("engine: %s: entity %q: %w", t.name, own.ids[0], err)
 		}
 	}
 	if changed {
 		// One epoch bump per applied batch: every cached partial/result
-		// built before this batch stops matching (see cache.go).
+		// built before this batch stops matching (see cache.go), and the
+		// delta log records what the batch did to the stored rows.
 		sh.store.BumpEpoch()
+		sh.delta.commit()
 	}
 	for _, seq := range pending {
 		if seq > t.walApplied[si] {

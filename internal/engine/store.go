@@ -27,8 +27,9 @@ package engine
 // Epoch contract: the store carries the shard's write epoch but never
 // advances it by itself. Callers bump it exactly once per applied batch
 // that changed the store (the one-bump-per-batch contract ApplyBatch
-// reports `changed` for) — which is what keeps the selection-bitmap and
-// whole-result caches exact (see cache.go).
+// reports `changed` for) — which is what keeps the partial and
+// whole-result caches exact (see cache.go) and the delta log complete
+// (delta.go).
 
 import (
 	"fmt"
@@ -142,13 +143,26 @@ func resolveStorage(cfg StorageConfig) StorageConfig {
 
 // applyHooks carries the table-side state ShardStore.ApplyBatch needs
 // without exposing the Table: the schema, the table's global sequence
-// counter (a new row takes seq.Add(1)) and conflict reporting
-// (apply-time value conflicts are recorded for the writer's next Flush,
-// or returned by Insert for its own row).
+// counter (a new row takes seq.Add(1)), conflict reporting (apply-time
+// value conflicts are recorded for the writer's next Flush, or land in
+// conflictOut — Insert's slot for its own row — when that is set) and
+// the shard's delta log, which learns every stored row whose lineage a
+// batch extends.
 type applyHooks struct {
-	schema   Schema
-	seq      *atomic.Uint64
-	conflict func(entityID string, err error)
+	schema      Schema
+	seq         *atomic.Uint64
+	conflict    func(entityID string, err error)
+	conflictOut *error
+	delta       *deltaLog
+}
+
+// reportConflict routes one apply-time value conflict.
+func (h *applyHooks) reportConflict(entityID string, err error) {
+	if h.conflictOut != nil {
+		*h.conflictOut = err
+		return
+	}
+	h.conflict(entityID, err)
 }
 
 // ShardStore is the storage representation of one shard: the typed column
@@ -180,9 +194,10 @@ type ShardStore interface {
 	// ApplyBatch applies drained staging chunks under the caller's single
 	// write-lock acquisition — the only way rows enter a store. Per row:
 	// the first insertion fixes the values, later mentions extend the
-	// lineage idempotently, and a conflicting re-report goes to
-	// hooks.conflict but still counts. Returns whether the store changed;
-	// the caller bumps the epoch at most once per batch on true.
+	// lineage idempotently (a stored row whose lineage grew goes to
+	// hooks.delta), and a conflicting re-report goes to
+	// hooks.reportConflict but still counts. Returns whether the store
+	// changed; the caller bumps the epoch at most once per batch on true.
 	ApplyBatch(chunks []*obsChunk, hooks applyHooks) (changed bool)
 
 	// Maintain runs post-mutation housekeeping (the disk backend seals
@@ -268,9 +283,11 @@ type colExtent struct {
 // boundary — the precondition for the word-at-a-time scan kernels, which
 // overlay the extent's defined/valid words directly onto the global
 // selection bitmap's words. The memory backend's single extent (base 0)
-// is always aligned; disk extents are aligned whenever SegmentRows is a
-// multiple of 64 (the default). Unaligned extents take the per-row scalar
-// fallbacks.
+// is always aligned. On disk only the first segment is sure to be: a seal
+// writes the whole tail, whose length is whatever the last batch left,
+// so under live ingest the tail and every later segment start at an
+// arbitrary row (a freshly compacted shard is one aligned segment plus
+// the tail). Unaligned extents take the per-row scalar fallbacks.
 func (e *colExtent) wordAligned() bool { return e.base&63 == 0 }
 
 // tailMask returns the mask selecting the extent's valid bits within its

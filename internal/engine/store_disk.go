@@ -206,8 +206,9 @@ func (d *diskStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 			if d.AddLineage(row, c.srcs[i]) {
 				changed = true
 				if exists {
+					hooks.delta.touch(row)
 					if err := checkStagedConsistentBoxed(d, hooks.schema, row, c, i); err != nil {
-						hooks.conflict(id, err)
+						hooks.reportConflict(id, err)
 					}
 				}
 			}

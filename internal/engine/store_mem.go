@@ -113,8 +113,9 @@ func (m *memStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 				// actually extended the lineage: an idempotent duplicate
 				// (same source again) is not a new report.
 				if exists {
+					hooks.delta.touch(row)
 					if err := checkStagedConsistentMem(m.cols, hooks.schema, row, c, i); err != nil {
-						hooks.conflict(id, err)
+						hooks.reportConflict(id, err)
 					}
 				}
 			}

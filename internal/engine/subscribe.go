@@ -13,8 +13,10 @@ import (
 // the batched-ingestion contract (one epoch bump — and here one
 // notification — per applied batch, see ingest.go applyChunks). Each
 // re-execution goes through the ordinary Execute path, so it serves from
-// the partial cache: a batch that dirtied one shard costs one shard's
-// rescan plus the merge and estimators, not a full table scan. Emissions
+// the partial cache: a shard the batch did not touch is a cache hit, and
+// one it did is caught up from its stale partial (delta.go) — a predicate
+// pass over the rows the batch added — so a batch costs the merge and
+// estimators, not a table scan. Emissions
 // are therefore bitwise-identical to what a fresh cold query at the same
 // epochs would return — a subscription is a cadence, not a different
 // computation.

@@ -106,6 +106,14 @@ type shard struct {
 	// path that have not been applied to the store yet; staged rows are
 	// invisible to scans until a drain applies them (see ingest.go).
 	staging stagingBuf
+
+	// delta logs the recent applied batches, so a query holding a stale
+	// cached partial catches it up instead of rescanning (delta.go). own
+	// and ownErr are applyChunks' slots for Insert's private chunk and its
+	// conflict. All three are guarded by mu.
+	delta  deltaLog
+	own    [1]*obsChunk
+	ownErr error
 }
 
 func (sh *shard) rows() int { return sh.store.Rows() }
@@ -788,12 +796,12 @@ func appendViewRow(p *freqstats.Partial, v *storeView, row int, value float64) {
 }
 
 // selectionFor returns the selection bitmap of the compiled predicate
-// over one shard view (every row for a nil program) in a pooled bitmap
-// the caller returns with releaseBitmap. The caller must hold the shard's
-// read lock.
-func (t *Table) selectionFor(v *storeView, prog *filterProgram) (*bitmap, error) {
+// over the rows of one shard view from row from on (every such row for a
+// nil program) in a pooled bitmap the caller returns with releaseBitmap.
+// The caller must hold the shard's read lock.
+func (t *Table) selectionFor(v *storeView, prog *filterProgram, from int) (*bitmap, error) {
 	all := borrowBitmap(v.rows)
-	all.setAll()
+	all.setFrom(from)
 	if prog == nil {
 		return all, nil
 	}
@@ -812,14 +820,24 @@ func (t *Table) selectionFor(v *storeView, prog *filterProgram) (*bitmap, error)
 // caller.
 func (t *Table) scanShard(sh *shard, attrCol int, prog *filterProgram) (*freqstats.Partial, error) {
 	part := borrowSamplePart()
-	if sh.rows() == 0 {
-		return part, nil
-	}
-	v := sh.store.View()
-	sel, err := t.selectionFor(v, prog)
-	if err != nil {
+	if err := t.scanRows(part, sh, attrCol, prog, 0); err != nil {
 		releaseSamplePart(part)
 		return nil, err
+	}
+	return part, nil
+}
+
+// scanRows appends to part the shard's kept rows from row from on, in row
+// order, as scanShard collects them. The shard must be read-locked by the
+// caller.
+func (t *Table) scanRows(part *freqstats.Partial, sh *shard, attrCol int, prog *filterProgram, from int) error {
+	if sh.rows() == from {
+		return nil
+	}
+	v := sh.store.View()
+	sel, err := t.selectionFor(v, prog, from)
+	if err != nil {
+		return err
 	}
 	defer releaseBitmap(sel)
 	// Presize from the selection's popcount: rows is an exact upper bound
@@ -827,27 +845,27 @@ func (t *Table) scanShard(sh *shard, attrCol int, prog *filterProgram) (*freqsta
 	// shard's observed obs-per-row ratio. A pooled part usually already
 	// carries the capacity from earlier scans.
 	nSel := sel.count()
-	obsEst := 0
-	if v.rows > 0 {
-		obsEst = int(int64(sh.store.Obs()) * int64(nSel) / int64(v.rows))
-		obsEst += obsEst/8 + 8
-	}
+	obsEst := int(int64(sh.store.Obs()) * int64(nSel) / int64(v.rows))
+	obsEst += obsEst/8 + 8
 	part.Grow(nSel, obsEst)
 	if attrCol < 0 {
 		sel.forEachSet(func(row int) {
 			appendViewRow(part, v, row, 0)
 		})
-		return part, nil
+		return nil
 	}
 	// Extent-wise walk of the aggregate column: the selection ascends, so
 	// kept rows land in global row order exactly as a flat loop would.
+	// Extents wholly below from hold no selected row.
 	cv := &v.cols[attrCol]
 	for ei := range cv.exts {
-		gatherFloats(sel, &cv.exts[ei], func(row int, value float64) {
-			appendViewRow(part, v, row, value)
-		})
+		if ext := &cv.exts[ei]; ext.base+ext.n > from {
+			gatherFloats(sel, ext, func(row int, value float64) {
+				appendViewRow(part, v, row, value)
+			})
+		}
 	}
-	return part, nil
+	return nil
 }
 
 // gatherFloats walks the selected rows of one float-column extent and
@@ -988,22 +1006,25 @@ func (t *Table) sampleWithEpochs(ctx context.Context, attr string, where sqlpars
 // the epoch vector observed under the scan's read locks. Shards whose
 // cached partial was built at their current epoch are served from the
 // partial cache — a cached partial is frozen, shared read-only, and never
-// rescanned — so only shards whose epoch moved pay a scan. Fresh partials
-// within the cache's byte budget are frozen and published for the next
-// query. names is the source-ID -> name snapshot taken under the same
-// locks; IDs are stable forever, so it also resolves every lineage ID in
-// partials cached by earlier scans.
+// rescanned. A shard whose epoch moved is caught up from its stale cached
+// partial when the shard's delta log covers the gap (catchUp, which scans
+// only the rows stored since), and scanned in full otherwise. Fresh
+// partials within the cache's byte budget are frozen and published for
+// the next query. names is the source-ID -> name snapshot taken under the
+// same locks; IDs are stable forever, so it also resolves every lineage
+// ID in partials cached by earlier scans.
 func (t *Table) scanPartials(ctx context.Context, attr string, attrCol int, key string, prog *filterProgram) (parts [numShards]*freqstats.Partial, epochs [numShards]uint64, names []string, err error) {
 	release := t.rlockAll()
 	names = t.sourceNameTable()
 	epochs = t.epochsLocked()
 	err = t.forEachShard(ctx, func(i int, sh *shard) error {
 		pk := partialKey{expr: key, attr: attr, shard: i}
-		if p, ok := t.cache.lookupPartial(pk, epochs[i]); ok {
-			parts[i] = p
+		cached, builtAt, hit := t.cache.lookupPartial(pk, epochs[i])
+		if hit {
+			parts[i] = cached
 			return nil
 		}
-		p, scanErr := t.scanShard(sh, attrCol, prog)
+		p, scanErr := t.catchUp(sh, cached, builtAt, attrCol, prog)
 		if scanErr != nil {
 			return scanErr
 		}
@@ -1027,7 +1048,7 @@ func (t *Table) scanPartials(ctx context.Context, attr string, attrCol int, key 
 // share it without copies or coordination; a partial the cache rejects
 // stays mutable and returns to the scan pool after the merge.
 func (t *Table) publishPartial(pk partialKey, epoch uint64, p *freqstats.Partial) {
-	if !t.cache.acceptsPartial(p.FootprintBytes()) {
+	if !t.cache.acceptsPartial(pk, p.FootprintBytes()) {
 		return
 	}
 	p.Freeze()
@@ -1170,7 +1191,7 @@ func (t *Table) scanShardGrouped(sh *shard, attrCol, groupCol int, prog *filterP
 		return groups, nil
 	}
 	v := sh.store.View()
-	sel, err := t.selectionFor(v, prog)
+	sel, err := t.selectionFor(v, prog, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -24,15 +24,14 @@ var idSeed = maphash.MakeSeed()
 // Sample either way.
 //
 // A Partial starts mutable (AppendRow/Reset) and is sealed with Freeze,
-// which fixes its content, memoizes its fingerprint, and guarantees its
-// rows ascend by seq. Frozen partials are immutable and therefore safe to
-// share between concurrent merges; the mutators panic on a frozen value.
-// The zero value is an empty, mutable Partial.
+// which fixes its content and guarantees its rows ascend by seq. Frozen
+// partials are immutable and therefore safe to share between concurrent
+// merges; the mutators panic on a frozen value. The zero value is an
+// empty, mutable Partial.
 type Partial struct {
 	rows   []PartialRow
 	srcBuf []int32 // arena of per-row lineage (caller-scoped source IDs)
 	frozen bool
-	fp     uint64 // fingerprint, memoized by Freeze
 }
 
 // PartialRow is one kept row of a Partial: the entity's global insertion
@@ -99,6 +98,31 @@ func (p *Partial) AppendRow(seq uint64, id string, value float64, srcs []int32) 
 	})
 }
 
+// Seq returns the seq of kept row i.
+func (p *Partial) Seq(i int) uint64 { return p.rows[i].Seq }
+
+// CopyRows appends rows [lo, hi) of src with their lineage. The rows keep
+// the ID hashes src took, so a partial caught up from a cached one hashes
+// no ID it already held.
+func (p *Partial) CopyRows(src *Partial, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.CopyRow(src, i, src.lineage(src.rows[i]))
+	}
+}
+
+// CopyRow appends row i of src with srcs as its lineage (a row whose
+// lineage grew since src was built carries the grown one).
+func (p *Partial) CopyRow(src *Partial, i int, srcs []int32) {
+	if p.frozen {
+		panic("freqstats: CopyRow on a frozen Partial")
+	}
+	r := src.rows[i]
+	r.srcOff = int32(len(p.srcBuf))
+	r.srcLen = int32(len(srcs))
+	p.srcBuf = append(p.srcBuf, srcs...)
+	p.rows = append(p.rows, r)
+}
+
 // Reset clears the partial for reuse, keeping the backing arrays at their
 // high-water capacity. Rows are cleared so a pooled partial never retains
 // entity-ID strings of a dropped table.
@@ -109,16 +133,14 @@ func (p *Partial) Reset() {
 	clear(p.rows)
 	p.rows = p.rows[:0]
 	p.srcBuf = p.srcBuf[:0]
-	p.fp = 0
 }
 
 // Freeze seals the partial: it sorts the rows by seq if some producer
 // emitted them out of order (scans emit in row order, so this is normally
-// a no-op), computes and memoizes the content fingerprint, and marks the
-// partial immutable. Freeze on an already-frozen partial is a no-op.
-// Freezing before publication is what makes a cached partial safe to
-// share: MergePartials never needs to re-sort a frozen input, so
-// concurrent merges read it without coordination.
+// a no-op) and marks the partial immutable. Freeze on an already-frozen
+// partial is a no-op. Freezing before publication is what makes a cached
+// partial safe to share: MergePartials never needs to re-sort a frozen
+// input, so concurrent merges read it without coordination.
 func (p *Partial) Freeze() {
 	if p.frozen {
 		return
@@ -126,23 +148,16 @@ func (p *Partial) Freeze() {
 	if !sortedBySeq(p.rows) {
 		sort.Slice(p.rows, func(i, j int) bool { return p.rows[i].Seq < p.rows[j].Seq })
 	}
-	p.fp = p.fingerprint()
 	p.frozen = true
 }
 
 // Fingerprint returns a 64-bit content hash covering every row (seq,
-// entity, value bits, lineage) in order. Frozen partials return the memo
-// computed at Freeze; mutable partials hash on every call. Like
-// Sample.Fingerprint it guards caches against serving the wrong content —
-// it is not a cryptographic digest.
+// entity, value bits, lineage) in order, computed on every call: the
+// parity suites compare partials by it, and nothing on the query path
+// needs it, so Freeze — once per shard per batch under streaming
+// ingest — does not pay for it. Like Sample.Fingerprint it is not a
+// cryptographic digest.
 func (p *Partial) Fingerprint() uint64 {
-	if p.frozen {
-		return p.fp
-	}
-	return p.fingerprint()
-}
-
-func (p *Partial) fingerprint() uint64 {
 	h := fnvUint64(fnvOffset64, uint64(len(p.rows)))
 	h = fnvUint64(h, uint64(len(p.srcBuf)))
 	for _, r := range p.rows {

@@ -46,6 +46,41 @@ func TestPartialAppendAndAccessors(t *testing.T) {
 	}
 }
 
+// TestPartialCopyRows: copying rows from a frozen partial, some with a
+// grown lineage, equals building the same rows with AppendRow, keeps the
+// source untouched, and carries the ID hashes the merge's duplicate check
+// reads.
+func TestPartialCopyRows(t *testing.T) {
+	src := buildPartial(
+		[]PartialRow{{Seq: 10, ID: "a", Value: 1}, {Seq: 20, ID: "b", Value: 2}, {Seq: 30, ID: "c", Value: 3}},
+		[][]int32{{0}, {0, 1}, {1}},
+	)
+	src.Freeze()
+	srcFP := src.Fingerprint()
+	var got Partial
+	got.CopyRows(src, 0, 1)
+	got.CopyRow(src, 1, []int32{0, 1, 2})
+	got.CopyRows(src, 2, 3)
+	want := buildPartial(
+		[]PartialRow{{Seq: 10, ID: "a", Value: 1}, {Seq: 20, ID: "b", Value: 2}, {Seq: 30, ID: "c", Value: 3}},
+		[][]int32{{0}, {0, 1, 2}, {1}},
+	)
+	if got.Fingerprint() != want.Fingerprint() || got.Obs() != 5 || got.Seq(1) != 20 {
+		t.Fatalf("copied partial differs from the AppendRow build")
+	}
+	if src.Fingerprint() != srcFP {
+		t.Fatal("copying changed the source partial")
+	}
+	for i := range got.rows {
+		if got.rows[i].hash != want.rows[i].hash {
+			t.Fatalf("row %d lost its ID hash", i)
+		}
+	}
+	if _, err := MergePartials([]string{"s0", "s1", "s2"}, []*Partial{&got, src}); err == nil {
+		t.Fatal("merge of a copied row with its source missed the duplicate")
+	}
+}
+
 func TestPartialFreezeSortsAndMemoizes(t *testing.T) {
 	// Out-of-order producer: Freeze must leave rows ascending by seq, and
 	// the fingerprint must equal that of a partial built in order.
