@@ -418,8 +418,8 @@ func printCacheStats(db *engine.DB, tbl *engine.Table, enabled bool) {
 	fmt.Printf("storage:   backend %s (table %q)\n", tbl.StorageBackend(), tbl.Name())
 	s := db.CacheStats()
 	fmt.Printf("cache:     programs %d hits / %d misses\n", s.ProgramHits, s.ProgramMisses)
-	fmt.Printf("           partials %d hits / %d misses (%d bytes, %d evictions; incremental per-shard requery)\n",
-		s.PartialHits, s.PartialMisses, s.PartialBytes, s.PartialEvictions)
+	fmt.Printf("           partials %d hits / %d misses, %d of them caught up (%d bytes, %d evictions; incremental per-shard requery)\n",
+		s.PartialHits, s.PartialMisses, s.PartialCatchUps, s.PartialBytes, s.PartialEvictions)
 	fmt.Printf("           results %d hits / %d misses (%d bytes, %d evictions)\n",
 		s.ResultHits, s.ResultMisses, s.ResultBytes, s.ResultEvictions)
 	fmt.Printf("           string dicts %d entries (%d bytes resident)\n",

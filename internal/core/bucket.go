@@ -255,7 +255,8 @@ func (h EquiHeight) Split(s *freqstats.Sample, inner SumEstimator) []BucketResul
 // With the Naive or Frequency inner estimator the search runs on index
 // ranges of one value-sorted entity array (see splitRanges) and the final
 // buckets are priced on aggregates; no sub-sample is built. Any other
-// inner estimator is searched by materializing every candidate sub-sample.
+// inner estimator, or a sample of 2³¹ or more observations, is searched
+// by materializing every candidate sub-sample.
 // Both give the same buckets. The root bucket spans [min, max] of the
 // values with stats.Min/Max semantics, so NaN-valued entities fall in no
 // bucket.
@@ -266,11 +267,15 @@ func (Dynamic) Name() string { return "dynamic" }
 
 // Split implements BucketStrategy.
 func (Dynamic) Split(s *freqstats.Sample, inner SumEstimator) []BucketResult {
-	switch inner.(type) {
-	case Naive:
-		return splitRanges(s, false)
-	case Frequency:
-		return splitRanges(s, true)
+	// The range index holds counts and first-observation indexes in 32
+	// bits; a larger sample takes the materializing search.
+	if s.N() <= math.MaxInt32 {
+		switch inner.(type) {
+		case Naive:
+			return splitRanges(s, false)
+		case Frequency:
+			return splitRanges(s, true)
+		}
 	}
 	values := s.Values()
 	lo, ok := stats.Min(values)
@@ -366,11 +371,12 @@ type sideStats struct {
 
 // add folds entity e into the side's counts and value sums.
 func (st *sideStats) add(e rangeEnt) {
-	st.n += e.count
+	count := int(e.count)
+	st.n += count
 	st.c++
-	st.s2 += e.count * (e.count - 1)
+	st.s2 += count * (count - 1)
 	st.sum += e.value
-	if e.count == 1 {
+	if count == 1 {
 		st.f1++
 		st.f1sum += e.value
 	}
@@ -480,11 +486,13 @@ func deltaCost(delta float64) float64 {
 }
 
 // rangeEnt is one entity of the dynamic search's columnar arrays: its
-// value, occurrence count and first-observation index.
+// value, occurrence count and first-observation index. Both integers fit
+// in 32 bits because Dynamic.Split indexes only samples of fewer than 2³¹
+// observations.
 type rangeEnt struct {
 	value float64
-	count int
-	seq   int
+	count int32
+	seq   int32
 }
 
 // rangeIndex is the dynamic search's columnar view of a sample: the
@@ -498,17 +506,20 @@ type rangeIndex struct {
 	lo, hi        float64
 }
 
-// newRangeIndex reads s once into a rangeIndex; ok is false for an empty
-// sample. spare is the sort's second buffer, len(x.sorted) entities the
-// caller may reuse as split's scratch.
+// newRangeIndex reads s, which holds fewer than 2³¹ observations, once
+// into a rangeIndex; ok is false for an empty sample. spare is the sort's
+// second buffer, len(x.sorted) entities the caller may reuse as split's
+// scratch. bySeq, sorted and spare share one allocation.
 func newRangeIndex(s *freqstats.Sample) (x rangeIndex, spare []rangeEnt, ok bool) {
-	ents := make([]rangeEnt, 0, s.C())
-	s.EachEntity(func(v float64, count int) {
-		ents = append(ents, rangeEnt{value: v, count: count, seq: len(ents)})
-	})
-	if len(ents) == 0 {
+	c := s.C()
+	if c == 0 {
 		return x, nil, false
 	}
+	back := make([]rangeEnt, 3*c)
+	ents := back[:0:c]
+	s.EachEntity(func(v float64, count int) {
+		ents = append(ents, rangeEnt{value: v, count: int32(count), seq: int32(len(ents))})
+	})
 	x.lo, x.hi = ents[0].value, ents[0].value
 	for _, e := range ents[1:] {
 		if e.value < x.lo {
@@ -526,7 +537,10 @@ func newRangeIndex(s *freqstats.Sample) (x rangeIndex, spare []rangeEnt, ok bool
 	}
 	// bySeq holds no NaN and ascends by seq, so a stable sort by value
 	// yields the (value, seq) order.
-	x.sorted, spare = radixSortByValue(slices.Clone(x.bySeq), make([]rangeEnt, len(x.bySeq)))
+	m := len(x.bySeq)
+	a := back[c : c+m : c+m]
+	copy(a, x.bySeq)
+	x.sorted, spare = radixSortByValue(a, back[2*c:2*c+m:2*c+m])
 	return x, spare, true
 }
 
@@ -585,11 +599,15 @@ func radixSortByValue(a, buf []rangeEnt) (sorted, spare []rangeEnt) {
 // of its rangeIndex (held in first-observation order in bySeq[i:j]), the
 // value range [lo, hi) they span (closed at hi for the last bucket), their
 // aggregates summed in first-observation order, and the bucket's cost.
+// leftPriced and rightPriced report that the search's costL and costR
+// slots in (i, j) already hold this range's side costs, inherited from
+// the parent it shares a start or an end with.
 type valueRange struct {
-	i, j   int
-	lo, hi float64
-	st     sideStats
-	cost   float64
+	i, j                    int
+	lo, hi                  float64
+	st                      sideStats
+	cost                    float64
+	leftPriced, rightPriced bool
 }
 
 // root is the search's first bucket: the whole root range, its aggregates
@@ -627,6 +645,119 @@ func (x rangeIndex) split(b valueRange, k int, scratch []rangeEnt) (l, r valueRa
 	return l, r
 }
 
+// splitSearch is the state of one index-range run of Algorithm 1 (see
+// splitRanges): the range index, the partition scratch, the side cost
+// function of the inner estimator, and the side costs of every candidate
+// boundary. costL[k] is the cost of sorted[i:k] and costR[k] the cost of
+// sorted[k:j] for the range [i, j) that owns boundary k (i < k < j). The
+// live ranges partition the sorted positions, so no two of them share a
+// slot, and a child range finds its parent's slots still intact.
+type splitSearch struct {
+	x            rangeIndex
+	scratch      []rangeEnt
+	cost         func(sideStats) float64
+	costL, costR []float64
+}
+
+// newSplitSearch indexes s for the search with the Naive inner (Frequency
+// with freq); ok is false for an empty sample.
+func newSplitSearch(s *freqstats.Sample, freq bool) (p *splitSearch, ok bool) {
+	x, scratch, ok := newRangeIndex(s)
+	if !ok {
+		return nil, false
+	}
+	n := len(x.sorted)
+	costs := make([]float64, 2*n)
+	p = &splitSearch{x: x, scratch: scratch, cost: naiveSplitCost, costL: costs[:n:n], costR: costs[n:]}
+	if freq {
+		p.cost = freqSplitCost
+	}
+	return p, true
+}
+
+// root is the search's first bucket, x.root() with its cost.
+func (p *splitSearch) root() valueRange {
+	b := p.x.root()
+	b.cost = p.cost(b.st)
+	return b
+}
+
+// priceLeft sets costL[k] for every boundary k of [i, j) to the cost of
+// sorted[i:k], summed forward from i in value order.
+func (p *splitSearch) priceLeft(i, j int) {
+	sorted := p.x.sorted
+	var st sideStats
+	for k := i + 1; k < j; k++ {
+		e := sorted[k-1]
+		st.add(e)
+		if sorted[k].value != e.value {
+			p.costL[k] = p.cost(st)
+		}
+	}
+}
+
+// priceRight sets costR[k] for every boundary k of [i, j) to the cost of
+// sorted[k:j], summed backward from j-1 in value order.
+func (p *splitSearch) priceRight(i, j int) {
+	sorted := p.x.sorted
+	var st sideStats
+	for k := j - 1; k > i; k-- {
+		e := sorted[k]
+		st.add(e)
+		if sorted[k-1].value != e.value {
+			p.costR[k] = p.cost(st)
+		}
+	}
+}
+
+// sweep prices the sides of b's boundaries it does not inherit and
+// returns the sorted index of the split value minimizing
+// rest + cost(left) + cost(right), if that beats keeping b whole.
+func (p *splitSearch) sweep(b valueRange, rest float64) (int, bool) {
+	sorted := p.x.sorted
+	if b.j-b.i < 2 || sorted[b.i].value == sorted[b.j-1].value {
+		return 0, false
+	}
+	if !b.leftPriced {
+		p.priceLeft(b.i, b.j)
+	}
+	if !b.rightPriced {
+		p.priceRight(b.i, b.j)
+	}
+	deltaMin := rest + b.cost // current total; splits must beat this
+	best := 0
+	for k := b.i + 1; k < b.j; k++ {
+		if sorted[k].value == sorted[k-1].value {
+			continue // not a boundary between unique values
+		}
+		if cand := rest + p.costL[k] + p.costR[k]; deltaMin > cand {
+			deltaMin = cand
+			best = k
+		}
+	}
+	return best, best > 0
+}
+
+// split cuts the swept range b at boundary k and prices both children.
+// The left child starts where b does, so b's costL slots below k are its
+// left sides; the right child ends where b does and keeps b's costR slots.
+// Each child's sweep prices only its other side.
+func (p *splitSearch) split(b valueRange, k int) (l, r valueRange) {
+	l, r = p.x.split(b, k, p.scratch)
+	l.cost, r.cost = p.cost(l.st), p.cost(r.st)
+	l.leftPriced, r.rightPriced = true, true
+	return l, r
+}
+
+// rangeCosts sums the costs of bs in order.
+func rangeCosts(bs []valueRange) float64 {
+	var t float64
+	for _, b := range bs {
+		t += b.cost
+	}
+	return t
+}
+
 // splitRanges runs Algorithm 1 for the Naive inner estimator (Frequency
 // with freq). The sample is read once into a rangeIndex and every bucket
 // is an index range of it, so a split neither re-sorts nor filters: the
@@ -635,78 +766,30 @@ func (x rangeIndex) split(b valueRange, k int, scratch []rangeEnt) (l, r valueRa
 // children, summing both children's aggregates in the same O(range) pass.
 // The final buckets are priced on those aggregates; none is materialized.
 // The result is bit-identical to the materializing search:
-//   - a candidate's sides are summed in value order, left sums forward and
-//     right sums as suffix sums, exactly as that search's sweep did;
+//   - a candidate's left side is summed forward from the range start and
+//     its right side backward from the range end, in value order, as that
+//     search's sweep summed them. A side cost is a pure function of those
+//     sums and of exact integer counts, so a child that inherits its
+//     parent's costs for the side it shares reads the same bits it would
+//     have computed;
 //   - a bucket's own aggregates (which give its estimate, feed rest and
 //     set the bar a split must beat) are summed in first-observation
 //     order, as EstimateSum of its sub-sample adds them;
 //   - the FIFO queue, the done order and the cost summation order are the
 //     same.
 func splitRanges(s *freqstats.Sample, freq bool) []BucketResult {
-	x, scratch, ok := newRangeIndex(s)
+	p, ok := newSplitSearch(s, freq)
 	if !ok {
 		return nil
 	}
-	sorted := x.sorted
-	cost := naiveSplitCost
-	if freq {
-		cost = freqSplitCost
-	}
-	totalCost := func(bs []valueRange) float64 {
-		var t float64
-		for _, b := range bs {
-			t += b.cost
-		}
-		return t
-	}
-	sufSum := make([]float64, len(sorted)+1)
-	sufF1Sum := make([]float64, len(sorted)+1)
-	// sweep returns the sorted index of the split value minimizing
-	// rest + cost(left) + cost(right), if that beats keeping b whole.
-	sweep := func(b valueRange, rest float64) (int, bool) {
-		ents := sorted[b.i:b.j]
-		if len(ents) < 2 || ents[0].value == ents[len(ents)-1].value {
-			return 0, false
-		}
-		sufSum[len(ents)], sufF1Sum[len(ents)] = 0, 0
-		var left, right sideStats
-		for k := len(ents) - 1; k >= 0; k-- {
-			right.add(ents[k])
-			sufSum[k], sufF1Sum[k] = right.sum, right.f1sum
-		}
-		deltaMin := rest + b.cost // current total; splits must beat this
-		best := 0
-		for k := 1; k < len(ents); k++ {
-			e := ents[k-1]
-			left.add(e)
-			right.n -= e.count
-			right.c--
-			right.s2 -= e.count * (e.count - 1)
-			if e.count == 1 {
-				right.f1--
-			}
-			right.sum, right.f1sum = sufSum[k], sufF1Sum[k]
-			if ents[k].value == e.value {
-				continue // not a boundary between unique values
-			}
-			if cand := rest + cost(left) + cost(right); deltaMin > cand {
-				deltaMin = cand
-				best = b.i + k
-			}
-		}
-		return best, best > 0
-	}
-	root := x.root()
-	root.cost = cost(root.st)
-	todo := []valueRange{root}
+	todo := []valueRange{p.root()}
 	var done []valueRange
 	for len(todo) > 0 {
 		b := todo[0]
 		todo = todo[1:]
-		rest := totalCost(todo) + totalCost(done)
-		if k, ok := sweep(b, rest); ok {
-			l, r := x.split(b, k, scratch)
-			l.cost, r.cost = cost(l.st), cost(r.st)
+		rest := rangeCosts(todo) + rangeCosts(done)
+		if k, ok := p.sweep(b, rest); ok {
+			l, r := p.split(b, k)
 			todo = append(todo, l, r)
 		} else {
 			done = append(done, b)

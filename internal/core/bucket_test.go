@@ -540,6 +540,15 @@ func TestDynamicSplitMatchesReference(t *testing.T) {
 			paritySample(t, seed, 20+int(seed)*7, mode, tie))
 	}
 
+	for name, s := range edgeSamples(t) {
+		checkDynamicParity(t, name, s)
+	}
+}
+
+// edgeSamples are the degenerate samples the parity tests cover: a NaN
+// value inside the range and observed first, a single entity, a single
+// distinct value, and pure singletons.
+func edgeSamples(t testing.TB) map[string]*freqstats.Sample {
 	edge := map[string]func(s *freqstats.Sample){
 		"NaN value": func(s *freqstats.Sample) {
 			mustAdd(t, s, "a", 10, "s1")
@@ -572,24 +581,205 @@ func TestDynamicSplitMatchesReference(t *testing.T) {
 			}
 		},
 	}
+	out := make(map[string]*freqstats.Sample, len(edge))
 	for name, build := range edge {
 		s := freqstats.NewSample()
 		build(s)
-		checkDynamicParity(t, name, s)
+		out[name] = s
 	}
+	return out
+}
+
+// deepSplitSeeds are FuzzDynamicSplitParity inputs whose split tree is at
+// least four levels deep for both inners (TestDeepSplitSeeds), so the
+// corpus always holds ranges that read side costs inherited twice over.
+var deepSplitSeeds = []struct {
+	seed          int64
+	n             uint16
+	mode, tieRate uint8
+}{
+	{1, 250, 1, 53},
+	{2, 250, 2, 106},
+	{3, 60, 3, 159},
+	{6, 60, 2, 62},
+	{7, 120, 3, 115},
 }
 
 // FuzzDynamicSplitParity: for any sample paritySample can draw, the
-// index-range search and the reference agree bit for bit.
+// index-range search and the reference agree bit for bit, and every side
+// cost the search reads equals that side summed from scratch.
 func FuzzDynamicSplitParity(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(120), uint8(1), uint8(64))
 	f.Add(int64(3), uint16(200), uint8(2), uint8(200))
 	f.Add(int64(4), uint16(3), uint8(3), uint8(255))
+	for _, d := range deepSplitSeeds {
+		f.Add(d.seed, d.n, d.mode, d.tieRate)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, mode, tieRate uint8) {
-		s := paritySample(t, seed, 1+int(n%300), mode, tieRate)
-		checkDynamicParity(t, fmt.Sprintf("seed %d n %d mode %d tie %d", seed, n, mode, tieRate), s)
+		s := fuzzSample(t, seed, n, mode, tieRate)
+		label := fmt.Sprintf("seed %d n %d mode %d tie %d", seed, n, mode, tieRate)
+		checkDynamicParity(t, label, s)
+		checkSideInheritance(t, label, s)
 	})
+}
+
+// fuzzSample is the sample FuzzDynamicSplitParity draws for its inputs.
+func fuzzSample(t testing.TB, seed int64, n uint16, mode, tieRate uint8) *freqstats.Sample {
+	return paritySample(t, seed, 1+int(n%300), mode, tieRate)
+}
+
+// TestDeepSplitSeeds: each deepSplitSeeds input splits at least four
+// levels deep with either inner.
+func TestDeepSplitSeeds(t *testing.T) {
+	for _, d := range deepSplitSeeds {
+		s := fuzzSample(t, d.seed, d.n, d.mode, d.tieRate)
+		for _, in := range statsInners {
+			label := fmt.Sprintf("seed %d n %d mode %d tie %d %s", d.seed, d.n, d.mode, d.tieRate, in.inner.Name())
+			if levels, _ := replaySplit(t, label, s, in.freq, nil); levels < 4 {
+				t.Errorf("%s: split tree has %d levels, want at least 4", label, levels)
+			}
+		}
+	}
+}
+
+// replaySplit runs splitRanges' search on s (Frequency's with freq) step by
+// step through the same splitSearch methods and calls swept, when not nil,
+// after every sweep with the range swept. It returns the number of levels
+// of the split tree (the root alone is one) and how many side and bucket
+// costs the search priced, and fails unless the replay ends in the
+// buckets splitRanges returns.
+func replaySplit(t testing.TB, label string, s *freqstats.Sample, freq bool, swept func(p *splitSearch, b valueRange)) (levels, pricings int) {
+	t.Helper()
+	p, ok := newSplitSearch(s, freq)
+	if !ok {
+		return 0, 0
+	}
+	cost := p.cost
+	p.cost = func(st sideStats) float64 {
+		pricings++
+		return cost(st)
+	}
+	level := map[[2]int]int{}
+	root := p.root()
+	level[[2]int{root.i, root.j}] = 1
+	todo := []valueRange{root}
+	var done []valueRange
+	for len(todo) > 0 {
+		b := todo[0]
+		todo = todo[1:]
+		lv := level[[2]int{b.i, b.j}]
+		levels = max(levels, lv)
+		k, ok := p.sweep(b, rangeCosts(todo)+rangeCosts(done))
+		if swept != nil {
+			swept(p, b)
+		}
+		if !ok {
+			done = append(done, b)
+			continue
+		}
+		l, r := p.split(b, k)
+		level[[2]int{l.i, l.j}], level[[2]int{r.i, r.j}] = lv+1, lv+1
+		todo = append(todo, l, r)
+	}
+	slices.SortFunc(done, func(a, b valueRange) int { return cmp.Compare(a.lo, b.lo) })
+	want := splitRanges(s, freq)
+	if len(done) != len(want) {
+		t.Fatalf("%s: replay ends in %d buckets, splitRanges in %d", label, len(done), len(want))
+	}
+	for i, b := range done {
+		w := want[i]
+		if math.Float64bits(b.lo) != math.Float64bits(w.Lo) || math.Float64bits(b.hi) != math.Float64bits(w.Hi) || b.st.c != w.C || b.st.n != w.N {
+			t.Fatalf("%s: replay bucket %d is [%v,%v) c=%d n=%d, splitRanges [%v,%v) c=%d n=%d",
+				label, i, b.lo, b.hi, b.st.c, b.st.n, w.Lo, w.Hi, w.C, w.N)
+		}
+	}
+	return levels, pricings
+}
+
+// checkSideInheritance: for every range the search sweeps and every
+// boundary k between unique values in it, the side costs the sweep reads
+// (costL[k] and costR[k]) are bit for bit the costs of the two sides
+// summed from scratch for that range — the left side forward from the
+// range start, the right side backward from its end — for both inners,
+// although a child range only prices the side it does not share with its
+// parent.
+func checkSideInheritance(t testing.TB, label string, s *freqstats.Sample) {
+	t.Helper()
+	bits := math.Float64bits
+	for _, in := range statsInners {
+		replaySplit(t, label, s, in.freq, func(p *splitSearch, b valueRange) {
+			t.Helper()
+			sorted := p.x.sorted
+			var left, right sideStats
+			for k := b.i + 1; k < b.j; k++ {
+				left.add(sorted[k-1])
+				if sorted[k].value != sorted[k-1].value {
+					if want := in.cost(left); bits(p.costL[k]) != bits(want) {
+						t.Fatalf("%s %s range [%d,%d) boundary %d: left cost %v, summed from the start %v",
+							label, in.inner.Name(), b.i, b.j, k, p.costL[k], want)
+					}
+				}
+			}
+			for k := b.j - 1; k > b.i; k-- {
+				right.add(sorted[k])
+				if sorted[k].value != sorted[k-1].value {
+					if want := in.cost(right); bits(p.costR[k]) != bits(want) {
+						t.Fatalf("%s %s range [%d,%d) boundary %d: right cost %v, summed from the end %v",
+							label, in.inner.Name(), b.i, b.j, k, p.costR[k], want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSplitSidesInheritExactly runs checkSideInheritance on the synthetic
+// cuts, on float-valued samples with ties, on the degenerate samples
+// (NaN values included) and on signed zeros.
+func TestSplitSidesInheritExactly(t *testing.T) {
+	for i, s := range syntheticCuts(t) {
+		checkSideInheritance(t, fmt.Sprintf("synthetic cut %d", i), s)
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		mode, tie := uint8(seed%4), uint8(seed*37%256)
+		checkSideInheritance(t, fmt.Sprintf("seed %d mode %d tie %d", seed, mode, tie),
+			paritySample(t, seed, 20+int(seed)*7, mode, tie))
+	}
+	for name, s := range edgeSamples(t) {
+		checkSideInheritance(t, name, s)
+	}
+	checkSideInheritance(t, "signed zeros", signedZeroSample(t))
+}
+
+// TestSplitPricingsPerCut: on the 16 "value > k" cuts of the 20000-entity
+// synthetic population (the synthetic-avg workload's), children inherit
+// the side they share with their parent, so the search prices at most
+// 43,000 side and bucket costs per cut on average. Pricing both sides of
+// every boundary in every sweep took 72,121.
+func TestSplitPricingsPerCut(t *testing.T) {
+	cuts := syntheticCutsOf(t, 20000, 2000)
+	var total, both int
+	for i, s := range cuts {
+		label := fmt.Sprintf("synthetic cut %d", i)
+		_, n := replaySplit(t, label, s, false, func(p *splitSearch, b valueRange) {
+			for k := b.i + 1; k < b.j; k++ {
+				if p.x.sorted[k].value != p.x.sorted[k-1].value {
+					both += 2
+				}
+			}
+		})
+		total += n
+		// Both schemes price every bucket of the split tree once: 2L-1
+		// buckets for L leaves.
+		both += 2*len(splitRanges(s, false)) - 1
+	}
+	mean := float64(total) / float64(len(cuts))
+	t.Logf("costs priced per cut: %.0f, pricing both sides of every boundary: %.0f",
+		mean, float64(both)/float64(len(cuts)))
+	if mean > 43000 {
+		t.Errorf("%.0f costs priced per cut, want at most 43,000", mean)
+	}
 }
 
 // TestRangeIndexBucketCostMatchesMaterialized: the aggregates the
@@ -719,7 +909,7 @@ func TestRangeIndexRadixOrder(t *testing.T) {
 		if !math.IsNaN(tc.values[0]) {
 			for i, v := range tc.values {
 				if !math.IsNaN(v) {
-					want = append(want, rangeEnt{value: v, count: 1, seq: i})
+					want = append(want, rangeEnt{value: v, count: 1, seq: int32(i)})
 				}
 			}
 		}
@@ -759,7 +949,7 @@ var statsInners = []struct {
 // partition pass sums a bucket's.
 func sampleStats(s *freqstats.Sample) sideStats {
 	var st sideStats
-	s.EachEntity(func(v float64, count int) { st.add(rangeEnt{value: v, count: count}) })
+	s.EachEntity(func(v float64, count int) { st.add(rangeEnt{value: v, count: int32(count)}) })
 	return st
 }
 
@@ -844,14 +1034,20 @@ func BenchmarkRangeIndex(b *testing.B) {
 
 // BenchmarkDynamicSplit runs the default dynamic split (Naive inner) over
 // the 16 synthetic "value > k" cuts, the bucket layer of a filtered AVG
-// or MEDIAN query on the correlated synthetic population.
+// or MEDIAN query on the correlated synthetic population: the small
+// population of syntheticCuts, and the 20000-entity one (10 sources x
+// 2000 draws) that the synthetic-avg workload queries.
 func BenchmarkDynamicSplit(b *testing.B) {
-	cuts := syntheticCuts(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range cuts {
-			Dynamic{}.Split(s, Naive{})
-		}
+	for _, size := range []struct{ entities, perSource int }{{2000, 200}, {20000, 2000}} {
+		b.Run(fmt.Sprintf("entities=%d", size.entities), func(b *testing.B) {
+			cuts := syntheticCutsOf(b, size.entities, size.perSource)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range cuts {
+					Dynamic{}.Split(s, Naive{})
+				}
+			}
+		})
 	}
 }

@@ -69,11 +69,14 @@ type CacheStats struct {
 	// rescanned in full. A query over a table with one dirty shard
 	// therefore accounts numShards-1 hits and 1 miss.
 	PartialHits, PartialMisses uint64
-	PartialEvictions           uint64
-	PartialBytes               int
-	ResultHits, ResultMisses   uint64
-	ResultEvictions            uint64
-	ResultBytes                int
+	// PartialCatchUps counts the misses that were caught up from a stale
+	// cached partial instead of rescanned; each is also a PartialMisses.
+	PartialCatchUps          uint64
+	PartialEvictions         uint64
+	PartialBytes             int
+	ResultHits, ResultMisses uint64
+	ResultEvictions          uint64
+	ResultBytes              int
 	// DictEntries/DictBytes snapshot the string-dictionary footprint: the
 	// total cardinality (distinct interned strings, summed over shards —
 	// every shard pre-interns the empty string) and the resident bytes of
@@ -91,6 +94,7 @@ func (s *CacheStats) add(other CacheStats) {
 	s.ProgramMisses += other.ProgramMisses
 	s.PartialHits += other.PartialHits
 	s.PartialMisses += other.PartialMisses
+	s.PartialCatchUps += other.PartialCatchUps
 	s.PartialEvictions += other.PartialEvictions
 	s.PartialBytes += other.PartialBytes
 	s.ResultHits += other.ResultHits
@@ -297,6 +301,7 @@ func (c *scanCache) stats() CacheStats {
 		ProgramMisses:    c.progMisses.Load(),
 		PartialHits:      c.pHits.Load(),
 		PartialMisses:    c.pMisses.Load(),
+		PartialCatchUps:  c.pDeltas.Load(),
 		PartialEvictions: c.pEvictions.Load(),
 		PartialBytes:     pBytes,
 	}

@@ -466,15 +466,20 @@ func deltaBackends(t *testing.T) map[string]StorageConfig {
 // lineage-only, duplicate and conflicting re-reports, NULL and missing
 // cells, Insert/Append/Writer batches, seals and compactions on every
 // backend, checking caught-up partials against fresh scans after each
-// query, and that the catch-up path actually ran.
+// query, and that the catch-up path actually ran and is reported by both
+// Table.CacheStats and DB.CacheStats.
 func TestDeltaPartialParity(t *testing.T) {
 	for name, storage := range deltaBackends(t) {
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
-				_, tbl := metaTableStorage(t, storage)
+				db, tbl := metaTableStorage(t, storage)
 				deltaScript(t, tbl, true, randomDeltaProgram(rand.New(rand.NewSource(seed)), 600))
-				if tbl.cache.pDeltas.Load() == 0 {
+				n := tbl.CacheStats().PartialCatchUps
+				if n == 0 {
 					t.Fatalf("seed %d: no partial was caught up from a stale one", seed)
+				}
+				if got := db.CacheStats().PartialCatchUps; got != n {
+					t.Fatalf("seed %d: DB reports %d catch-ups, its one table %d", seed, got, n)
 				}
 			}
 		})
@@ -487,7 +492,7 @@ func TestDeltaPartialCacheDisabled(t *testing.T) {
 	_, tbl := metaTable(t)
 	tbl.SetScanCacheLimits(defaultProgramCacheEntries, 0)
 	deltaScript(t, tbl, false, randomDeltaProgram(rand.New(rand.NewSource(5)), 300))
-	if n := tbl.cache.pDeltas.Load(); n != 0 {
+	if n := tbl.CacheStats().PartialCatchUps; n != 0 {
 		t.Fatalf("%d catch-ups with the partial cache disabled", n)
 	}
 }
@@ -524,15 +529,15 @@ func TestDeltaLogWindowFallback(t *testing.T) {
 	for i := 0; i <= deltaLogBatches; i++ {
 		touchEveryShard(t, tbl, ids[:100+i], fmt.Sprintf("s%03d", i))
 	}
-	before := tbl.cache.pDeltas.Load()
+	before := tbl.CacheStats().PartialCatchUps
 	checkDeltaParity(t, tbl, true, "past the window")
-	if n := tbl.cache.pDeltas.Load() - before; n != 0 {
+	if n := tbl.CacheStats().PartialCatchUps - before; n != 0 {
 		t.Fatalf("%d catch-ups from bases older than the log", n)
 	}
 	touchEveryShard(t, tbl, ids, "s-last")
-	before = tbl.cache.pDeltas.Load()
+	before = tbl.CacheStats().PartialCatchUps
 	checkDeltaParity(t, tbl, true, "one batch later")
-	if n := tbl.cache.pDeltas.Load() - before; n != uint64(numShards*len(deltaQueries)) {
+	if n := tbl.CacheStats().PartialCatchUps - before; n != uint64(numShards*len(deltaQueries)) {
 		t.Fatalf("%d catch-ups one batch after a rescan, want %d", n, numShards*len(deltaQueries))
 	}
 }
@@ -605,11 +610,11 @@ func TestDeltaRecoverFallback(t *testing.T) {
 	}
 	tbl2, _ := db2.Table("t")
 	checkDeltaParity(t, tbl2, true, "recovered")
-	if n := tbl2.cache.pDeltas.Load(); n != 0 {
+	if n := tbl2.CacheStats().PartialCatchUps; n != 0 {
 		t.Fatalf("%d catch-ups on a freshly recovered table", n)
 	}
 	deltaScript(t, tbl2, true, randomDeltaProgram(rand.New(rand.NewSource(7)), 300))
-	if tbl2.cache.pDeltas.Load() == 0 {
+	if tbl2.CacheStats().PartialCatchUps == 0 {
 		t.Fatal("no catch-up after recovery")
 	}
 }
@@ -665,7 +670,7 @@ func TestDeltaConcurrentCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDeltaParity(t, tbl, true, "after concurrent catch-ups")
-	if tbl.cache.pDeltas.Load() == 0 {
+	if tbl.CacheStats().PartialCatchUps == 0 {
 		t.Fatal("no catch-up ran")
 	}
 }
