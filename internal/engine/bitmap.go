@@ -245,43 +245,3 @@ func (b *bitmap) forEach(fn func(i int) error) error {
 	}
 	return nil
 }
-
-// forEachRange is forEach restricted to set bits in [lo, hi). The
-// full-range call degenerates to forEach, so single-extent scans (the
-// in-memory backend) pay nothing for the range bounds; partial ranges
-// mask the boundary words and sweep whole words in between, which is how
-// multi-extent (disk-segment) scans stay word-at-a-time.
-func (b *bitmap) forEachRange(lo, hi int, fn func(i int) error) error {
-	if lo <= 0 && hi >= b.n {
-		return b.forEach(fn)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return nil
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-		w := b.words[wi]
-		base := wi << 6
-		if base < lo {
-			w &^= (uint64(1) << (uint(lo) & 63)) - 1
-		}
-		if base+64 > hi {
-			if tail := uint(hi) & 63; tail != 0 {
-				w &= (uint64(1) << tail) - 1
-			}
-		}
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			if err := fn(i); err != nil {
-				return err
-			}
-			w &= w - 1
-		}
-	}
-	return nil
-}

@@ -2,11 +2,11 @@ package engine
 
 // Segment compaction for the disk backend. Small ingest batches seal
 // many small segment files; each one is a separate extent, so scans on a
-// long-lived shard degrade from the single-extent word-aligned fast
-// paths to per-extent (often unaligned) walks. Compaction rewrites a
-// shard's sealed segments into ONE merged segment — one extent per
-// column, based at row 0 and therefore always word-aligned — behind the
-// same seal machinery.
+// long-lived shard pay the per-extent work (kernel setup, a dictionary
+// translation per string predicate, split boundary words) many times
+// over. Compaction rewrites a shard's sealed segments into ONE merged
+// segment — one extent per column, based at row 0 — behind the same seal
+// machinery.
 //
 // Compaction never changes logical content: the merged segment holds
 // exactly the same rows in the same order, identity and lineage are
@@ -38,8 +38,8 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 	// Merged string columns re-code into a compaction-local dictionary (the
 	// shard dictionary stays untouched — adopted segments may hold strings
 	// the live dictionary never saw, and a rewrite is not a mutation). Each
-	// source segment contributes via one dictionary-sized remap table (v2)
-	// or a per-row intern (v1 files, upgraded to v2 here).
+	// source segment contributes via one dictionary-sized remap table; v1
+	// files, transcoded at open, are rewritten as v2 here.
 	local := newStringDict()
 	cols := newTailCols(d.schema, local)
 	for ci, c := range d.schema {
@@ -60,18 +60,12 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 			case TypeFloat:
 				col.floats = append(col.floats, e.floats[:e.n]...)
 			case TypeString:
-				if e.codes != nil {
-					remap := make([]uint32, len(e.dict))
-					for sc, s := range e.dict {
-						remap[sc] = local.intern(s)
-					}
-					for _, sc := range e.codes[:e.n] {
-						col.codes = append(col.codes, remap[sc])
-					}
-				} else {
-					for i := 0; i < e.n; i++ {
-						col.codes = append(col.codes, local.intern(e.str(i)))
-					}
+				remap := make([]uint32, len(e.dict))
+				for sc, s := range e.dict {
+					remap[sc] = local.intern(s)
+				}
+				for _, sc := range e.codes[:e.n] {
+					col.codes = append(col.codes, remap[sc])
 				}
 			case TypeBool:
 				for i := 0; i < e.n; i++ {
@@ -123,12 +117,12 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 
 // Compact force-compacts every disk-backed shard of the table: the
 // current in-memory tail is sealed and all sealed segments are merged
-// into one per shard, so subsequent scans run on single word-aligned
-// extents. In durable mode the shard checkpoints are rewritten so the
-// merged layout is the recovery point. A no-op for the in-memory
-// backend. Background compaction (StorageConfig.CompactSegments) makes
-// explicit calls unnecessary for steady workloads; Compact exists for
-// benchmarks, tests and load-then-serve pipelines.
+// into one per shard, so subsequent scans run on one extent per column.
+// In durable mode the shard checkpoints are rewritten so the merged
+// layout is the recovery point. A no-op for the in-memory backend.
+// Background compaction (StorageConfig.CompactSegments) makes explicit
+// calls unnecessary for steady workloads; Compact exists for benchmarks,
+// tests and load-then-serve pipelines.
 func (t *Table) Compact() error {
 	var firstErr error
 	for si, sh := range t.shards {

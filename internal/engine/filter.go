@@ -284,14 +284,7 @@ type boolColNode struct {
 func (n *boolColNode) eval(v *storeView, sel, out *bitmap) error {
 	cv := &v.cols[n.col]
 	for ei := range cv.exts {
-		ext := &cv.exts[ei]
-		var err error
-		if ext.wordAligned() {
-			err = n.evalWords(ext, sel, out)
-		} else {
-			err = n.evalScalar(ext, sel, out)
-		}
-		if err != nil {
+		if err := n.evalWords(&cv.exts[ei], sel, out); err != nil {
 			return err
 		}
 	}
@@ -302,10 +295,9 @@ func (n *boolColNode) eval(v *storeView, sel, out *bitmap) error {
 // masks the selection to the extent, validates defined/valid/type as word
 // operations, and ORs the packed bool storage into the output.
 func (n *boolColNode) evalWords(ext *colExtent, sel, out *bitmap) error {
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		lo := w << 6
 		hi := lo + 64
 		if hi > ext.n {
@@ -322,35 +314,16 @@ func (n *boolColNode) evalWords(ext *colExtent, sel, out *bitmap) error {
 			invalid = selw & defw // a non-bool column errors on any defined row
 		}
 		if undef|invalid != 0 {
-			// Report for the lowest offending row, exactly as the ascending
-			// scalar walk would.
+			// Report for the lowest offending row, exactly as an ascending
+			// per-row walk would.
 			if undef != 0 && (invalid == 0 || bits.TrailingZeros64(undef) < bits.TrailingZeros64(invalid)) {
 				return fmt.Errorf("sql: %w %q", ErrUnknownColumn, n.name)
 			}
 			return fmt.Errorf("sql: column %q is not boolean", n.name)
 		}
-		out.words[bw+w] |= selw & boolWord(ext, lo, hi)
+		ext.orWord(out, w, selw&boolWord(ext, lo, hi))
 	}
 	return nil
-}
-
-// evalScalar is the per-row reference path, used for extents that do not
-// start on a word boundary (and as the oracle the kernel parity tests
-// compare against).
-func (n *boolColNode) evalScalar(ext *colExtent, sel, out *bitmap) error {
-	return sel.forEachRange(ext.base, ext.base+ext.n, func(row int) error {
-		i := row - ext.base
-		if !ext.defined.get(i) {
-			return fmt.Errorf("sql: %w %q", ErrUnknownColumn, n.name)
-		}
-		if !n.isBool || !ext.valid.get(i) {
-			return fmt.Errorf("sql: column %q is not boolean", n.name)
-		}
-		if ext.boolAt(i) {
-			out.set(row)
-		}
-		return nil
-	})
 }
 
 // boolWord packs rows [lo, hi) of the extent's bool storage into the low
@@ -413,12 +386,10 @@ func (n *cmpNode) eval(v *storeView, sel, out *bitmap) error {
 }
 
 // evalFloatCmp runs <col> <op> <c> (or <c> <op> <col> when flipped) over
-// the selected rows of a float column, one storage extent at a time.
-// Word-aligned extents — the memory backend always, disk segments under
-// the default SegmentRows — take the word-at-a-time kernel: 64 rows per
-// iteration, the compare word built with branch-free bit ops and ANDed
-// against the selection/defined/valid words, no per-row closure call.
-// Unaligned extents fall back to the per-row scalar walk.
+// the selected rows of a float column, one storage extent at a time, with
+// the word-at-a-time kernel: 64 rows per iteration, the compare word built
+// with branch-free bit ops and ANDed against the selection/defined/valid
+// words, no per-row closure call.
 func evalFloatCmp(v *storeView, sel, out *bitmap, colOp *operand, op sqlparse.CompareOp, c float64, flipped bool) error {
 	if flipped {
 		// <c> <op> <col> mirrors to <col> <op'> <c>; exact for every float
@@ -432,14 +403,7 @@ func evalFloatCmp(v *storeView, sel, out *bitmap, colOp *operand, op sqlparse.Co
 	}
 	cv := &v.cols[colOp.col]
 	for ei := range cv.exts {
-		ext := &cv.exts[ei]
-		var err error
-		if ext.wordAligned() {
-			err = evalFloatCmpWords(ext, sel, out, colOp.name, op, c)
-		} else {
-			err = evalFloatCmpScalar(ext, sel, out, colOp.name, op, c)
-		}
-		if err != nil {
+		if err := evalFloatCmpWords(&cv.exts[ei], sel, out, colOp.name, op, c); err != nil {
 			return err
 		}
 	}
@@ -472,18 +436,17 @@ func b2u(b bool) uint64 {
 }
 
 // evalFloatCmpWords is the word-at-a-time float compare kernel over one
-// aligned extent. Per 64-row word: mask the selection to the extent,
+// extent at any base. Per 64-row word: mask the selection to the extent,
 // reject selected-but-undefined rows (word test — the error is
 // row-independent), drop NULLs via the valid word, and build the compare
 // result for the whole slab before a single OR into the output word.
 func evalFloatCmpWords(ext *colExtent, sel, out *bitmap, colName string, op sqlparse.CompareOp, c float64) error {
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	vals := ext.floats
 	defWords := ext.defined.words
 	validWords := ext.valid.words
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		lo := w << 6
 		hi := lo + 64
 		if hi > ext.n {
@@ -500,7 +463,7 @@ func evalFloatCmpWords(ext *colExtent, sel, out *bitmap, colName string, op sqlp
 		if cand == 0 {
 			continue
 		}
-		out.words[bw+w] |= cand & cmpFloatWord(op, vals[lo:hi], c)
+		ext.orWord(out, w, cand&cmpFloatWord(op, vals[lo:hi], c))
 	}
 	return nil
 }
@@ -539,47 +502,9 @@ func cmpFloatWord(op sqlparse.CompareOp, vals []float64, c float64) uint64 {
 	return w
 }
 
-// evalFloatCmpScalar is the per-row reference path: extents that do not
-// start on a word boundary, and the oracle the kernel parity tests
-// compare against. op is already flip-normalized by evalFloatCmp.
-func evalFloatCmpScalar(ext *colExtent, sel, out *bitmap, colName string, op sqlparse.CompareOp, c float64) error {
-	vals := ext.floats
-	return sel.forEachRange(ext.base, ext.base+ext.n, func(row int) error {
-		i := row - ext.base
-		if !ext.defined.get(i) {
-			return fmt.Errorf("sql: %w %q", ErrUnknownColumn, colName)
-		}
-		if !ext.valid.get(i) {
-			return nil // NULL never compares true
-		}
-		v := vals[i]
-		var keep bool
-		switch op {
-		case sqlparse.OpEq:
-			keep = v == c
-		case sqlparse.OpNe:
-			keep = v != c
-		case sqlparse.OpLt:
-			keep = v < c
-		case sqlparse.OpLe:
-			keep = v <= c
-		case sqlparse.OpGt:
-			keep = v > c
-		case sqlparse.OpGe:
-			keep = v >= c
-		default:
-			return fmt.Errorf("sql: unknown operator %q", op)
-		}
-		if keep {
-			out.set(row)
-		}
-		return nil
-	})
-}
-
 // evalFloatMembership runs a set-membership predicate — BETWEEN or IN
 // over numeric literals — on a float column, one storage extent at a
-// time, with the same aligned/unaligned dispatch as evalFloatCmp. member
+// time, with the same word kernel shape as evalFloatCmp. member
 // builds the membership word for up to 64 contiguous values; negation is
 // applied outside it so NULL handling stays in one place: membership of a
 // NULL is three-valued false, and the generic path applies NOT after, so
@@ -587,14 +512,7 @@ func evalFloatCmpScalar(ext *colExtent, sel, out *bitmap, colName string, op sql
 func evalFloatMembership(v *storeView, sel, out *bitmap, colOp *operand, negate bool, member func([]float64) uint64) error {
 	cv := &v.cols[colOp.col]
 	for ei := range cv.exts {
-		ext := &cv.exts[ei]
-		var err error
-		if ext.wordAligned() {
-			err = evalFloatMembershipWords(ext, sel, out, colOp.name, negate, member)
-		} else {
-			err = evalFloatMembershipScalar(ext, sel, out, colOp.name, negate, member)
-		}
-		if err != nil {
+		if err := evalFloatMembershipWords(&cv.exts[ei], sel, out, colOp.name, negate, member); err != nil {
 			return err
 		}
 	}
@@ -602,18 +520,17 @@ func evalFloatMembership(v *storeView, sel, out *bitmap, colOp *operand, negate 
 }
 
 // evalFloatMembershipWords is the word-at-a-time membership kernel over
-// one aligned extent: per 64-row word it masks the selection, rejects
+// one extent at any base: per 64-row word it masks the selection, rejects
 // selected-but-undefined rows, builds the membership word for the whole
 // value slab, and resolves negation (including the NULL-keeping NOT
 // semantics) with pure word ops before a single OR into the output.
 func evalFloatMembershipWords(ext *colExtent, sel, out *bitmap, colName string, negate bool, member func([]float64) uint64) error {
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	vals := ext.floats
 	defWords := ext.defined.words
 	validWords := ext.valid.words
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		lo := w << 6
 		hi := lo + 64
 		if hi > ext.n {
@@ -641,33 +558,9 @@ func evalFloatMembershipWords(ext *colExtent, sel, out *bitmap, colName string, 
 			// for NULL and the generic path negates after it.
 			res |= selw &^ validWords[w]
 		}
-		out.words[bw+w] |= res
+		ext.orWord(out, w, res)
 	}
 	return nil
-}
-
-// evalFloatMembershipScalar is the per-row reference path for membership
-// predicates: extents that do not start on a word boundary, and the
-// oracle the kernel parity tests compare against.
-func evalFloatMembershipScalar(ext *colExtent, sel, out *bitmap, colName string, negate bool, member func([]float64) uint64) error {
-	vals := ext.floats
-	return sel.forEachRange(ext.base, ext.base+ext.n, func(row int) error {
-		i := row - ext.base
-		if !ext.defined.get(i) {
-			return fmt.Errorf("sql: %w %q", ErrUnknownColumn, colName)
-		}
-		in := false
-		if ext.valid.get(i) {
-			in = member(vals[i:i+1])&1 != 0
-		}
-		if negate {
-			in = !in
-		}
-		if in {
-			out.set(row)
-		}
-		return nil
-	})
 }
 
 // betweenFloatWord packs v >= lo && v <= hi for up to 64 contiguous
@@ -716,8 +609,7 @@ func (n *betweenNode) eval(sv *storeView, sel, out *bitmap) error {
 			func(rank []uint32, sortedVals []string) func([]uint32) uint64 {
 				lo, hi := dictLowerBound(sortedVals, loLit), dictUpperBound(sortedVals, hiLit)
 				return func(codes []uint32) uint64 { return codeRangeWord(codes, rank, lo, hi) }
-			},
-			func(s string) bool { return s >= loLit && s <= hiLit })
+			})
 	}
 	return sel.forEach(func(row int) error {
 		v, err := n.v.value(sv, row)
@@ -781,14 +673,6 @@ func (n *inNode) eval(sv *storeView, sel, out *bitmap) error {
 					}
 				}
 				return func(codes []uint32) uint64 { return codeSetWord(codes, rank, set) }
-			},
-			func(s string) bool {
-				for _, c := range n.strConsts {
-					if s == c {
-						return true
-					}
-				}
-				return false
 			})
 	}
 	return sel.forEach(func(row int) error {
@@ -832,7 +716,7 @@ type likeNode struct {
 
 func (n *likeNode) eval(sv *storeView, sel, out *bitmap) error {
 	if n.plan.fast && n.v.isStrCol() {
-		return evalStrLike(sv, sel, out, &n.v, n.plan, n.pattern, n.negate)
+		return evalStrLike(sv, sel, out, &n.v, n.plan, n.negate)
 	}
 	return sel.forEach(func(row int) error {
 		v, err := n.v.value(sv, row)

@@ -78,34 +78,19 @@ func assertFloatKernelParity(t *testing.T, label string, ext *colExtent, sel *bi
 	outS := newBitmap(rows)
 	errW := evalFloatCmpWords(ext, sel, outW, "v", op, c)
 	errS := evalFloatCmpScalar(ext, sel, outS, "v", op, c)
-	if (errW == nil) != (errS == nil) {
-		t.Fatalf("%s op=%v: kernel err %v, scalar err %v", label, op, errW, errS)
-	}
-	if errW != nil {
-		if errW.Error() != errS.Error() {
-			t.Fatalf("%s op=%v: kernel err %q != scalar err %q", label, op, errW, errS)
-		}
-		return // output is unspecified after an error
-	}
-	for i := range outS.words {
-		if outW.words[i] != outS.words[i] {
-			t.Fatalf("%s op=%v: word %d kernel=%016x scalar=%016x", label, op, i, outW.words[i], outS.words[i])
-		}
-	}
+	assertKernelAgree(t, fmt.Sprintf("%s op=%v", label, op), outW, outS, errW, errS)
 }
 
 // TestFloatKernelParity sweeps the word-at-a-time float compare kernel
 // against the per-row scalar reference across extent shapes: single
 // partial word, exact word, word+tail, multi-word, and extents starting
-// at a non-zero aligned base (the disk backend's segment extents), with
-// and without NULLs, at several selection densities.
+// at every in-word offset (the disk backend's segment and tail extents),
+// with and without NULLs, at several selection densities.
 func TestFloatKernelParity(t *testing.T) {
-	shapes := []struct {
-		base, n int
-	}{
+	shapes := append([]extentShape{
 		{0, 1}, {0, 63}, {0, 64}, {0, 65}, {0, 100}, {0, 128},
 		{0, 300}, {64, 64}, {64, 100}, {128, 63}, {192, 257},
-	}
+	}, everyOffsetShapes()...)
 	for si, sh := range shapes {
 		for _, withNull := range []bool{false, true} {
 			for density := 0; density <= 4; density++ {
@@ -136,9 +121,9 @@ func TestFloatKernelErrorParity(t *testing.T) {
 }
 
 // TestFloatKernelMultiExtent mimics a disk shard whose segments do not
-// split on word boundaries: an aligned head extent takes the word kernel,
-// the unaligned continuation takes the scalar path, and the combined
-// output must equal one flat scalar evaluation of the whole column.
+// split on word boundaries: the word kernel runs on an aligned head
+// extent and on the unaligned continuation, and the combined output must
+// equal one flat scalar evaluation of the whole column.
 func TestFloatKernelMultiExtent(t *testing.T) {
 	const segRows = 160 // not a multiple of 64: second extent is unaligned
 	const tailRows = 90
@@ -164,7 +149,7 @@ func TestFloatKernelMultiExtent(t *testing.T) {
 			ext.valid.words[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
-	if !head.wordAligned() || tail.wordAligned() {
+	if head.base&63 != 0 || tail.base&63 == 0 {
 		t.Fatal("test setup: head must be aligned, tail unaligned")
 	}
 
@@ -175,7 +160,7 @@ func TestFloatKernelMultiExtent(t *testing.T) {
 			if err := evalFloatCmpWords(head, sel, got, "v", op, 50); err != nil {
 				t.Fatal(err)
 			}
-			if err := evalFloatCmpScalar(tail, sel, got, "v", op, 50); err != nil {
+			if err := evalFloatCmpWords(tail, sel, got, "v", op, 50); err != nil {
 				t.Fatal(err)
 			}
 			want := newBitmap(rows)
@@ -234,7 +219,7 @@ func TestBoolKernelParity(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		for _, isBool := range []bool{true, false} {
 			for _, withErr := range []bool{false, true} {
-				for _, sh := range []struct{ base, n int }{{0, 64}, {0, 100}, {64, 190}} {
+				for _, sh := range append([]extentShape{{0, 64}, {0, 100}, {64, 190}}, everyOffsetShapes()...) {
 					n := &boolColNode{name: "b", isBool: isBool}
 					ext := buildBoolExtent(uint64(sh.n), sh.base, sh.n, packed, withErr, withErr)
 					for density := 1; density <= 4; density++ {
@@ -243,21 +228,8 @@ func TestBoolKernelParity(t *testing.T) {
 						outW, outS := newBitmap(rows), newBitmap(rows)
 						errW := n.evalWords(ext, sel, outW)
 						errS := n.evalScalar(ext, sel, outS)
-						label := fmt.Sprintf("packed=%v isBool=%v err=%v n=%d dens=%d", packed, isBool, withErr, sh.n, density)
-						if (errW == nil) != (errS == nil) {
-							t.Fatalf("%s: kernel err %v, scalar err %v", label, errW, errS)
-						}
-						if errW != nil {
-							if errW.Error() != errS.Error() {
-								t.Fatalf("%s: kernel err %q != scalar err %q", label, errW, errS)
-							}
-							continue
-						}
-						for i := range outS.words {
-							if outW.words[i] != outS.words[i] {
-								t.Fatalf("%s: word %d kernel=%016x scalar=%016x", label, i, outW.words[i], outS.words[i])
-							}
-						}
+						label := fmt.Sprintf("packed=%v isBool=%v err=%v base=%d n=%d dens=%d", packed, isBool, withErr, sh.base, sh.n, density)
+						assertKernelAgree(t, label, outW, outS, errW, errS)
 					}
 				}
 			}
@@ -276,26 +248,14 @@ func FuzzFloatKernelParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, opIdx uint8, c float64) {
 		n := int(rows%512) + 1
 		op := kernelOps[int(opIdx)%len(kernelOps)]
-		base := int(seed%4) * 64
+		bst := seed ^ 0xba5e
+		base := int(splitmix64(&bst) % 256) // any in-word offset
 		ext := buildFloatExtent(seed, base, n, seed%3 == 0, seed%2 == 0)
 		sel := buildSel(seed^0xdead, base+n, int(seed%5))
 		total := base + n
 		outW, outS := newBitmap(total), newBitmap(total)
 		errW := evalFloatCmpWords(ext, sel, outW, "v", op, c)
 		errS := evalFloatCmpScalar(ext, sel, outS, "v", op, c)
-		if (errW == nil) != (errS == nil) {
-			t.Fatalf("kernel err %v, scalar err %v", errW, errS)
-		}
-		if errW != nil {
-			if errW.Error() != errS.Error() {
-				t.Fatalf("kernel err %q != scalar err %q", errW, errS)
-			}
-			return
-		}
-		for i := range outS.words {
-			if outW.words[i] != outS.words[i] {
-				t.Fatalf("word %d kernel=%016x scalar=%016x", i, outW.words[i], outS.words[i])
-			}
-		}
+		assertKernelAgree(t, fmt.Sprintf("base=%d n=%d op=%v", base, n, op), outW, outS, errW, errS)
 	})
 }

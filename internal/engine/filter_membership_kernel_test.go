@@ -110,15 +110,13 @@ func assertMembershipParity(t *testing.T, label string, ext *colExtent, sel *bit
 
 // TestFloatMembershipKernelParity sweeps the membership kernels across
 // the same extent shapes as TestFloatKernelParity — partial word, exact
-// word, word+tail, multi-word, non-zero aligned bases — with and without
+// word, word+tail, multi-word, every in-word base offset — with and without
 // NULLs, at several selection densities, both negations.
 func TestFloatMembershipKernelParity(t *testing.T) {
-	shapes := []struct {
-		base, n int
-	}{
+	shapes := append([]extentShape{
 		{0, 1}, {0, 63}, {0, 64}, {0, 65}, {0, 100}, {0, 128},
 		{0, 300}, {64, 64}, {64, 100}, {128, 63}, {192, 257},
-	}
+	}, everyOffsetShapes()...)
 	for si, sh := range shapes {
 		for _, withNull := range []bool{false, true} {
 			for density := 0; density <= 4; density++ {
@@ -228,7 +226,8 @@ func FuzzFloatBetweenKernelParity(f *testing.F) {
 	f.Add(uint64(4), uint16(1), 50.0, 50.0, false)
 	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, lo, hi float64, negate bool) {
 		n := int(rows%512) + 1
-		base := int(seed%4) * 64
+		bst := seed ^ 0xba5e
+		base := int(splitmix64(&bst) % 256) // any in-word offset
 		ext := buildFloatExtent(seed, base, n, seed%3 == 0, seed%2 == 0)
 		sel := buildSel(seed^0xbeef, base+n, int(seed%5))
 		member := func(vals []float64) uint64 { return betweenFloatWord(vals, lo, hi) }
@@ -236,7 +235,7 @@ func FuzzFloatBetweenKernelParity(f *testing.F) {
 		outW, outS := newBitmap(total), newBitmap(total)
 		errW := evalFloatMembershipWords(ext, sel, outW, "v", negate, member)
 		errS := evalFloatMembershipScalar(ext, sel, outS, "v", negate, member)
-		assertFuzzMembershipAgree(t, outW, outS, errW, errS)
+		assertKernelAgree(t, fmt.Sprintf("base=%d n=%d neg=%v", base, n, negate), outW, outS, errW, errS)
 	})
 }
 
@@ -248,7 +247,8 @@ func FuzzFloatInKernelParity(f *testing.F) {
 	f.Add(uint64(3), uint16(300), uint8(7), 12.5, true)
 	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, nConsts uint8, c0 float64, negate bool) {
 		n := int(rows%512) + 1
-		base := int(seed%4) * 64
+		bst := seed ^ 0xba5e
+		base := int(splitmix64(&bst) % 256) // any in-word offset
 		consts := make([]float64, int(nConsts)%9)
 		st := seed ^ 0x5eed
 		for i := range consts {
@@ -266,24 +266,6 @@ func FuzzFloatInKernelParity(f *testing.F) {
 		outW, outS := newBitmap(total), newBitmap(total)
 		errW := evalFloatMembershipWords(ext, sel, outW, "v", negate, member)
 		errS := evalFloatMembershipScalar(ext, sel, outS, "v", negate, member)
-		assertFuzzMembershipAgree(t, outW, outS, errW, errS)
+		assertKernelAgree(t, fmt.Sprintf("base=%d n=%d neg=%v", base, n, negate), outW, outS, errW, errS)
 	})
-}
-
-func assertFuzzMembershipAgree(t *testing.T, outW, outS *bitmap, errW, errS error) {
-	t.Helper()
-	if (errW == nil) != (errS == nil) {
-		t.Fatalf("kernel err %v, scalar err %v", errW, errS)
-	}
-	if errW != nil {
-		if errW.Error() != errS.Error() {
-			t.Fatalf("kernel err %q != scalar err %q", errW, errS)
-		}
-		return
-	}
-	for i := range outS.words {
-		if outW.words[i] != outS.words[i] {
-			t.Fatalf("word %d kernel=%016x scalar=%016x", i, outW.words[i], outS.words[i])
-		}
-	}
 }

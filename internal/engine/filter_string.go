@@ -11,12 +11,11 @@ package engine
 //	IN (...)                                 ->  rank-bitset membership
 //
 // Live extents carry a rank lookaside built from the shard dictionary
-// (stringDict.sortedView); sealed v2 segments write their dictionary
-// pre-sorted, so their code order IS string order and rank is the
-// identity (nil). v1 segment extents have no codes at all and take the
-// per-row scalar fallback, as do extents that do not start on a word
-// boundary — the scalar walk is also the oracle the parity tests compare
-// against.
+// (stringDict.sortedView); sealed segments carry a sorted dictionary (v2
+// files write it so, v1 files are transcoded into it at open), so their
+// code order IS string order and rank is the identity (nil). Every
+// extent, at any base, takes the word kernels; the per-row string walk
+// survives only as the oracle of the parity tests.
 //
 // NULL semantics split in two families, matching the generic paths and
 // sqlparse.Evaluate exactly:
@@ -36,8 +35,7 @@ import (
 )
 
 // evalStrCmp runs <col> <op> <lit> (or flipped) over a string column, one
-// extent at a time: rank-interval word kernel for aligned dictionary
-// extents, per-row string compare otherwise.
+// extent at a time, with the rank-interval word kernel.
 func evalStrCmp(v *storeView, sel, out *bitmap, colOp *operand, op sqlparse.CompareOp, c string, flipped bool) error {
 	if flipped {
 		op = flipCmp(op)
@@ -50,16 +48,9 @@ func evalStrCmp(v *storeView, sel, out *bitmap, colOp *operand, op sqlparse.Comp
 	cv := &v.cols[colOp.col]
 	for ei := range cv.exts {
 		ext := &cv.exts[ei]
-		var err error
-		if ext.codes != nil && ext.wordAligned() {
-			rank, sortedVals := ext.dictOrder()
-			lo, hi, negate := cmpRankBounds(op, sortedVals, c)
-			err = evalCodeCmpWords(ext, sel, out, colOp.name, rank, lo, hi, negate)
-		} else {
-			err = evalStrScalar(ext, sel, out, colOp.name, false, false,
-				func(s string) bool { return cmpStrMatch(op, s, c) })
-		}
-		if err != nil {
+		rank, sortedVals := ext.dictOrder()
+		lo, hi, negate := cmpRankBounds(op, sortedVals, c)
+		if err := evalCodeCmpWords(ext, sel, out, colOp.name, rank, lo, hi, negate); err != nil {
 			return err
 		}
 	}
@@ -90,39 +81,19 @@ func cmpRankBounds(op sqlparse.CompareOp, sortedVals []string, c string) (lo, hi
 	}
 }
 
-// cmpStrMatch is the string-space oracle of cmpRankBounds.
-func cmpStrMatch(op sqlparse.CompareOp, s, c string) bool {
-	cmp := strings.Compare(s, c)
-	switch op {
-	case sqlparse.OpEq:
-		return cmp == 0
-	case sqlparse.OpNe:
-		return cmp != 0
-	case sqlparse.OpLt:
-		return cmp < 0
-	case sqlparse.OpLe:
-		return cmp <= 0
-	case sqlparse.OpGt:
-		return cmp > 0
-	default: // OpGe
-		return cmp >= 0
-	}
-}
-
 // evalCodeCmpWords is the word-at-a-time rank-interval kernel for the
-// compare/LIKE family over one aligned dictionary extent. Per 64-row
+// compare/LIKE family over one dictionary extent at any base. Per 64-row
 // word: mask the selection to the extent, reject selected-but-undefined
 // rows (word test), drop NULLs via the valid word, build the interval
 // word for the whole code slab branch-free, and resolve negation within
 // the candidate word (NULL rows fail both polarities in this family).
 func evalCodeCmpWords(ext *colExtent, sel, out *bitmap, colName string, rank []uint32, lo, hi uint32, negate bool) error {
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	codes := ext.codes
 	defWords := ext.defined.words
 	validWords := ext.valid.words
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		wlo := w << 6
 		whi := wlo + 64
 		if whi > ext.n {
@@ -141,27 +112,25 @@ func evalCodeCmpWords(ext *colExtent, sel, out *bitmap, colName string, rank []u
 		}
 		rw := codeRangeWord(codes[wlo:whi], rank, lo, hi)
 		if negate {
-			out.words[bw+w] |= cand &^ rw
-		} else {
-			out.words[bw+w] |= cand & rw
+			rw = ^rw
 		}
+		ext.orWord(out, w, cand&rw)
 	}
 	return nil
 }
 
 // evalCodeMembershipWords is the word-at-a-time membership kernel —
-// BETWEEN and IN over string literals — for one aligned dictionary
-// extent. member builds the membership word for up to 64 contiguous
+// BETWEEN and IN over string literals — for one dictionary extent at any
+// base. member builds the membership word for up to 64 contiguous
 // codes; negation is applied outside it and keeps selected NULL rows,
 // exactly like evalFloatMembershipWords.
 func evalCodeMembershipWords(ext *colExtent, sel, out *bitmap, colName string, negate bool, member func(codes []uint32) uint64) error {
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	codes := ext.codes
 	defWords := ext.defined.words
 	validWords := ext.valid.words
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		lo := w << 6
 		hi := lo + 64
 		if hi > ext.n {
@@ -189,42 +158,14 @@ func evalCodeMembershipWords(ext *colExtent, sel, out *bitmap, colName string, n
 			// for NULL and the generic path negates after it.
 			res |= selw &^ validWords[w]
 		}
-		out.words[bw+w] |= res
+		ext.orWord(out, w, res)
 	}
 	return nil
 }
 
-// evalStrScalar is the per-row reference path for every string kernel:
-// v1 segment extents (no codes), extents off a word boundary, and the
-// oracle the parity tests compare against. match reports the un-negated
-// predicate outcome for a non-NULL string; nullKeep selects the
-// membership family's NULL-keeping negation.
-func evalStrScalar(ext *colExtent, sel, out *bitmap, colName string, negate, nullKeep bool, match func(s string) bool) error {
-	return sel.forEachRange(ext.base, ext.base+ext.n, func(row int) error {
-		i := row - ext.base
-		if !ext.defined.get(i) {
-			return fmt.Errorf("sql: %w %q", ErrUnknownColumn, colName)
-		}
-		if !ext.valid.get(i) {
-			if negate && nullKeep {
-				out.set(row)
-			}
-			return nil
-		}
-		m := match(ext.str(i))
-		if negate {
-			m = !m
-		}
-		if m {
-			out.set(row)
-		}
-		return nil
-	})
-}
-
 // codeRangeWord packs rank(code) in [lo, hi) for up to 64 contiguous
 // codes into the low bits of one word, branch-free. A nil rank is the
-// identity (sealed v2 segments: code order is string order). Every cell
+// identity (sealed segments: code order is string order). Every cell
 // is translated — including placeholder codes of rows the caller's masks
 // exclude — which is why placeholders must be valid dictionary indexes
 // (dictEmptyCode).
@@ -264,22 +205,14 @@ func codeSetWord(codes []uint32, rank []uint32, set []uint64) uint64 {
 // evalStrMembership runs a membership predicate — BETWEEN or IN over
 // string literals — on a string column, one extent at a time. mk
 // translates the predicate into a membership-word builder for one
-// extent's (rank, sorted dictionary) pair; match is the string-space
-// oracle used on the scalar path.
+// extent's (rank, sorted dictionary) pair.
 func evalStrMembership(v *storeView, sel, out *bitmap, colOp *operand, negate bool,
-	mk func(rank []uint32, sortedVals []string) func(codes []uint32) uint64,
-	match func(s string) bool) error {
+	mk func(rank []uint32, sortedVals []string) func(codes []uint32) uint64) error {
 	cv := &v.cols[colOp.col]
 	for ei := range cv.exts {
 		ext := &cv.exts[ei]
-		var err error
-		if ext.codes != nil && ext.wordAligned() {
-			rank, sortedVals := ext.dictOrder()
-			err = evalCodeMembershipWords(ext, sel, out, colOp.name, negate, mk(rank, sortedVals))
-		} else {
-			err = evalStrScalar(ext, sel, out, colOp.name, negate, true, match)
-		}
-		if err != nil {
+		rank, sortedVals := ext.dictOrder()
+		if err := evalCodeMembershipWords(ext, sel, out, colOp.name, negate, mk(rank, sortedVals)); err != nil {
 			return err
 		}
 	}
@@ -313,25 +246,18 @@ func planLike(pattern string) likePlan {
 // evalStrLike runs a planned LIKE over a string column, one extent at a
 // time. LIKE shares the compare family's NULL handling: a NULL operand
 // fails before negation, so both polarities reject it.
-func evalStrLike(v *storeView, sel, out *bitmap, colOp *operand, plan likePlan, pattern string, negate bool) error {
+func evalStrLike(v *storeView, sel, out *bitmap, colOp *operand, plan likePlan, negate bool) error {
 	cv := &v.cols[colOp.col]
 	for ei := range cv.exts {
 		ext := &cv.exts[ei]
-		var err error
-		if ext.codes != nil && ext.wordAligned() {
-			rank, sortedVals := ext.dictOrder()
-			var lo, hi uint32
-			if plan.prefix {
-				lo, hi = dictPrefixBounds(sortedVals, plan.lit)
-			} else {
-				lo, hi = dictLowerBound(sortedVals, plan.lit), dictUpperBound(sortedVals, plan.lit)
-			}
-			err = evalCodeCmpWords(ext, sel, out, colOp.name, rank, lo, hi, negate)
+		rank, sortedVals := ext.dictOrder()
+		var lo, hi uint32
+		if plan.prefix {
+			lo, hi = dictPrefixBounds(sortedVals, plan.lit)
 		} else {
-			err = evalStrScalar(ext, sel, out, colOp.name, negate, false,
-				func(s string) bool { return sqlparse.LikeMatch(pattern, s) })
+			lo, hi = dictLowerBound(sortedVals, plan.lit), dictUpperBound(sortedVals, plan.lit)
 		}
-		if err != nil {
+		if err := evalCodeCmpWords(ext, sel, out, colOp.name, rank, lo, hi, negate); err != nil {
 			return err
 		}
 	}

@@ -10,11 +10,12 @@ import (
 // String kernel parity: the same logical string column is materialized in
 // every representation the scan paths serve — live dictionary extent
 // (rank-lookaside word kernel), v2 segment extent (sorted dictionary,
-// identity rank), v1 segment extent (offset+blob, per-row scalar path),
-// and a live column split at a non-word boundary (word kernel head +
-// scalar tail) — and one compiled predicate must produce bit-identical
-// selections and identical errors on all of them, and agree with the
-// per-row sqlparse.Evaluate oracle.
+// identity rank), v1 segment column (offset+blob, transcoded the way
+// parseSegment transcodes it), and columns split into several extents at
+// non-word boundaries (live pieces sharing one dictionary, or sealed
+// pieces ahead of a live tail, as on a disk shard) — and one compiled
+// predicate must produce bit-identical selections and identical errors on
+// all of them, and agree with the per-row sqlparse.Evaluate oracle.
 
 // strCell is one logical string cell.
 type strCell struct {
@@ -88,9 +89,11 @@ func segStringExtent(live colExtent) colExtent {
 		defined: live.defined, valid: live.valid}
 }
 
-// v1StringExtent writes the cells in the v1 offset+blob form: no codes at
-// all, so every predicate takes the per-row scalar path.
-func v1StringExtent(cells []strCell, base int) colExtent {
+// v1StringExtent writes the cells in the v1 offset+blob form and reads
+// them back through transcodeV1Strings, as parseSegment does for a v1
+// file.
+func v1StringExtent(t testing.TB, cells []strCell, base int) colExtent {
+	t.Helper()
 	defined, valid := strCellBits(cells)
 	off := make([]uint32, len(cells)+1)
 	var blob []byte
@@ -100,7 +103,11 @@ func v1StringExtent(cells []strCell, base int) colExtent {
 		}
 		off[i+1] = uint32(len(blob))
 	}
-	return colExtent{base: base, n: len(cells), strOff: off, strBlob: blob,
+	codes, dict, err := transcodeV1Strings(off, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return colExtent{base: base, n: len(cells), codes: codes, dict: dict,
 		defined: defined, valid: valid}
 }
 
@@ -109,26 +116,59 @@ func strView(rows int, exts ...colExtent) *storeView {
 	return &storeView{rows: rows, cols: []colView{{typ: TypeString, exts: exts}}}
 }
 
+// splitStringView cuts the cells at the given rows into consecutive
+// extents sharing one shard dictionary. With sealed, every piece but the
+// last is rewritten as a segment extent (sorted dictionary, identity
+// rank): the shape of a disk shard, segments at arbitrary bases followed
+// by the live tail.
+func splitStringView(cells []strCell, cuts []int, sealed bool) *storeView {
+	d := newStringDict()
+	var exts []colExtent
+	lo := 0
+	for _, hi := range append(cuts, len(cells)) {
+		exts = append(exts, liveStringExtent(cells[lo:hi], lo, d))
+		lo = hi
+	}
+	for i := range exts {
+		// Re-snapshot the dict view: later pieces' interning may have grown
+		// it, and a wider snapshot is still exact for this piece.
+		exts[i].dict = d.valsView()
+		if sealed && i < len(exts)-1 {
+			exts[i] = segStringExtent(exts[i])
+		}
+	}
+	return strView(len(cells), exts...)
+}
+
+// strParityViewNames lists strParityViews' representations in the order
+// assertStringPredParity compares them.
+var strParityViewNames = []string{"live", "seg", "v1", "split-37", "split-100", "disk-37", "disk-70-129"}
+
 // strParityViews builds every representation of the same cells. The
-// split view shares the live shard dictionary across an aligned head and
-// an unaligned tail (head length 100), exercising the word-kernel +
-// scalar-fallback seam within one column.
-func strParityViews(cells []strCell) map[string]*storeView {
+// split and disk views cut the column at non-multiples of 64, so word
+// kernels run on extents starting mid-word; a view is only built when the
+// column is longer than its last cut.
+func strParityViews(t testing.TB, cells []strCell) map[string]*storeView {
 	n := len(cells)
 	live := liveStringExtent(cells, 0, newStringDict())
 	views := map[string]*storeView{
 		"live": strView(n, live),
 		"seg":  strView(n, segStringExtent(live)),
-		"v1":   strView(n, v1StringExtent(cells, 0)),
+		"v1":   strView(n, v1StringExtent(t, cells, 0)),
 	}
-	if n > 100 {
-		d := newStringDict()
-		head := liveStringExtent(cells[:100], 0, d)
-		tail := liveStringExtent(cells[100:], 100, d)
-		// Re-snapshot the head's dict view: the tail's interning may have
-		// grown it, and a wider snapshot is still exact for the head.
-		head.dict = d.valsView()
-		views["split"] = strView(n, head, tail)
+	for _, sp := range []struct {
+		name   string
+		cuts   []int
+		sealed bool
+	}{
+		{"split-37", []int{37}, false},
+		{"split-100", []int{100}, false},
+		{"disk-37", []int{37}, true},
+		{"disk-70-129", []int{70, 129}, true},
+	} {
+		if n > sp.cuts[len(sp.cuts)-1] {
+			views[sp.name] = splitStringView(cells, sp.cuts, sp.sealed)
+		}
 	}
 	return views
 }
@@ -152,8 +192,9 @@ func assertStringPredParity(t *testing.T, label, sql string, cells []strCell, se
 	var refBits *bitmap
 	var refErr error
 	refName := ""
-	for _, name := range []string{"live", "seg", "v1", "split"} {
-		v, ok := strParityViews(cells)[name]
+	views := strParityViews(t, cells)
+	for _, name := range strParityViewNames {
+		v, ok := views[name]
 		if !ok {
 			continue
 		}
@@ -257,8 +298,8 @@ func TestStringKernelParity(t *testing.T) {
 
 // FuzzStringKernelParity is the coverage-guided sweep: arbitrary (seed,
 // rows, predicate, literal) corners must never make the dictionary word
-// kernels, the scalar path, the v1 reader, and the sqlparse oracle
-// disagree.
+// kernels on every representation (the transcoded v1 column included)
+// and the sqlparse oracle disagree.
 func FuzzStringKernelParity(f *testing.F) {
 	f.Add(uint64(1), uint16(64), uint8(0), uint8(3))
 	f.Add(uint64(2), uint16(100), uint8(7), uint8(0))

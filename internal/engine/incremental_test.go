@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/freqstats"
@@ -635,6 +636,8 @@ func TestDeltaConcurrentCatchUp(t *testing.T) {
 	}
 	done := make(chan struct{})
 	errs := make(chan error, 4)
+	var applied atomic.Int64    // batches the writer has applied
+	seen := make(chan int64, 1) // applied as a finished query saw it at its start
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
@@ -647,6 +650,7 @@ func TestDeltaConcurrentCatchUp(t *testing.T) {
 					return
 				default:
 				}
+				at := applied.Load()
 				s, err := tbl.Sample("v", where)
 				if err != nil {
 					errs <- err
@@ -657,15 +661,34 @@ func TestDeltaConcurrentCatchUp(t *testing.T) {
 					return
 				}
 				last = s.N()
+				select {
+				case seen <- at:
+				default:
+				}
 			}
 		}()
 	}
+	var failed error
+write:
 	for i := 0; i < 40; i++ {
 		touchEveryShard(t, tbl, append(ids[i:i+50], fmt.Sprintf("n%04d", i)), fmt.Sprintf("s%03d", i))
+		applied.Store(int64(i + 1))
+		// Wait for a query that began after this batch, so batches and
+		// catch-ups interleave however the scheduler runs the goroutines.
+		for at := int64(0); at <= int64(i); {
+			select {
+			case at = <-seen:
+			case failed = <-errs:
+				break write
+			}
+		}
 	}
 	close(done)
 	wg.Wait()
 	close(errs)
+	if failed != nil {
+		t.Fatal(failed)
+	}
 	for err := range errs {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -10,10 +13,11 @@ import (
 // TestSegmentV1FixtureRoundTrip reads a v1 segment file committed to
 // testdata — written by the pre-dictionary format with offset+blob string
 // columns — and pins that the v2-era reader still serves it: cells read
-// back exactly, the string column stays code-less (scalar predicate
-// path), and compiled string predicates over it agree with per-row
-// expectations. This is the compatibility contract: old segment files on
-// disk keep working unconverted until compaction rewrites them as v2.
+// back exactly, the string column is transcoded at open into codes over a
+// strictly sorted dictionary (so it takes the word kernels), and compiled
+// string predicates over it agree with per-row expectations. This is the
+// compatibility contract: old segment files on disk keep working, read
+// through the v2 representation, until compaction rewrites them as v2.
 func TestSegmentV1FixtureRoundTrip(t *testing.T) {
 	var tag [8]byte
 	hostOrder.PutUint64(tag[:], 1)
@@ -53,11 +57,18 @@ func TestSegmentV1FixtureRoundTrip(t *testing.T) {
 			t.Fatalf("nrows = %d, want %d", seg.nrows, len(want))
 		}
 		sp := &seg.cols[0]
-		if sp.codes != nil || sp.dict != nil {
-			t.Fatal("v1 string extent grew dictionary codes; it must stay on the scalar path")
+		if len(sp.codes) != seg.nrows {
+			t.Fatalf("v1 string column transcoded to %d codes, want %d", len(sp.codes), seg.nrows)
 		}
-		if sp.strOff == nil || len(sp.strOff) != seg.nrows+1 {
-			t.Fatalf("v1 string offsets missing or mis-sized: %d", len(sp.strOff))
+		for i := 1; i < len(sp.dict); i++ {
+			if sp.dict[i] <= sp.dict[i-1] {
+				t.Fatalf("transcoded dictionary not strictly sorted: %q", sp.dict)
+			}
+		}
+		for i, c := range sp.codes {
+			if int(c) >= len(sp.dict) {
+				t.Fatalf("row %d: code %d out of dictionary range %d", i, c, len(sp.dict))
+			}
 		}
 		for i, w := range want {
 			for ci, wv := range []sqlparse.Value{w.species, w.v, w.flag} {
@@ -71,8 +82,8 @@ func TestSegmentV1FixtureRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Compiled string predicates over the v1 extent: the scalar
-		// fallback must produce the same selections the logical rows imply.
+		// Compiled string predicates over the transcoded v1 extent must
+		// produce the selections the logical rows imply.
 		// Row 4 is undefined, so the selection excludes it (a selected
 		// undefined row is an ErrUnknownColumn error by contract).
 		sv := &storeView{rows: seg.nrows, cols: []colView{{typ: TypeString, exts: []colExtent{seg.cols[0]}}}}
@@ -119,6 +130,57 @@ func TestSegmentV1FixtureRoundTrip(t *testing.T) {
 		if seg.mapped {
 			if err := munmapFile(seg.data); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSegmentV1CorruptOffsetsRejected patches the string offsets of a copy
+// of the v1 fixture — one offset jumping past the blob and back, and the
+// final offset running past the blob — and requires openSegment to fail
+// with a segment error, mmap on and off, instead of handing out an extent
+// whose first cell read would slice out of range.
+func TestSegmentV1CorruptOffsetsRejected(t *testing.T) {
+	var tag [8]byte
+	hostOrder.PutUint64(tag[:], 1)
+	if tag[0] != 1 {
+		t.Skip("fixture was written little-endian; this host is big-endian")
+	}
+	schema := Schema{
+		{Name: "species", Type: TypeString},
+		{Name: "v", Type: TypeFloat},
+		{Name: "flag", Type: TypeBool},
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "segment_v1_string.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nrows := int(binary.LittleEndian.Uint64(raw[16:24]))
+	// Column 0's TOC entry follows the 32-byte header prefix: kind, then
+	// dataOff (the n+1 uint32 offsets), then auxOff and auxLen (the blob).
+	dataOff := int(binary.LittleEndian.Uint64(raw[40:48]))
+	auxLen := binary.LittleEndian.Uint64(raw[64:72])
+	for _, tc := range []struct {
+		name string
+		row  int
+		off  uint32
+	}{
+		{"non-monotone", 1, 0xFFFF},
+		{"past-blob", nrows, uint32(auxLen) + 1},
+	} {
+		patched := append([]byte(nil), raw...)
+		hostOrder.PutUint32(patched[dataOff+4*tc.row:], tc.off)
+		path := filepath.Join(t.TempDir(), "corrupt.seg")
+		if err := os.WriteFile(path, patched, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, useMmap := range []bool{mmapAvailable, false} {
+			seg, err := openSegment(path, schema, 0, useMmap)
+			if err == nil {
+				t.Fatalf("%s (mmap=%v): openSegment accepted corrupt offsets", tc.name, useMmap)
+			}
+			if seg != nil || !strings.HasPrefix(err.Error(), "segment ") {
+				t.Fatalf("%s (mmap=%v): got segment %v, error %q; want nil and a segment error", tc.name, useMmap, seg, err)
 			}
 		}
 	}

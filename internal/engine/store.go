@@ -250,9 +250,15 @@ type colView struct {
 
 // colExtent is one contiguous run of column storage. Exactly one of the
 // representations per type is populated: live Go slices (memory backend
-// and the disk tail), the dictionary-coded views (live string vectors and
-// v2 segments), or the v1 offset+blob string view retained for old
-// segment files. Bit i of defined/valid is extent-relative.
+// and the disk tail) or the segment views. Strings are always
+// dictionary-coded (v1 segment files are transcoded when opened). Bit i
+// of defined/valid is extent-relative; base is any global row, and the
+// word kernels read and write the global bitmaps through loadWord and
+// orWord. The memory backend's single extent starts at row 0. On disk
+// only the first segment is sure to start on a word boundary: a seal
+// writes the whole tail, whose length is whatever the last batch left,
+// so under live ingest the tail and every later segment start at an
+// arbitrary row.
 type colExtent struct {
 	base int // first global row covered by the extent
 	n    int
@@ -262,15 +268,12 @@ type colExtent struct {
 	// Dictionary-coded strings: codes[i] indexes dict. Live extents carry
 	// the owning shard dictionary in sdict (its sorted view drives the
 	// rank-space kernels) and a point-in-time dict snapshot covering every
-	// code in the extent; v2 segment extents leave sdict nil — their dict
-	// is written sorted, so code order IS string order and the rank table
-	// is the identity.
+	// code in the extent; segment extents leave sdict nil — their dict is
+	// sorted (written so in v2, built so when a v1 file is transcoded), so
+	// code order IS string order and the rank table is the identity.
 	codes []uint32
 	dict  []string
 	sdict *stringDict
-
-	strOff  []uint32 // v1 segment representation: n+1 offsets into strBlob
-	strBlob []byte
 
 	bools     []bool // live representation
 	boolBytes []byte // segment representation: one byte per row
@@ -279,16 +282,33 @@ type colExtent struct {
 	valid   bitsView
 }
 
-// wordAligned reports whether the extent starts on a 64-row bitmap word
-// boundary — the precondition for the word-at-a-time scan kernels, which
-// overlay the extent's defined/valid words directly onto the global
-// selection bitmap's words. The memory backend's single extent (base 0)
-// is always aligned. On disk only the first segment is sure to be: a seal
-// writes the whole tail, whose length is whatever the last batch left,
-// so under live ingest the tail and every later segment start at an
-// arbitrary row (a freshly compacted shard is one aligned segment plus
-// the tail). Unaligned extents take the per-row scalar fallbacks.
-func (e *colExtent) wordAligned() bool { return e.base&63 == 0 }
+// loadWord returns bits [base+64w, base+64w+64) of the global bitmap b,
+// i.e. extent-relative word w: a two-word funnel shift by base&63. Bits
+// past the end of b read as zero; callers mask the extent's last word
+// with tailMask.
+func (e *colExtent) loadWord(b *bitmap, w int) uint64 {
+	g := e.base>>6 + w
+	s := uint(e.base) & 63
+	x := b.words[g] >> s
+	if s != 0 && g+1 < len(b.words) {
+		x |= b.words[g+1] << (64 - s)
+	}
+	return x
+}
+
+// orWord ORs extent-relative word w, x, into the global bitmap b: the
+// inverse funnel of loadWord, split across global words g and g+1. x
+// must carry no bits past the extent's end.
+func (e *colExtent) orWord(b *bitmap, w int, x uint64) {
+	g := e.base>>6 + w
+	s := uint(e.base) & 63
+	b.words[g] |= x << s
+	if s != 0 {
+		if hi := x >> (64 - s); hi != 0 {
+			b.words[g+1] |= hi
+		}
+	}
+}
 
 // tailMask returns the mask selecting the extent's valid bits within its
 // last (possibly partial) bitmap word, ^0 when the extent ends on a word
@@ -300,16 +320,8 @@ func (e *colExtent) tailMask() uint64 {
 	return ^uint64(0)
 }
 
-// str returns the string cell at extent-relative row i. Dictionary-coded
-// extents index the materialized code table; v1 segment strings are
-// materialized from the blob on access (string predicates and group keys
-// are off the hot float path).
-func (e *colExtent) str(i int) string {
-	if e.codes != nil {
-		return e.dict[e.codes[i]]
-	}
-	return string(e.strBlob[e.strOff[i]:e.strOff[i+1]])
-}
+// str returns the string cell at extent-relative row i.
+func (e *colExtent) str(i int) string { return e.dict[e.codes[i]] }
 
 // dictOrder returns the extent's dictionary in string order plus the
 // code -> rank translation the string kernels compare in. A nil rank is
@@ -317,7 +329,6 @@ func (e *colExtent) str(i int) string {
 // already ARE ranks. Live extents consult the shard dictionary's sorted
 // view, which may cover codes beyond this extent's snapshot — extra
 // entries only insert extra ranks, so every interval test stays exact.
-// Only meaningful when e.codes != nil.
 func (e *colExtent) dictOrder() (rank []uint32, sortedVals []string) {
 	if e.sdict != nil {
 		sv := e.sdict.sortedView(len(e.dict))

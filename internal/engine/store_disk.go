@@ -54,8 +54,9 @@ package engine
 // sort is load-bearing: segment code order IS string order, so the
 // word-at-a-time predicate kernels run on segment extents with the
 // identity rank (no lookaside). v1 files (per-row offset+blob layout,
-// magic "UUSEGv1\x00") are still parsed and served through the per-row
-// scalar path; they are rewritten to v2 by the next compaction.
+// magic "UUSEGv1\x00") are still read: each string column is transcoded
+// at open into heap codes plus a sorted dictionary, so they scan through
+// the same kernels, and the next compaction rewrites them as v2.
 
 import (
 	"encoding/binary"
@@ -275,7 +276,7 @@ func planSegDicts(schema Schema, cols []colVector, n int) ([]*segDict, error) {
 			continue
 		}
 		sd := planSegDict(cols[ci].codes[:n], cols[ci].dict.valsView())
-		if sd.blob > maxSegStringBlob {
+		if int64(sd.blob) > maxSegStringBlob {
 			return nil, fmt.Errorf("engine: %w: string column %q too large to seal (%d dictionary bytes)",
 				ErrSegmentLimit, c.Name, sd.blob)
 		}
@@ -473,6 +474,28 @@ func planSegDict(codes []uint32, vals []string) *segDict {
 		sd.blob += len(vals[c])
 	}
 	return sd
+}
+
+// transcodeV1Strings converts a v1 string column — n+1 per-row offsets
+// into a concatenated blob — into the v2 form: per-row codes into a
+// strictly sorted dictionary, planned exactly as a seal plans one. Offsets
+// that decrease or run past the blob are rejected, so a corrupt file fails
+// at open rather than on the first cell read.
+func transcodeV1Strings(offs []uint32, blob []byte) ([]uint32, []string, error) {
+	local := newStringDict()
+	codes := make([]uint32, len(offs)-1)
+	for i := range codes {
+		lo, hi := offs[i], offs[i+1]
+		if lo > hi || uint64(hi) > uint64(len(blob)) {
+			return nil, nil, fmt.Errorf("string offsets [%d, %d) of row %d out of order or past the %d-byte blob", lo, hi, i, len(blob))
+		}
+		codes[i] = local.intern(string(blob[lo:hi]))
+	}
+	sd := planSegDict(codes, local.valsView())
+	for i, c := range codes {
+		codes[i] = sd.remap[c]
+	}
+	return codes, sd.sortedVals, nil
 }
 
 // segHeaderSize returns the byte size of the header block before padding.
@@ -723,17 +746,18 @@ func parseSegment(path string, schema Schema, base int, data []byte, size int) (
 			}
 		case TypeString:
 			if v1 {
-				// v1: per-row offsets into a raw concatenated blob. Served
-				// zero-copy through the scalar string path; no codes, so the
-				// word kernels never touch these extents.
+				// v1: per-row offsets into a raw concatenated blob, transcoded
+				// here into heap codes plus a sorted dictionary — the v2 form
+				// every string kernel reads.
 				if dataLen < (nrows+1)*4 {
 					return nil, fmt.Errorf("segment %s: column %d offset section too short", path, ci)
 				}
-				e.strOff = unsafe.Slice((*uint32)(unsafe.Pointer(&data[dataOff])), nrows+1)
-				e.strBlob = data[auxOff : auxOff+auxLen]
-				if int(e.strOff[nrows]) > auxLen {
-					return nil, fmt.Errorf("segment %s: column %d string blob overrun", path, ci)
+				offs := unsafe.Slice((*uint32)(unsafe.Pointer(&data[dataOff])), nrows+1)
+				codes, dict, err := transcodeV1Strings(offs, data[auxOff:auxOff+auxLen])
+				if err != nil {
+					return nil, fmt.Errorf("segment %s: column %d %w", path, ci, err)
 				}
+				e.codes, e.dict = codes, dict
 				break
 			}
 			// v2: per-row codes plus a sorted segment dictionary. Codes are
@@ -755,7 +779,7 @@ func parseSegment(path string, schema Schema, base int, data []byte, size int) (
 			}
 			offs := unsafe.Slice((*uint32)(unsafe.Pointer(&data[auxOff+8])), card+1)
 			blob := data[auxOff+8+(card+1)*4 : auxOff+auxLen]
-			if int(offs[card]) > len(blob) {
+			if uint64(offs[card]) > uint64(len(blob)) {
 				return nil, fmt.Errorf("segment %s: column %d dictionary blob overrun", path, ci)
 			}
 			dict := make([]string, card)

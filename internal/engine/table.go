@@ -870,27 +870,15 @@ func (t *Table) scanRows(part *freqstats.Partial, sh *shard, attrCol int, prog *
 
 // gatherFloats walks the selected rows of one float-column extent and
 // calls keep(row, value) for every defined, non-NULL row — the
-// NULL-skipping gather of SQL aggregates. Word-aligned extents inspect 64
-// rows per iteration: the keep word is three ANDs, and an all-ones word (a
-// dense run — the common shape under range predicates) becomes a straight
-// slab copy with no per-row bit tests. Unaligned extents take the per-row
-// fallback.
+// NULL-skipping gather of SQL aggregates. It inspects 64 extent rows per
+// iteration at any base: the keep word is three ANDs, and an all-ones word
+// (a dense run — the common shape under range predicates) becomes a
+// straight slab copy with no per-row bit tests.
 func gatherFloats(sel *bitmap, ext *colExtent, keep func(row int, value float64)) {
-	if !ext.wordAligned() {
-		_ = sel.forEachRange(ext.base, ext.base+ext.n, func(row int) error {
-			i := row - ext.base
-			if ext.defined.get(i) && ext.valid.get(i) {
-				keep(row, ext.floats[i])
-			}
-			return nil
-		})
-		return
-	}
-	bw := ext.base >> 6
 	nw := (ext.n + 63) >> 6
 	vals := ext.floats
 	for w := 0; w < nw; w++ {
-		selw := sel.words[bw+w]
+		selw := ext.loadWord(sel, w)
 		lo := w << 6
 		if lo+64 > ext.n {
 			selw &= ext.tailMask()

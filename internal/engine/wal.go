@@ -713,7 +713,7 @@ func readShardCheckpoint(dir string, si int) (*shardCheckpoint, error) {
 		ck.srcNames[i] = r.str()
 	}
 	nrows := int(r.uvarint())
-	if r.err != nil || nrows < 0 || nrows > 1<<40 {
+	if r.err != nil || nrows < 0 || int64(nrows) > 1<<40 {
 		return fail("bad row count")
 	}
 	ck.ids = make([]string, nrows)
