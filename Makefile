@@ -6,12 +6,9 @@
 # subset with repetitions for benchstat.
 BENCH ?= .
 BENCH_COUNT ?= 1
-BENCH_OUT ?= bench.txt
-BENCH_NOTE ?=
-BENCH_RECORD_OUT ?= BENCH_PR3.json
 FUZZTIME ?= 10s
 
-.PHONY: fmt vet build test test-short race bench bench-smoke bench-compare bench-record bench-scaling bench-module fuzz-smoke fuzz-smoke-check serve-smoke crash-smoke netlines ci
+.PHONY: fmt vet build test test-short race bench bench-smoke bench-module fuzz-smoke fuzz-smoke-check serve-smoke crash-smoke netlines ci
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -48,28 +45,6 @@ bench-smoke:
 # change that breaks the end-to-end benchmark harness (bench/uubench).
 bench-module:
 	cd bench && go vet ./... && go test ./...
-
-# bench-compare benchmarks HEAD against the merge-base with BASE
-# (default origin/main), reports with benchstat when installed, and
-# fails if a gated benchmark (columnar scans, repeated-query paths)
-# regressed more than 15% — see scripts/bench_compare.sh for knobs.
-bench-compare:
-	./scripts/bench_compare.sh
-
-# bench-record runs the measured benchmark set and encodes it into a
-# committed perf-trajectory file (see README "Benchmark record"); set
-# BENCH_RECORD_OUT=BENCH_MULTICORE.json to archive a multi-core run.
-bench-record:
-	go test -run=NONE -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) ./... | tee '$(BENCH_OUT)'
-	go run ./cmd/benchgate record -in '$(BENCH_OUT)' -out '$(BENCH_RECORD_OUT)' -note '$(BENCH_NOTE)'
-
-# bench-scaling charts scan and fan-out throughput (rows/s) against
-# GOMAXPROCS. The shard scan should scale near-linearly on multi-core
-# hosted runners; the dev container is 1-CPU, so all -cpu points
-# coincide there — the canonical curve comes from the CI bench-compare
-# artifact (scaling.txt).
-bench-scaling:
-	go test -run=NONE -bench='^BenchmarkScaling' -cpu 1,2,4 -benchmem -count=$(BENCH_COUNT) .
 
 # serve-smoke boots the uuserve daemon end to end: create a table over
 # HTTP, ingest NDJSON, query, read a live subscription event, then
@@ -109,8 +84,9 @@ fuzz-smoke-check:
 	./scripts/fuzz_smoke_check.sh
 
 # netlines prints the added, removed and net non-test Go lines against
-# BASE (default: the merge-base with origin/main); _test.go files and
-# testdata/ are not counted. Each change reports its net line count.
+# BASE (default: the merge-base with origin/main), then the same for
+# tracked non-Go files (shell, Makefile, YAML, JSON); _test.go files and
+# testdata/ are not counted. Each change reports its net line counts.
 netlines:
 	./scripts/netlines.sh
 

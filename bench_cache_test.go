@@ -1,16 +1,13 @@
 package repro
 
-// Query-cache benchmarks: before/after evidence for the caching subsystem
-// (compiled-filter + sample-partial caches on the table, whole-result
-// cache in the executor). The Cold variants run with every cache layer
-// disabled — they are the pre-cache execution and double as the guard
-// that the cache plumbing costs nothing when it is off.
+// Query-cache benchmarks: the caching subsystem (compiled-filter +
+// sample-partial caches on the table, whole-result cache in the
+// executor) on repeated queries. The cold path, a query that shares no
+// cached state, is measured end to end by bench/'s drilldown-disk
+// workload; in the engine, TestCachedVsColdParity holds cached
+// and uncached answers bitwise equal.
 //
 // Run with: go test -bench='RepeatedQuery|MultiPass' -benchmem
-//
-// Numbers from the 1-CPU dev container (2.10GHz Xeon, benchtime=1s) are
-// recorded in BENCH_PR3.json; the warm result-cache path answers the
-// repeated query in microseconds against ~9ms cold (>1000x).
 
 import (
 	"fmt"
@@ -22,31 +19,6 @@ import (
 )
 
 const repeatedQuerySQL = "SELECT SUM(v) FROM metrics WHERE v >= 250 AND v < 750"
-
-// coldTable disables every scan-cache layer on the benchmark table.
-func coldTable(b *testing.B, tbl *engine.Table) {
-	b.Helper()
-	tbl.SetScanCacheLimits(0, 0)
-}
-
-// BenchmarkRepeatedQueryCold is the no-cache baseline: the full
-// open-world query (compile, scan, estimate) re-executed from scratch
-// every time. Comparable to BenchmarkColumnarQueryFanOut at PR 2.
-func BenchmarkRepeatedQueryCold(b *testing.B) {
-	db, tbl := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
-	coldTable(b, tbl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(repeatedQuerySQL)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Observed <= 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
 
 // BenchmarkRepeatedQueryWarmScanCache repeats the query with the
 // compiled-filter and sample-partial caches (the default table
@@ -116,26 +88,6 @@ func BenchmarkRepeatedQueryInvalidated(b *testing.B) {
 	}
 }
 
-// BenchmarkColumnarFilteredSumScanCold is BenchmarkColumnarFilteredSumScan
-// with every cache layer off — semantically identical to the scan at PR 2,
-// it guards the cold path against cache-plumbing overhead.
-func BenchmarkColumnarFilteredSumScanCold(b *testing.B) {
-	_, tbl := buildColumnarBenchTable(b)
-	coldTable(b, tbl)
-	pred := benchPredicate(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tbl.Sample("v", pred)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.C() == 0 {
-			b.Fatal("empty sample")
-		}
-	}
-}
-
 // multiPass runs the two scans of a "drill-down" workload — the filtered
 // aggregate and the same predicate regrouped by region. With the scan
 // cache on, repeats serve the aggregate pass from cached partials; the
@@ -155,17 +107,6 @@ func multiPass(b *testing.B, tbl *engine.Table) {
 	}
 	if len(groups) != 5 {
 		b.Fatalf("groups = %d", len(groups))
-	}
-}
-
-// BenchmarkMultiPassScanCold: both passes evaluate the predicate.
-func BenchmarkMultiPassScanCold(b *testing.B) {
-	_, tbl := buildColumnarBenchTable(b)
-	coldTable(b, tbl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		multiPass(b, tbl)
 	}
 }
 

@@ -262,48 +262,3 @@ func BenchmarkColumnarMonteCarloSequential(b *testing.B) {
 func BenchmarkColumnarMonteCarloParallel(b *testing.B) {
 	benchEstimator(b, core.MonteCarlo{Runs: 3, Seed: 1})
 }
-
-// Scaling benchmarks: run with -cpu 1,2,4 (`make bench-scaling`) to chart
-// rows/s against GOMAXPROCS. The shard scan and the estimator fan-out
-// parallelize internally, so a plain serial loop here exposes their
-// scaling directly — near-linear on the scan, sublinear on the fan-out
-// (the dynamic-bucket split is the serial fraction). On the 1-CPU dev
-// container all three -cpu points coincide; hosted multi-core runners
-// produce the real curve (bench-compare artifact, scaling.txt).
-
-// BenchmarkScalingFilteredScan is the filtered-scan leg: predicate
-// compiled once, shards scanned in parallel, sample merged.
-func BenchmarkScalingFilteredScan(b *testing.B) {
-	_, tbl := buildColumnarBenchTable(b)
-	pred := benchPredicate(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tbl.Sample("v", pred)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.C() == 0 {
-			b.Fatal("empty sample")
-		}
-	}
-	b.ReportMetric(float64(benchEntities)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// BenchmarkScalingQueryFanOut is the full-query leg: scan plus the
-// estimator fan-out across the worker pool.
-func BenchmarkScalingQueryFanOut(b *testing.B) {
-	db, _ := buildColumnarBenchTable(b, engine.WithEstimators(queryBenchEstimators()...))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query("SELECT SUM(v) FROM metrics WHERE v >= 250 AND v < 750")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Observed <= 0 {
-			b.Fatal("empty result")
-		}
-	}
-	b.ReportMetric(float64(benchEntities)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}

@@ -1,10 +1,8 @@
 package repro
 
-// Disk-backend benchmarks: the mmap'd segment scan path next to the
-// in-memory columnar scan it must stay comparable to. DiskFilteredSumScan
-// is part of the bench-compare warn-only set (scripts/bench_compare.sh),
-// so regressions show up in every PR's benchstat report without the
-// hosted runners' disk noise hard-failing the gate.
+// Disk-backend benchmark: the grouped scan over mmap'd segments, next to
+// the in-memory BenchmarkColumnarGroupByScan. The cold filtered scan on
+// disk is measured end to end by bench/'s drilldown-disk workload.
 
 import (
 	"fmt"
@@ -24,9 +22,8 @@ func buildDiskBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 		Backend:     engine.BackendDisk,
 		Dir:         b.TempDir(),
 		SegmentRows: 512,
-		// Background compaction off: the gated Disk* benchmarks measure the
-		// multi-segment layout they always measured; the compacted layout
-		// has its own benchmark (BenchmarkDiskCompactedFilteredSumScan).
+		// Background compaction off: the benchmark measures the
+		// multi-segment layout.
 		CompactSegments: -1,
 	}))
 	b.Cleanup(func() { db.Close() })
@@ -61,63 +58,10 @@ func buildDiskBenchTable(b *testing.B) (*engine.DB, *engine.Table) {
 	return db, tbl
 }
 
-// BenchmarkDiskFilteredSumScan is BenchmarkColumnarFilteredSumScanCold on
-// the disk backend: same 20k-entity table, same predicate, partial cache
-// disabled so every iteration re-evaluates the filter against the mmap'd
-// segments.
-func BenchmarkDiskFilteredSumScan(b *testing.B) {
-	_, tbl := buildDiskBenchTable(b)
-	tbl.SetScanCacheLimits(128, 0) // keep programs, drop partials: cold scans
-	pred, err := sqlparse.ParsePredicate("v >= 250 AND v < 750")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tbl.Sample("v", pred)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.C() == 0 {
-			b.Fatal("empty sample")
-		}
-	}
-}
-
-// BenchmarkDiskCompactedFilteredSumScan is BenchmarkDiskFilteredSumScan
-// after Table.Compact merged every shard into one word-aligned extent:
-// the delta against the uncompacted run is the payoff of segment
-// compaction (single-extent fast paths instead of per-segment walks).
-// Warn-only in bench-compare — it rides the pattern, not the gate.
-func BenchmarkDiskCompactedFilteredSumScan(b *testing.B) {
-	_, tbl := buildDiskBenchTable(b)
-	if err := tbl.Compact(); err != nil {
-		b.Fatal(err)
-	}
-	tbl.SetScanCacheLimits(128, 0)
-	pred, err := sqlparse.ParsePredicate("v >= 250 AND v < 750")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := tbl.Sample("v", pred)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.C() == 0 {
-			b.Fatal("empty sample")
-		}
-	}
-}
-
 // BenchmarkDiskGroupByScan exercises the segment string path (group keys
 // materialize from the mmap'd blob).
 func BenchmarkDiskGroupByScan(b *testing.B) {
 	_, tbl := buildDiskBenchTable(b)
-	tbl.SetScanCacheLimits(128, 0)
 	pred, err := sqlparse.ParsePredicate("v >= 100")
 	if err != nil {
 		b.Fatal(err)

@@ -4,8 +4,7 @@ package repro
 // handler stack (admission control, tenant catalog lock, engine execution,
 // JSON rendering) as the concurrent client count grows — the ROADMAP's
 // "query p50/p99 vs concurrent client count" trajectory item. ns/op tracks
-// mean latency; the p50-ms and p99-ms metrics carry the distribution into
-// the bench-compare artifact.
+// mean latency; the p50-ms and p99-ms metrics carry the distribution.
 //
 // Run with: go test -bench=ServeQuery -benchtime=2s
 //

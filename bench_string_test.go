@@ -1,11 +1,11 @@
 package repro
 
-// String-predicate benchmarks: before/after evidence for the
-// dictionary-encoded string columns and the word-at-a-time code kernels.
-// Both benchmarks run the same workload on the in-memory and the disk
-// backend (sub-benchmarks mem/disk); caches are held to compiled programs
-// only so every iteration re-evaluates the predicate against the column —
-// the dictionary path is measured cold, not through the partial cache.
+// String-predicate benchmarks: the dictionary-encoded string columns and
+// the word-at-a-time code kernels against a per-row baseline. Both
+// benchmarks run the same grouped workload on the in-memory and the disk
+// backend (sub-benchmarks mem/disk); grouped scans never read the partial
+// cache, so every iteration re-evaluates the predicate against the
+// column.
 //
 // Run with: go test -bench=String -benchmem
 
@@ -66,88 +66,6 @@ func buildStringBenchTable(b *testing.B, disk bool) (*engine.DB, *engine.Table) 
 	return db, tbl
 }
 
-// stringBenchPredicate is an all-string predicate: a range over the
-// 41-value species column AND an inequality on the 5-value region column.
-// Before dictionary encoding both clauses took the per-row compareValues
-// fallback; after, the range compiles to a code-range test and the
-// inequality to a code compare.
-func stringBenchPredicate(b *testing.B) sqlparse.Expr {
-	b.Helper()
-	pred, err := sqlparse.ParsePredicate(
-		"species BETWEEN 'species-10' AND 'species-29' AND region != 'region-0'")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return pred
-}
-
-// BenchmarkStringFilteredSumScan measures a filtered SUM scan whose WHERE
-// clause is entirely string predicates, on both backends.
-func BenchmarkStringFilteredSumScan(b *testing.B) {
-	for _, backend := range []string{"mem", "disk"} {
-		b.Run(backend, func(b *testing.B) {
-			_, tbl := buildStringBenchTable(b, backend == "disk")
-			tbl.SetScanCacheLimits(128, 0) // keep programs, drop partials: cold scans
-			pred := stringBenchPredicate(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := tbl.Sample("v", pred)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if s.C() == 0 {
-					b.Fatal("empty sample")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStringFilteredSumRowBaseline replays the pre-columnar per-row
-// execution of the same string-filtered workload — materialize every
-// Record, interpret the predicate per row via sqlparse.Evaluate, grow the
-// sample one observation at a time — on both backends. This is the
-// baseline the dictionary kernels are measured against.
-func BenchmarkStringFilteredSumRowBaseline(b *testing.B) {
-	for _, backend := range []string{"mem", "disk"} {
-		b.Run(backend, func(b *testing.B) {
-			_, tbl := buildStringBenchTable(b, backend == "disk")
-			pred := stringBenchPredicate(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s := freqstats.NewSample()
-				for _, rec := range tbl.Records() {
-					keep, err := sqlparse.Evaluate(pred, rec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !keep {
-						continue
-					}
-					v, ok := rec.Attrs["v"]
-					if !ok || v.Kind == sqlparse.ValueNull {
-						continue
-					}
-					for j := 0; j < tbl.ObservationCount(rec.EntityID); j++ {
-						if err := s.Add(freqstats.Observation{
-							EntityID: rec.EntityID,
-							Value:    v.Num,
-							Source:   fmt.Sprintf("src-%d", j),
-						}); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if s.C() == 0 {
-					b.Fatal("empty sample")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStringGroupByScan measures GROUP BY over the 41-value string
 // column under a string predicate: the grouped scan materializes a group
 // key per qualifying row, which is where dictionary codes replace per-row
@@ -156,7 +74,6 @@ func BenchmarkStringGroupByScan(b *testing.B) {
 	for _, backend := range []string{"mem", "disk"} {
 		b.Run(backend, func(b *testing.B) {
 			_, tbl := buildStringBenchTable(b, backend == "disk")
-			tbl.SetScanCacheLimits(128, 0)
 			pred, err := sqlparse.ParsePredicate("region != 'region-0'")
 			if err != nil {
 				b.Fatal(err)

@@ -83,7 +83,7 @@ func TestScanCacheEvictionBounds(t *testing.T) {
 	// Budget fits roughly two predicates' worth of frozen shard partials
 	// (16 shards x ~125 rows of PartialRow plus entity IDs each).
 	const budget = 256 << 10
-	tbl.SetScanCacheLimits(4, budget)
+	tbl.cache.setLimits(4, budget)
 
 	for i := 0; i < 32; i++ {
 		if _, err := tbl.Sample("v", mustPredicate(t, fmt.Sprintf("v >= %d", i))); err != nil {
@@ -102,7 +102,7 @@ func TestScanCacheEvictionBounds(t *testing.T) {
 	}
 
 	// Disabling clears everything.
-	tbl.SetScanCacheLimits(0, 0)
+	tbl.cache.setLimits(0, 0)
 	if got := tbl.CacheStats().PartialBytes; got != 0 {
 		t.Fatalf("disabled cache still holds %d bytes", got)
 	}
@@ -121,7 +121,7 @@ func TestScanCacheEvictionBounds(t *testing.T) {
 func TestCachedVsColdParity(t *testing.T) {
 	warmDB, _ := buildCacheTable(t, 1500)
 	coldDB, coldTbl := buildCacheTable(t, 1500)
-	coldTbl.SetScanCacheLimits(0, 0) // cold engine: caching off entirely
+	coldTbl.cache.setLimits(0, 0) // cold engine: caching off entirely
 
 	queries := []string{
 		"SELECT SUM(v) FROM t",
@@ -364,7 +364,7 @@ func TestConcurrentInsertNeverServesStaleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, coldTbl := buildCacheTable(t, 400)
-	coldTbl.SetScanCacheLimits(0, 0)
+	coldTbl.cache.setLimits(0, 0)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			id := fmt.Sprintf("extra-%d-%d", w, i)

@@ -128,7 +128,7 @@ func TestIncrementalRequeryRescansOnlyDirtyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTbl.SetScanCacheLimits(0, 0)
+	coldTbl.cache.setLimits(0, 0)
 	for _, ins := range log {
 		if err := coldTbl.Insert(ins.id, ins.src, ins.attrs); err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestIncrementalPartialCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.SetScanCacheLimits(0, 0)
+	tbl.cache.setLimits(0, 0)
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("e%02d", i)
 		if err := tbl.Insert(id, "s0", map[string]sqlparse.Value{
@@ -236,7 +236,7 @@ func TestMetamorphicIncrementalRequery(t *testing.T) {
 
 		// Cold rebuild of the same prefix, all caches off.
 		coldDB, coldTbl := metaTable(t)
-		coldTbl.SetScanCacheLimits(0, 0)
+		coldTbl.cache.setLimits(0, 0)
 		for _, o := range obs[:next] {
 			if err := coldTbl.Insert(o.entity, o.source, o.attrs); err != nil {
 				t.Fatal(err)
@@ -491,7 +491,7 @@ func TestDeltaPartialParity(t *testing.T) {
 // base to catch up from, so every query scans in full.
 func TestDeltaPartialCacheDisabled(t *testing.T) {
 	_, tbl := metaTable(t)
-	tbl.SetScanCacheLimits(defaultProgramCacheEntries, 0)
+	tbl.cache.setLimits(defaultProgramCacheEntries, 0)
 	deltaScript(t, tbl, false, randomDeltaProgram(rand.New(rand.NewSource(5)), 300))
 	if n := tbl.CacheStats().PartialCatchUps; n != 0 {
 		t.Fatalf("%d catch-ups with the partial cache disabled", n)

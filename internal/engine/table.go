@@ -427,15 +427,6 @@ func (t *Table) discardStorage() {
 	}
 }
 
-// SetScanCacheLimits reconfigures the table's scan caches: maxPrograms
-// bounds the compiled-filter cache (entries) and maxPartialBytes bounds
-// the per-shard sample-partial cache (approximate bytes). Zero disables
-// and clears the respective layer; new tables start at the package
-// defaults.
-func (t *Table) SetScanCacheLimits(maxPrograms, maxPartialBytes int) {
-	t.cache.setLimits(maxPrograms, maxPartialBytes)
-}
-
 // CacheStats snapshots the table's compiled-filter and sample-partial
 // cache counters, plus the string-dictionary footprint (cardinality and
 // resident bytes summed over the table's shards).
