@@ -77,6 +77,7 @@ fuzz-smoke:
 	go test ./internal/core -run=NONE -fuzz='FuzzDynamicSplitParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/freqstats -run=NONE -fuzz='FuzzMergePartialsParity$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/server -run=NONE -fuzz='FuzzIngestLineParity$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/server -run=NONE -fuzz='FuzzCursorValid$$' -fuzztime=$(FUZZTIME)
 
 # fuzz-smoke-check fails when a `func Fuzz*` in the tree has no line in
 # fuzz-smoke above, so a new fuzz target cannot silently skip CI.

@@ -52,6 +52,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,12 +159,15 @@ func (sc *stagedCol) value(row int) (v sqlparse.Value, provided bool) {
 // obsChunk is one block of staged observations in the shard's columnar
 // shape, with fixed capacity defaultBatchRows (only the first n rows are
 // valid). Chunks are handed from writers to shard staging wholesale and
-// recycled through a process-wide pool after application.
+// recycled through a process-wide pool after application. hashes[i] is
+// ids[i]'s hashEntity, taken when the row was routed to its shard and
+// reused by the store's entity-index probe.
 type obsChunk struct {
-	n    int
-	ids  []string
-	srcs []int32
-	cols []stagedCol
+	n      int
+	ids    []string
+	hashes []uint64
+	srcs   []int32
+	cols   []stagedCol
 }
 
 func (c *obsChunk) rows() int { return c.n }
@@ -184,6 +188,7 @@ func (c *obsChunk) matches(schema Schema) bool {
 func (c *obsChunk) init(schema Schema) {
 	c.n = 0
 	c.ids = make([]string, defaultBatchRows)
+	c.hashes = make([]uint64, defaultBatchRows)
 	c.srcs = make([]int32, defaultBatchRows)
 	c.cols = make([]stagedCol, len(schema))
 	for i := range schema {
@@ -214,17 +219,47 @@ func (c *obsChunk) reset() {
 	c.n = 0
 }
 
-// stageRowPositional validates and stages one positional row (one value
-// per schema column; all columns provided) in a single typed pass.
-// Nothing is staged on error: cells are written at row index n, which is
-// only committed (n++) after the whole row validated (a string interned
-// before a later column fails stays in the dictionary, harmlessly).
-// dict is the target shard's dictionary.
-func (c *obsChunk) stageRowPositional(schema Schema, id string, src int32, vals []sqlparse.Value, dict *stringDict) error {
+// rowCells is one row to stage, in one of two shapes: positional (vals
+// holds one value per schema column, and provided flags the cells the row
+// carries, nil meaning all of them) or named (attrs, keyed by column
+// name, every key a column).
+type rowCells struct {
+	named    bool
+	vals     []sqlparse.Value
+	provided []bool
+	attrs    map[string]sqlparse.Value
+}
+
+// cell returns the row's value for column ci and whether the row carries
+// it.
+func (r *rowCells) cell(schema Schema, ci int) (sqlparse.Value, bool) {
+	if r.named {
+		v, ok := r.attrs[schema[ci].Name]
+		return v, ok
+	}
+	return r.vals[ci], r.provided == nil || r.provided[ci]
+}
+
+// stageRow validates and stages one row in a single typed pass — the
+// staging step of every write (Append, AppendRow, Insert and the Writer's
+// appends). A provided cell must be NULL or of its column's type; the
+// first that is not is the error, and a named row with a key that is no
+// column fails after that. Nothing is staged on error: cells are written
+// at row index n, which is only committed (n++) after the whole row
+// validated (a string interned before a later column fails stays in the
+// dictionary, harmlessly). h is id's hashEntity; dict is the target
+// shard's dictionary.
+func (c *obsChunk) stageRow(schema Schema, id string, h uint64, src int32, row *rowCells, dict *stringDict) error {
 	n := c.n
+	carried := 0
 	for ci := range c.cols {
 		sc := &c.cols[ci]
-		v := &vals[ci]
+		v, ok := row.cell(schema, ci)
+		if !ok {
+			sc.setCell(n, v, false, dict)
+			continue
+		}
+		carried++
 		st := stagedValue
 		switch sc.typ {
 		case TypeFloat:
@@ -235,7 +270,7 @@ func (c *obsChunk) stageRowPositional(schema Schema, id string, src int32, vals 
 			case sqlparse.ValueNull:
 				st = stagedNull
 			default:
-				return typeErr(schema[ci], *v)
+				return typeErr(schema[ci], v)
 			}
 			sc.floats[n] = x
 		case TypeString:
@@ -248,7 +283,7 @@ func (c *obsChunk) stageRowPositional(schema Schema, id string, src int32, vals 
 			case sqlparse.ValueNull:
 				st = stagedNull
 			default:
-				return typeErr(schema[ci], *v)
+				return typeErr(schema[ci], v)
 			}
 			sc.strs[n] = x
 			sc.codes[n] = code
@@ -260,13 +295,17 @@ func (c *obsChunk) stageRowPositional(schema Schema, id string, src int32, vals 
 			case sqlparse.ValueNull:
 				st = stagedNull
 			default:
-				return typeErr(schema[ci], *v)
+				return typeErr(schema[ci], v)
 			}
 			sc.bools[n] = x
 		}
 		sc.state[n] = st
 	}
+	if row.named && carried != len(row.attrs) {
+		return unknownAttr(schema, row.attrs)
+	}
 	c.ids[n] = id
+	c.hashes[n] = h
 	c.srcs[n] = src
 	c.n = n + 1
 	return nil
@@ -276,21 +315,14 @@ func typeErr(c Column, v sqlparse.Value) error {
 	return invalidRowf("column %q expects %s, got %s", c.Name, c.Type, v)
 }
 
-// stageRowAttrs validates (Table.validate) and stages one map-shaped row
-// — the staging step of Append, Writer.Append and Insert. Nothing is
-// staged on error. dict is the target shard's dictionary.
-func (c *obsChunk) stageRowAttrs(t *Table, id string, src int32, attrs map[string]sqlparse.Value, dict *stringDict) error {
-	if err := t.validate(attrs); err != nil {
-		return err
+// unknownAttr returns the unknown-column error for an attrs key that is
+// no column of the schema.
+func unknownAttr(schema Schema, attrs map[string]sqlparse.Value) error {
+	for name := range attrs {
+		if !slices.ContainsFunc(schema, func(c Column) bool { return c.Name == name }) {
+			return fmt.Errorf("%w %q", ErrUnknownColumn, name)
+		}
 	}
-	n := c.n
-	for ci := range c.cols {
-		v, ok := attrs[t.schema[ci].Name]
-		c.cols[ci].setCell(n, v, ok, dict)
-	}
-	c.ids[n] = id
-	c.srcs[n] = src
-	c.n = n + 1
 	return nil
 }
 
@@ -434,13 +466,24 @@ func (d droppedIngestErrors) Error() string {
 	return fmt.Sprintf("engine: %s: %d further ingest errors dropped", d.table, d.n)
 }
 
-// checkAppendArgs validates the common Append arguments.
-func (t *Table) checkAppendArgs(entityID, source string) error {
+// checkRow validates what every staging call (named call in errors)
+// checks before staging: a non-empty entity ID and source, and a
+// positional row's length.
+func (t *Table) checkRow(call, entityID, source string, row *rowCells) error {
 	if entityID == "" {
 		return invalidRowf("engine: %s: empty entity ID", t.name)
 	}
 	if source == "" {
 		return invalidRowf("engine: %s: empty source", t.name)
+	}
+	if row.named {
+		return nil
+	}
+	if len(row.vals) != len(t.schema) {
+		return fmt.Errorf("engine: %s: %s got %d values for %d columns", t.name, call, len(row.vals), len(t.schema))
+	}
+	if row.provided != nil && len(row.provided) != len(t.schema) {
+		return fmt.Errorf("engine: %s: %s got %d provided flags for %d columns", t.name, call, len(row.provided), len(t.schema))
 	}
 	return nil
 }
@@ -467,15 +510,23 @@ func (t *Table) openChunk(st *stagingBuf) *obsChunk {
 // Append is safe for concurrent use; for the fastest single-goroutine
 // path see Writer. The attrs map is not retained.
 func (t *Table) Append(entityID, source string, attrs map[string]sqlparse.Value) error {
-	if err := t.checkAppendArgs(entityID, source); err != nil {
+	return t.stage("Append", entityID, source, &rowCells{named: true, attrs: attrs})
+}
+
+// stage stages one row for call into its shard's open chunk and
+// acknowledges it (commitStagedRow).
+func (t *Table) stage(call, entityID, source string, row *rowCells) error {
+	if err := t.checkRow(call, entityID, source, row); err != nil {
 		return err
 	}
 	sid := t.internSource(source)
-	si, sh := t.shardIndexFor(entityID)
+	h := hashEntity(entityID)
+	si := shardOf(h)
+	sh := t.shards[si]
 	st := &sh.staging
 	st.mu.Lock()
 	c := t.openChunk(st)
-	if err := c.stageRowAttrs(t, entityID, sid, attrs, sh.store.Dict()); err != nil {
+	if err := c.stageRow(t.schema, entityID, h, sid, row, sh.store.Dict()); err != nil {
 		st.mu.Unlock()
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
@@ -527,22 +578,7 @@ func (t *Table) logRows(si int, c *obsChunk, lo, hi int) (uint64, error) {
 // are treated as provided). vals is copied, so callers can reuse the
 // slice across rows.
 func (t *Table) AppendRow(entityID, source string, vals []sqlparse.Value) error {
-	if err := t.checkAppendArgs(entityID, source); err != nil {
-		return err
-	}
-	if len(vals) != len(t.schema) {
-		return fmt.Errorf("engine: %s: AppendRow got %d values for %d columns", t.name, len(vals), len(t.schema))
-	}
-	sid := t.internSource(source)
-	si, sh := t.shardIndexFor(entityID)
-	st := &sh.staging
-	st.mu.Lock()
-	c := t.openChunk(st)
-	if err := c.stageRowPositional(t.schema, entityID, sid, vals, sh.store.Dict()); err != nil {
-		st.mu.Unlock()
-		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
-	}
-	return t.commitStagedRow(si, st, c, entityID)
+	return t.stage("AppendRow", entityID, source, &rowCells{vals: vals})
 }
 
 // afterStage runs the post-staging policy: hand the shard to the
@@ -857,10 +893,11 @@ func (ing *Ingester) Close() error {
 // (chunk full, or Writer.Flush).
 //
 // On a durable table the push is the acknowledgement point: the chunk is
-// logged before it is staged. An error from the Append, AppendRow or
-// Flush call that pushed means the shard's buffered rows were not staged
-// — not applied, not logged, not recovered. Re-sending them is safe: a
-// same-source re-report of an entity is idempotent.
+// logged before it is staged. An error from the Append, AppendRow,
+// AppendProvided or Flush call that pushed means the shard's buffered
+// rows were not staged — not applied, not logged, not recovered.
+// Re-sending them is safe: a same-source re-report of an entity is
+// idempotent.
 type Writer struct {
 	t     *Table
 	local [numShards]*obsChunk
@@ -899,36 +936,37 @@ func (t *Table) NewWriter() *Writer {
 // Append stages one observation through the writer-local buffer; see
 // Table.Append for semantics.
 func (w *Writer) Append(entityID, source string, attrs map[string]sqlparse.Value) error {
-	t := w.t
-	if err := t.checkAppendArgs(entityID, source); err != nil {
-		return err
-	}
-	sid := w.internMemo(source)
-	si, sh := t.shardIndexFor(entityID)
-	c := w.chunk(si)
-	if err := c.stageRowAttrs(t, entityID, sid, attrs, sh.store.Dict()); err != nil {
-		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
-	}
-	if c.rows() >= w.push {
-		return w.pushChunk(si)
-	}
-	return nil
+	return w.stage("Append", entityID, source, &rowCells{named: true, attrs: attrs})
 }
 
 // AppendRow stages one positional observation through the writer-local
 // buffer; see Table.AppendRow for semantics.
 func (w *Writer) AppendRow(entityID, source string, vals []sqlparse.Value) error {
+	return w.stage("AppendRow", entityID, source, &rowCells{vals: vals})
+}
+
+// AppendProvided stages one positional observation that carries only some
+// columns: vals holds one value per schema column, in order, and
+// provided[i] reports whether the row carries column i (when false,
+// vals[i] is ignored and the cell is missing, like a column absent from
+// Append's attrs map; a nil provided carries every column, as AppendRow).
+// Both slices are copied, so callers can reuse them across rows.
+func (w *Writer) AppendProvided(entityID, source string, vals []sqlparse.Value, provided []bool) error {
+	return w.stage("AppendProvided", entityID, source, &rowCells{vals: vals, provided: provided})
+}
+
+// stage stages one row for call into the writer-local chunk of its shard,
+// pushing the chunk once it is full.
+func (w *Writer) stage(call, entityID, source string, row *rowCells) error {
 	t := w.t
-	if err := t.checkAppendArgs(entityID, source); err != nil {
+	if err := t.checkRow(call, entityID, source, row); err != nil {
 		return err
 	}
-	if len(vals) != len(t.schema) {
-		return fmt.Errorf("engine: %s: AppendRow got %d values for %d columns", t.name, len(vals), len(t.schema))
-	}
 	sid := w.internMemo(source)
-	si, sh := t.shardIndexFor(entityID)
+	h := hashEntity(entityID)
+	si := shardOf(h)
 	c := w.chunk(si)
-	if err := c.stageRowPositional(t.schema, entityID, sid, vals, sh.store.Dict()); err != nil {
+	if err := c.stageRow(t.schema, entityID, h, sid, row, t.shards[si].store.Dict()); err != nil {
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
 	if c.rows() >= w.push {

@@ -177,6 +177,7 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 				}
 				n := cur.n
 				cur.ids[n] = rec.ids[r]
+				cur.hashes[n] = hashEntity(rec.ids[r])
 				cur.srcs[n] = t.internSource(rec.srcs[r])
 				for ci := range schema {
 					copyRecoveredCell(&cur.cols[ci], &rec.cols[ci], r, n, dict)

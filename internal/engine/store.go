@@ -33,6 +33,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/sqlparse"
@@ -403,7 +404,7 @@ func (b bitsView) get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 
 // it is owned here rather than paged.
 type storeBase struct {
 	ids     []string
-	index   map[string]int
+	index   entityIndex
 	seqs    []uint64
 	lineage [][]int32
 	nObs    int
@@ -417,7 +418,7 @@ type storeBase struct {
 }
 
 func newStoreBase() storeBase {
-	return storeBase{index: make(map[string]int), dict: newStringDict()}
+	return storeBase{dict: newStringDict()}
 }
 
 func (s *storeBase) Rows() int     { return len(s.ids) }
@@ -426,8 +427,12 @@ func (s *storeBase) Epoch() uint64 { return s.epoch }
 func (s *storeBase) BumpEpoch()    { s.epoch++ }
 
 func (s *storeBase) Lookup(entityID string) (int, bool) {
-	row, ok := s.index[entityID]
-	return row, ok
+	return s.lookup(entityID, hashEntity(entityID))
+}
+
+// lookup is Lookup for an ID whose hashEntity h the caller carries.
+func (s *storeBase) lookup(entityID string, h uint64) (int, bool) {
+	return s.index.find(s.ids, entityID, h)
 }
 
 func (s *storeBase) EntityID(row int) string { return s.ids[row] }
@@ -436,14 +441,82 @@ func (s *storeBase) Lineage(row int) []int32 { return s.lineage[row] }
 func (s *storeBase) Dict() *stringDict       { return s.dict }
 
 // appendIdentity registers a new row's identity bookkeeping and returns
-// its index; the concrete store appends the column cells.
-func (s *storeBase) appendIdentity(id string, seq uint64) int {
+// its index; the concrete store appends the column cells. h is id's
+// hashEntity.
+func (s *storeBase) appendIdentity(id string, h uint64, seq uint64) int {
 	row := len(s.ids)
 	s.ids = append(s.ids, id)
-	s.index[id] = row
+	s.index.add(s.ids, h, row)
 	s.seqs = append(s.seqs, seq)
 	s.lineage = append(s.lineage, nil)
 	return row
+}
+
+// entityIndex maps a shard's entity IDs to their rows: an open-addressed
+// table probed linearly from the ID's hashEntity. A slot holds the hash's
+// high half as a tag beside row+1 (0 marks an empty slot), so a probe
+// compares IDs only on a tag match, and the table is kept at most half
+// full. It takes 16-32 bytes per entity against a map[string]int's ~40.
+// Rows must stay below 2^32-1 per shard.
+type entityIndex struct {
+	slots []uint64
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+// fibMul spreads a hash over the slots: the top bits of h*fibMul depend
+// on every bit of h, including the low ones shardOf fixes for all IDs of
+// a shard.
+const fibMul = 0x9E3779B97F4A7C15
+
+// find returns the row of id, whose hashEntity is h; ids holds every
+// indexed row's ID.
+func (x *entityIndex) find(ids []string, id string, h uint64) (int, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	mask := uint64(len(x.slots) - 1)
+	tag := h >> 32
+	for i := (h * fibMul) >> x.shift; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if s>>32 == tag {
+			if row := int(uint32(s)) - 1; ids[row] == id {
+				return row, true
+			}
+		}
+	}
+}
+
+// add indexes row, whose ID (hashEntity h) the index does not hold yet;
+// ids holds the ID of every row up to row.
+func (x *entityIndex) add(ids []string, h uint64, row int) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		size := max(16, 2*len(old))
+		x.slots = make([]uint64, size)
+		x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+		for _, s := range old {
+			if s != 0 {
+				r := int(uint32(s)) - 1
+				x.put(hashEntity(ids[r]), r)
+			}
+		}
+	}
+	x.put(h, row)
+	x.n++
+}
+
+// put stores row in the first free slot of h's probe sequence.
+func (x *entityIndex) put(h uint64, row int) {
+	mask := uint64(len(x.slots) - 1)
+	i := (h * fibMul) >> x.shift
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = h>>32<<32 | uint64(uint32(row+1))
 }
 
 // AddLineage adds a source mention to a row's sorted lineage,

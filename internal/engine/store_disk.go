@@ -196,9 +196,9 @@ func (d *diskStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 	for _, c := range chunks {
 		for i := 0; i < c.n; i++ {
 			id := c.ids[i]
-			row, exists := d.Lookup(id)
+			row, exists := d.lookup(id, c.hashes[i])
 			if !exists {
-				row = d.appendIdentity(id, hooks.seq.Add(1))
+				row = d.appendIdentity(id, c.hashes[i], hooks.seq.Add(1))
 				tr := row - d.sealed
 				for ci := range d.tail {
 					appendStagedCell(&d.tail[ci], &c.cols[ci], i, tr)
@@ -400,13 +400,13 @@ func openDiskStoreFromCheckpoint(cfg StorageConfig, schema Schema, dir string, s
 	d.ids = ck.ids
 	d.seqs = ck.seqs
 	d.lineage = ck.lineage
-	d.index = make(map[string]int, len(ck.ids))
 	nObs := 0
 	for i, id := range ck.ids {
-		if _, dup := d.index[id]; dup {
+		h := hashEntity(id)
+		if _, dup := d.lookup(id, h); dup {
 			return fail(fmt.Errorf("engine: shard %d: checkpoint repeats entity %q", shardIdx, id))
 		}
-		d.index[id] = i
+		d.index.add(ck.ids, h, i)
 		nObs += len(ck.lineage[i])
 	}
 	d.nObs = nObs

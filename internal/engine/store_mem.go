@@ -100,9 +100,9 @@ func (m *memStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
 	for _, c := range chunks {
 		for i := 0; i < c.n; i++ {
 			id := c.ids[i]
-			row, exists := m.Lookup(id)
+			row, exists := m.lookup(id, c.hashes[i])
 			if !exists {
-				row = m.appendIdentity(id, hooks.seq.Add(1))
+				row = m.appendIdentity(id, c.hashes[i], hooks.seq.Add(1))
 				for ci := range m.cols {
 					appendStagedCell(&m.cols[ci], &c.cols[ci], i, row)
 				}

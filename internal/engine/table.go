@@ -496,15 +496,11 @@ func (t *Table) sourceNameTable() []string {
 	return out
 }
 
-// shardFor hashes an entity ID to its shard (FNV-1a).
-func (t *Table) shardFor(entityID string) *shard {
-	si, _ := t.shardIndexFor(entityID)
-	return t.shards[si]
-}
-
-// shardIndexFor is shardFor returning the shard index too (the staging
-// path addresses shards by index).
-func (t *Table) shardIndexFor(entityID string) (int, *shard) {
+// hashEntity is the FNV-1a hash of an entity ID. Its low bits pick the
+// ID's shard (shardOf) and the shard's entity index probes with all of
+// it, so the staging path hashes each ID once and carries the hash in the
+// chunk to the apply.
+func hashEntity(entityID string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -514,7 +510,20 @@ func (t *Table) shardIndexFor(entityID string) (int, *shard) {
 		h ^= uint64(entityID[i])
 		h *= prime64
 	}
-	si := int(h & (numShards - 1))
+	return h
+}
+
+// shardOf returns the shard of an entity ID with hashEntity h.
+func shardOf(h uint64) int { return int(h & (numShards - 1)) }
+
+// shardFor hashes an entity ID to its shard.
+func (t *Table) shardFor(entityID string) *shard {
+	return t.shards[shardOf(hashEntity(entityID))]
+}
+
+// shardIndexFor is shardFor returning the shard index too.
+func (t *Table) shardIndexFor(entityID string) (int, *shard) {
+	si := shardOf(hashEntity(entityID))
 	return si, t.shards[si]
 }
 
@@ -585,42 +594,19 @@ func (t *Table) NumObservations() int {
 // workloads prefer the batched staging path (Append/AppendRow/Writer),
 // which amortizes the locking and epoch bumps across whole batches.
 func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value) error {
-	if err := t.checkAppendArgs(entityID, source); err != nil {
+	row := rowCells{named: true, attrs: attrs}
+	if err := t.checkRow("Insert", entityID, source, &row); err != nil {
 		return err
 	}
 	sid := t.internSource(source)
-	si, sh := t.shardIndexFor(entityID)
+	h := hashEntity(entityID)
+	si := shardOf(h)
 	c := t.borrowChunk()
 	defer t.recycleChunk(c)
-	if err := c.stageRowAttrs(t, entityID, sid, attrs, sh.store.Dict()); err != nil {
+	if err := c.stageRow(t.schema, entityID, h, sid, &row, t.shards[si].store.Dict()); err != nil {
 		return fmt.Errorf("engine: %s: entity %q: %w", t.name, entityID, err)
 	}
 	return t.drainShard(si, c)
-}
-
-func (t *Table) validate(attrs map[string]sqlparse.Value) error {
-	for name, v := range attrs {
-		ci, ok := t.colIdx[name]
-		if !ok {
-			return fmt.Errorf("%w %q", ErrUnknownColumn, name)
-		}
-		if v.Kind == sqlparse.ValueNull {
-			continue
-		}
-		ok = false
-		switch t.schema[ci].Type {
-		case TypeFloat:
-			ok = v.Kind == sqlparse.ValueNumber
-		case TypeString:
-			ok = v.Kind == sqlparse.ValueString
-		case TypeBool:
-			ok = v.Kind == sqlparse.ValueBool
-		}
-		if !ok {
-			return invalidRowf("column %q expects %s, got %s", name, t.schema[ci].Type, v)
-		}
-	}
-	return nil
 }
 
 // record materializes the user-visible Record at a view row.

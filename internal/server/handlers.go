@@ -343,35 +343,39 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("server: %w %q", engine.ErrUnknownTable, tableName))
 		return
 	}
-	// The whole body is decoded before any row is staged, so a malformed
-	// line rejects the batch with nothing applied (see ndjson.go).
-	batch, err := decodeIngest(r.Body)
+	// The whole body is decoded and checked against the table's schema
+	// before any row is staged, so a malformed line or a row the schema
+	// rejects fails the batch with nothing applied (see ndjson.go).
+	batch, err := decodeIngest(r.Body, tbl.Name(), tbl.Schema())
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Kind: "bad_request"})
+		if errors.As(err, new(schemaError)) {
+			writeError(w, err)
+		} else {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Kind: "bad_request"})
+		}
 		return
 	}
 	defer batch.release()
 	// Rows ride the batched asynchronous path: a request-local Writer
 	// stages lock-free chunks, the tenant's background appliers drain
 	// them, and the final Flush is the read-your-writes barrier that also
-	// surfaces data-quality warnings. Append copies what it stages, so one
-	// attribute map serves every row.
+	// surfaces data-quality warnings. AppendProvided copies what it
+	// stages, so the batch's cells are only borrowed.
 	//
-	// A request that fails part way (an invalid row, or a push whose WAL
-	// append failed) may already have pushed earlier chunks: those rows
-	// are staged and apply with the next drain. The tenant is marked
-	// dirty so they reach the next snapshot, and the row count only
-	// grows for a fully accepted request. Retrying the whole request is
-	// safe: a same-source re-report of an entity is idempotent.
+	// Only a push whose WAL append failed can fail the request part way,
+	// after earlier chunks were pushed: those rows are staged and apply
+	// with the next drain. The tenant is marked dirty so they reach the
+	// next snapshot, and the row count only grows for a fully accepted
+	// request. Retrying the whole request is safe: a same-source re-report
+	// of an entity is idempotent.
 	writer := tbl.NewWriter()
 	fail := func(err error) {
 		t.dirty.Store(true)
 		writeError(w, err)
 	}
-	var attrs map[string]sqlparse.Value
 	for i, row := range batch.rows {
-		attrs = batch.attrMap(attrs, row)
-		if err := writer.Append(row.entity, row.source, attrs); err != nil {
+		vals, provided := batch.cells(i)
+		if err := writer.AppendProvided(row.entity, row.source, vals, provided); err != nil {
 			fail(fmt.Errorf("line %d: %w", i+1, err))
 			return
 		}

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/sqlparse"
 )
 
@@ -91,14 +94,103 @@ func referenceDecodeBody(body []byte) ([]decodedRow, error) {
 	return rows, sc.Err()
 }
 
-func cursorDecodeLine(line []byte, n int) (decodedRow, error) {
+// paritySchema is the table every line and body is also decoded for:
+// its columns cover attribute names of parityLines with one type each, so
+// lines both pass and fail it.
+var paritySchema = engine.Schema{
+	{Name: "v", Type: engine.TypeFloat}, {Name: "name", Type: engine.TypeString},
+	{Name: "ok", Type: engine.TypeBool}, {Name: "a", Type: engine.TypeFloat}, {Name: "s", Type: engine.TypeString},
+}
+
+// fittedSchema returns a schema with one column per attribute of r, typed
+// by its value (string for NULL), so r passes it; ok is false when r has
+// no attribute or one with an empty name, which no table can hold.
+func fittedSchema(r decodedRow) (engine.Schema, bool) {
+	var schema engine.Schema
+	for name, v := range r.attrs {
+		if name == "" {
+			return nil, false
+		}
+		typ := engine.TypeString
+		switch v.Kind {
+		case sqlparse.ValueNumber:
+			typ = engine.TypeFloat
+		case sqlparse.ValueBool:
+			typ = engine.TypeBool
+		}
+		schema = append(schema, engine.Column{Name: name, Type: typ})
+	}
+	slices.SortFunc(schema, func(a, b engine.Column) int { return strings.Compare(a.Name, b.Name) })
+	return schema, len(schema) > 0
+}
+
+// validate is the schema oracle: the error engine.Writer.Append gives
+// row n on a throwaway table of the schema, with the handler's line
+// prefix. The Writer is never flushed, so nothing is applied.
+func validate(t testing.TB, schema engine.Schema, r decodedRow, n int) error {
+	t.Helper()
+	tbl, err := engine.NewTable("obs", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	if err := tbl.NewWriter().Append(r.entity, r.source, r.attrs); err != nil {
+		return fmt.Errorf("line %d: %w", n, err)
+	}
+	return nil
+}
+
+// unknownColumnErrs returns the engine's error for each attribute of row
+// n that is no column of the schema: the engine names whichever of them
+// its map iteration meets first.
+func unknownColumnErrs(t testing.TB, schema engine.Schema, r decodedRow, n int) []error {
+	var errs []error
+	for name, v := range r.attrs {
+		one := decodedRow{r.entity, r.source, map[string]sqlparse.Value{name: v}}
+		if err := validate(t, schema, one, n); errors.Is(err, engine.ErrUnknownColumn) {
+			errs = append(errs, err)
+		}
+	}
+	return errs
+}
+
+// referenceLine is the reflective decode of line n plus the engine's
+// schema check of a row that names its entity and source.
+func referenceLine(t testing.TB, schema engine.Schema, line []byte, n int) (decodedRow, error) {
+	r, err := referenceDecodeLine(line, n)
+	if err == nil && r.entity != "" && r.source != "" {
+		err = validate(t, schema, r, n)
+	}
+	return r, err
+}
+
+// cursorLine decodes line n with the cursor for the schema, plus the
+// schema check of a row that names its entity and source.
+func cursorLine(schema engine.Schema, line []byte, n int) (decodedRow, error) {
 	b := batchPool.Get().(*ingestBatch)
 	defer b.release()
+	b.table, b.schema = "obs", schema
 	if err := b.decodeLine(line, n); err != nil {
 		return decodedRow{}, err
 	}
-	r := b.rows[0]
-	return decodedRow{r.entity, r.source, b.attrMap(nil, r)}, nil
+	r := positionalRow(b, 0)
+	if r.entity == "" || r.source == "" {
+		return r, nil
+	}
+	return r, b.schemaErr(n)
+}
+
+// positionalRow returns row i of the batch with its carried cells keyed
+// by column name.
+func positionalRow(b *ingestBatch, i int) decodedRow {
+	vals, provided := b.cells(i)
+	attrs := make(map[string]sqlparse.Value)
+	for ci, col := range b.schema {
+		if provided[ci] {
+			attrs[col.Name] = vals[ci]
+		}
+	}
+	return decodedRow{b.rows[i].entity, b.rows[i].source, attrs}
 }
 
 // ambiguousAttrErr reports whether more than one attribute of line is
@@ -139,22 +231,67 @@ func sameError(line []byte, want, got error) bool {
 	return sameAttrErrLine(want, got) && ambiguousAttrErr(line)
 }
 
-// checkLineParity requires both decoders to accept or reject line alike,
-// with the same rows (floats bit for bit) or the same error.
+// sameSchemaErr reports whether got is an error the engine could give row
+// r (line n) for the schema in place of want: the same error, or, for an
+// unknown column, the one for another of r's unknown attributes. Either
+// way it must be classified as want is.
+func sameSchemaErr(t testing.TB, schema engine.Schema, r decodedRow, n int, want, got error) bool {
+	for _, kind := range []error{engine.ErrInvalidRow, engine.ErrUnknownColumn} {
+		if errors.Is(want, kind) != errors.Is(got, kind) {
+			return false
+		}
+	}
+	if want.Error() == got.Error() {
+		return true
+	}
+	return errors.Is(want, engine.ErrUnknownColumn) &&
+		slices.ContainsFunc(unknownColumnErrs(t, schema, r, n), func(e error) bool { return e.Error() == got.Error() })
+}
+
+// lineSchemas returns the schemas line is checked against: paritySchema,
+// and one the line's row fits when the reference decodes it.
+func lineSchemas(line []byte) []engine.Schema {
+	schemas := []engine.Schema{paritySchema}
+	if r, err := referenceDecodeLine(line, 1); err == nil {
+		if fitted, ok := fittedSchema(r); ok {
+			schemas = append(schemas, fitted)
+		}
+	}
+	return schemas
+}
+
+// checkLineParity requires both decoders to accept or reject line alike
+// for each of its lineSchemas, with the same row (floats bit for bit) or
+// the same error.
 func checkLineParity(t *testing.T, line []byte) {
 	t.Helper()
-	want, werr := referenceDecodeLine(line, 7)
-	got, gerr := cursorDecodeLine(line, 7)
-	switch {
-	case (werr == nil) != (gerr == nil):
-		t.Fatalf("%q: reference err %v, cursor err %v", line, werr, gerr)
-	case werr != nil:
-		if !sameError(line, werr, gerr) {
-			t.Fatalf("%q: reference error %q, cursor error %q", line, werr, gerr)
+	for _, schema := range lineSchemas(line) {
+		want, werr := referenceLine(t, schema, line, 7)
+		got, gerr := cursorLine(schema, line, 7)
+		switch {
+		case (werr == nil) != (gerr == nil):
+			t.Fatalf("%q %v: reference err %v, cursor err %v", line, schema, werr, gerr)
+		case werr != nil:
+			if !sameError(line, werr, gerr) && !sameSchemaErr(t, schema, want, 7, werr, gerr) {
+				t.Fatalf("%q %v: reference error %q, cursor error %q", line, schema, werr, gerr)
+			}
+		case !sameRow(columnsOf(want, schema), got):
+			t.Fatalf("%q %v: reference %+v, cursor %+v", line, schema, want, got)
 		}
-	case !sameRow(want, got):
-		t.Fatalf("%q: reference %+v, cursor %+v", line, want, got)
 	}
+}
+
+// columnsOf returns r without its attributes that are no column of the
+// schema: a row without an entity or source is not schema-checked, and
+// its cells hold only the attributes that are.
+func columnsOf(r decodedRow, schema engine.Schema) decodedRow {
+	attrs := make(map[string]sqlparse.Value)
+	for _, col := range schema {
+		if v, ok := r.attrs[col.Name]; ok {
+			attrs[col.Name] = v
+		}
+	}
+	return decodedRow{r.entity, r.source, attrs}
 }
 
 // missingIdentity is the error for the first row without an entity or
@@ -180,34 +317,43 @@ func sameAttrErrLine(want, got error) bool {
 }
 
 // checkBodyParity requires decodeIngest to split, trim and decode a body
-// like the reflective handler, and to reject the first row without an
-// entity or source.
-func checkBodyParity(t *testing.T, body []byte) {
+// for the schema like the reflective handler, to reject the first row
+// without an entity or source, and, failing that, the first row the
+// engine rejects for the schema — after every syntax error.
+func checkBodyParity(t *testing.T, schema engine.Schema, body []byte) {
 	t.Helper()
 	want, werr := referenceDecodeBody(body)
 	if err := missingIdentity(want); err != nil {
 		werr = err
 	}
-	b, gerr := decodeIngest(bytes.NewReader(body))
+	bad := -1
+	if werr == nil {
+		for i, r := range want {
+			if werr = validate(t, schema, r, i+1); werr != nil {
+				bad = i
+				break
+			}
+		}
+	}
+	b, gerr := decodeIngest(bytes.NewReader(body), "obs", schema)
 	if gerr == nil {
 		defer b.release()
 	}
 	switch {
 	case (werr == nil) != (gerr == nil):
-		t.Fatalf("%q: reference err %v, cursor err %v", body, werr, gerr)
+		t.Fatalf("%q %v: reference err %v, cursor err %v", body, schema, werr, gerr)
 	case werr != nil:
-		if werr.Error() != gerr.Error() && !sameAttrErrLine(werr, gerr) {
-			t.Fatalf("%q: reference error %q, cursor error %q", body, werr, gerr)
+		if werr.Error() == gerr.Error() || sameAttrErrLine(werr, gerr) ||
+			bad >= 0 && sameSchemaErr(t, schema, want[bad], bad+1, werr, gerr) {
+			return
 		}
-		return
+		t.Fatalf("%q %v: reference error %q, cursor error %q", body, schema, werr, gerr)
 	}
 	if len(b.rows) != len(want) {
 		t.Fatalf("%q: reference %d rows, cursor %d", body, len(want), len(b.rows))
 	}
-	var m map[string]sqlparse.Value
-	for i, r := range b.rows {
-		m = b.attrMap(m, r)
-		if got := (decodedRow{r.entity, r.source, m}); !sameRow(want[i], got) {
+	for i := range b.rows {
+		if got := positionalRow(b, i); !sameRow(want[i], got) {
 			t.Fatalf("%q row %d: reference %+v, cursor %+v", body, i+1, want[i], got)
 		}
 	}
@@ -292,11 +438,14 @@ func TestIngestBodyParity(t *testing.T) {
 		row + "\n" + `{"entity":"e3",` + "\n",
 		"", "\n\n", " ",
 	}
-	for _, body := range bodies {
-		checkBodyParity(t, []byte(body))
-	}
-	for _, line := range parityLines {
-		checkBodyParity(t, []byte(line+"\n"+row))
+	for _, schema := range []engine.Schema{paritySchema, {{Name: "v", Type: engine.TypeString}}} {
+		for _, body := range bodies {
+			checkBodyParity(t, schema, []byte(body))
+		}
+		for _, line := range parityLines {
+			checkBodyParity(t, schema, []byte(line+"\n"+row))
+			checkBodyParity(t, schema, []byte(row+"\n"+line+"\n"+other))
+		}
 	}
 }
 
@@ -311,7 +460,44 @@ func FuzzIngestLineParity(f *testing.F) {
 		if line := bytes.TrimSpace(data); len(line) > 0 {
 			checkLineParity(t, line)
 		}
-		checkBodyParity(t, data)
+		checkBodyParity(t, paritySchema, data)
+	})
+}
+
+// cursorValid is the cursor's verdict on data as one line: whether
+// decoding it found it well-formed.
+func cursorValid(data []byte) bool {
+	b := batchPool.Get().(*ingestBatch)
+	defer b.release()
+	b.schema = paritySchema
+	_, ok := b.walkLine(data)
+	return ok
+}
+
+// FuzzCursorValid requires the cursor to accept exactly the byte strings
+// json.Valid accepts.
+func FuzzCursorValid(f *testing.F) {
+	for _, line := range parityLines {
+		f.Add([]byte(line))
+	}
+	for _, seed := range []string{
+		`"\x"`, `"\u12"`, `"\u12g4"`, `"\uD800"`, `"\udc00\ud800"`, `"a\`, `"\`, `"abc`,
+		"\"\x00\"", "\"\x1f\"", "\"\x7f\"", "\"\xff\"", "\"\xed\xa0\x80\"", "{\"\xc3\":1}",
+		`-`, `-0`, `01`, `-01`, `1.`, `.5`, `1e`, `1e+`, `1E-5`, `1e400`, `+1`, `0x10`, `1.5e3.2`,
+		`tru`, `truex`, `nul`, `nulll`, `fals`, `True`,
+		`[`, `]`, `[1,]`, `[,1]`, `{"a":1,}`, `{"a" 1}`, `{"a":}`, `{1:2}`, `{"a":1 "b":2}`,
+		strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
+		strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
+		`{"attrs":` + strings.Repeat(`{"a":`, 9998) + "1" + strings.Repeat("}", 9999),
+		`{"attrs":` + strings.Repeat(`{"a":`, 9999) + "1" + strings.Repeat("}", 10000),
+		`{} x`, `{}}`, `1 2`, `null null`, "{}\v", " {} ", "", " ", "\t\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := cursorValid(data), json.Valid(data); got != want {
+			t.Fatalf("%q: cursor valid %v, json.Valid %v", data, got, want)
+		}
 	})
 }
 
@@ -326,9 +512,11 @@ func ingestBody(rows int) []byte {
 }
 
 // BenchmarkIngestDecode decodes a 500-row body with the reflective
-// per-line decoder and with the cursor decoder.
+// per-line decoder and with the cursor decoder, which decodes into the
+// schema positions of the serve-ingest table.
 func BenchmarkIngestDecode(b *testing.B) {
 	body := ingestBody(500)
+	schema := engine.Schema{{Name: "region", Type: engine.TypeString}, {Name: "v", Type: engine.TypeFloat}}
 	b.Run("reflect", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
@@ -342,13 +530,9 @@ func BenchmarkIngestDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(body)))
 		for b.Loop() {
-			batch, err := decodeIngest(bytes.NewReader(body))
+			batch, err := decodeIngest(bytes.NewReader(body), "obs", schema)
 			if err != nil {
 				b.Fatal(err)
-			}
-			var m map[string]sqlparse.Value
-			for _, r := range batch.rows {
-				m = batch.attrMap(m, r)
 			}
 			batch.release()
 		}

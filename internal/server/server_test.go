@@ -551,10 +551,10 @@ func readIngestState(t *testing.T, base, tenant, table string) ingestState {
 	return ingestState{float64(qr.Observed), ts.IngestedRows, ts.Tables[table].AppliedRows}
 }
 
-// TestIngestMalformedBatchAppliesNothing: a batch with one malformed line
-// is rejected whole. Its earlier rows span several full writer chunks
-// per shard, so staging them before the bad line was found would apply
-// some of them.
+// TestIngestMalformedBatchAppliesNothing: a batch with one malformed line,
+// or one row the table's schema rejects, is rejected whole. Its earlier
+// rows span several full writer chunks per shard, so staging them before
+// the bad line was found would apply some of them.
 func TestIngestMalformedBatchAppliesNothing(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	createTable(t, ts.URL, "default", "obs")
@@ -563,25 +563,41 @@ func TestIngestMalformedBatchAppliesNothing(t *testing.T) {
 	if before.count != 100 || before.ingested != 100 || before.applied != 100 {
 		t.Fatalf("after the first batch: %+v", before)
 	}
-	bad := []string{
-		`{"entity": "x", "source": "s0", "attrs": {"v": 1}`,
-		`{"entity": "x", "source": "s0", "attrs": {"v": {"nested": 1}}}`,
-		`{"entity": "x", "source": "s0", "attrs": {"v": 1e400}}`,
-		`{"entity": 7, "source": "s0"}`,
-		`{"entity": "", "source": "s0"}`,
-		`{"entity": "x"}`,
-		`null`,
-		`[1, 2]`,
+	const syntax = "line 5001"
+	cases := []struct {
+		line, kind, msg string
+		status          int
+	}{
+		{`{"entity": "x", "source": "s0", "attrs": {"v": 1}`, "bad_request", syntax, http.StatusBadRequest},
+		{`{"entity": "x", "source": "s0", "attrs": {"v": {"nested": 1}}}`, "bad_request", syntax, http.StatusBadRequest},
+		{`{"entity": "x", "source": "s0", "attrs": {"v": 1e400}}`, "bad_request", syntax, http.StatusBadRequest},
+		{`{"entity": 7, "source": "s0"}`, "bad_request", syntax, http.StatusBadRequest},
+		{`{"entity": "", "source": "s0"}`, "bad_request", syntax, http.StatusBadRequest},
+		{`{"entity": "x"}`, "bad_request", syntax, http.StatusBadRequest},
+		{`null`, "bad_request", syntax, http.StatusBadRequest},
+		{`[1, 2]`, "bad_request", syntax, http.StatusBadRequest},
+		// Rows the schema rejects, with TestIngestClientErrors' answers.
+		{`{"entity": "e1", "source": "s0", "attrs": {"v": "oops"}}`, "bad_request", `line 5001: engine: obs: entity "e1": column "v" expects FLOAT`, http.StatusBadRequest},
+		{`{"entity": "e1", "source": "s0", "attrs": {"ghost": 1}}`, "unknown_column", `line 5001: engine: obs: entity "e1": unknown column "ghost"`, http.StatusNotFound},
+		{`{"entity": "e1", "source": "s0", "attrs": {"name": true}}`, "bad_request", `line 5001: engine: obs: entity "e1": column "name" expects STRING`, http.StatusBadRequest},
 	}
-	for _, line := range bad {
-		body := ndjsonRows(5000, 1000) + "\n" + line + "\n" + ndjsonRows(99, 7000)
+	for _, tc := range cases {
+		body := ndjsonRows(5000, 1000) + "\n" + tc.line + "\n" + ndjsonRows(99, 7000)
 		status, er := postIngest(t, ts.URL, "default", "obs", body)
-		if status != http.StatusBadRequest || er.Kind != "bad_request" || !strings.HasPrefix(er.Error, "line 5001") {
-			t.Errorf("%s: status %d kind %q error %q, want 400 bad_request at line 5001", line, status, er.Kind, er.Error)
+		if status != tc.status || er.Kind != tc.kind || !strings.HasPrefix(er.Error, tc.msg) {
+			t.Errorf("%s: status %d kind %q error %q, want %d %q %q", tc.line, status, er.Kind, er.Error, tc.status, tc.kind, tc.msg)
 		}
 		if after := readIngestState(t, ts.URL, "default", "obs"); after != before {
-			t.Errorf("%s: rejected batch changed the tenant: %+v, want %+v", line, after, before)
+			t.Errorf("%s: rejected batch changed the tenant: %+v, want %+v", tc.line, after, before)
 		}
+	}
+	// A malformed line anywhere takes precedence over an earlier schema
+	// error.
+	body := ndjsonRows(10, 0) + `{"entity": "e1", "source": "s0", "attrs": {"ghost": 1}}` + "\n" +
+		ndjsonRows(10, 20) + `{"entity": "x"` + "\n"
+	status, er := postIngest(t, ts.URL, "default", "obs", body)
+	if status != http.StatusBadRequest || er.Kind != "bad_request" || !strings.HasPrefix(er.Error, "line 22: unexpected end of JSON input") {
+		t.Errorf("schema error before a malformed line: status %d kind %q error %q", status, er.Kind, er.Error)
 	}
 }
 

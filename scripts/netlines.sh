@@ -5,11 +5,18 @@
 # (shell, Makefile, YAML, JSON). _test.go files and anything under a
 # testdata/ directory are excluded from both. BASE defaults to the
 # merge-base of HEAD with origin/main. Used by `make netlines`, e.g.
-# `make netlines BASE=HEAD~1`.
+# `make netlines BASE=HEAD~1`. The header names BASE and the number of
+# commits from it to HEAD; a defaulted BASE more than one commit behind
+# HEAD (a stale origin/main) also gets a warning on stderr.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 base="${BASE:-$(git merge-base HEAD origin/main)}"
+commits="$(git rev-list --count "$base..HEAD")"
+echo "netlines: BASE $(git rev-parse --short "$base"), $commits commit(s) behind HEAD, plus the working tree"
+if [ -z "${BASE:-}" ] && [ "$commits" -gt 1 ]; then
+    echo "netlines: warning: the default BASE (merge-base with origin/main) counts $commits commits; use BASE=HEAD~1 for the last commit alone" >&2
+fi
 
 counted() {
     case "$1" in

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke test of the uuserve daemon: start it,
 # create a table, ingest NDJSON observations, query, require a batch with
-# a malformed line to be rejected whole, read one live subscription
-# event, then deliver SIGTERM and require a graceful drain (clean exit +
+# a malformed line, and one with a row the schema rejects, to be rejected
+# whole, read one live subscription event, then deliver SIGTERM and
+# require a graceful drain (clean exit +
 # tenant snapshot on disk + restored state on restart).
 # Used by `make serve-smoke` locally and by the CI `ci` job.
 set -euo pipefail
@@ -86,6 +87,20 @@ curl -sf "$BASE/v1/stats" | jq -e '.tenants.smoke.ingested_rows == 200' >/dev/nu
 OBSERVED="$(curl -sf -X POST "$BASE/v1/query" -H 'X-Tenant: smoke' \
     -d '{"sql": "SELECT COUNT(*) FROM obs"}' | jq -r .observed)" || fail "query after malformed batch"
 [ "$OBSERVED" = "200" ] || fail "COUNT(*) after malformed batch observed $OBSERVED, want 200"
+
+# The same rows with a last row the table's schema rejects: it is found
+# while decoding, so this batch applies nothing either.
+echo "serve-smoke: a batch with an unknown column in its last row applies nothing"
+sed '$d' "$BAD" >"$WORK/schema.ndjson"
+printf '{"entity": "e300", "source": "s0", "attrs": {"ghost": 1}}\n' >>"$WORK/schema.ndjson"
+STATUS="$(curl -s -o "$WORK/bad.out" -w '%{http_code}' -X POST "$BASE/v1/ingest?table=obs" -H 'X-Tenant: smoke' \
+    --data-binary @"$WORK/schema.ndjson")"
+[ "$STATUS" = "404" ] || fail "unknown-column batch: status $STATUS, want 404: $(cat "$WORK/bad.out")"
+jq -e '.kind == "unknown_column" and (.error | startswith("line 5001:"))' "$WORK/bad.out" >/dev/null \
+    || fail "unknown-column batch: error body $(cat "$WORK/bad.out")"
+OBSERVED="$(curl -sf -X POST "$BASE/v1/query" -H 'X-Tenant: smoke' \
+    -d '{"sql": "SELECT COUNT(*) FROM obs"}' | jq -r .observed)" || fail "query after unknown-column batch"
+[ "$OBSERVED" = "200" ] || fail "COUNT(*) after unknown-column batch observed $OBSERVED, want 200"
 
 echo "serve-smoke: second tenant is isolated"
 STATUS="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/query" -H 'X-Tenant: other' \
