@@ -30,19 +30,19 @@ import (
 // paths are returned, and the caller removes them once the new state is
 // referenced durably (or immediately, in non-durable mode). Caller
 // holds the shard write lock.
-func (d *diskStore) compact() (stalePaths []string, err error) {
-	if len(d.segs) <= 1 {
+func (s *shardStore) compact() (stalePaths []string, err error) {
+	if len(s.segs) <= 1 {
 		return nil, nil
 	}
-	n := d.sealed
+	n := s.sealed
 	// Merged string columns re-code into a compaction-local dictionary (the
 	// shard dictionary stays untouched — adopted segments may hold strings
 	// the live dictionary never saw, and a rewrite is not a mutation). Each
 	// source segment contributes via one dictionary-sized remap table; v1
 	// files, transcoded at open, are rewritten as v2 here.
 	local := newStringDict()
-	cols := newTailCols(d.schema, local)
-	for ci, c := range d.schema {
+	cols := newTailCols(s.schema, local)
+	for ci, c := range s.schema {
 		col := &cols[ci]
 		col.defined.grow(n)
 		col.valid.grow(n)
@@ -54,15 +54,15 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 		case TypeBool:
 			col.bools = make([]bool, 0, n)
 		}
-		for _, seg := range d.segs {
+		for _, seg := range s.segs {
 			e := &seg.cols[ci]
 			switch c.Type {
 			case TypeFloat:
 				col.floats = append(col.floats, e.floats[:e.n]...)
 			case TypeString:
 				remap := make([]uint32, len(e.dict))
-				for sc, s := range e.dict {
-					remap[sc] = local.intern(s)
+				for sc, str := range e.dict {
+					remap[sc] = local.intern(str)
 				}
 				for _, sc := range e.codes[:e.n] {
 					col.codes = append(col.codes, remap[sc])
@@ -82,7 +82,7 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 			}
 		}
 	}
-	dicts, err := planSegDicts(d.schema, cols, n)
+	dicts, err := planSegDicts(s.schema, cols, n)
 	if err != nil {
 		// The merged dictionary would overflow the uint32 offset bound. A
 		// shard this wide keeps its current segments (scans still work, just
@@ -90,18 +90,18 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 		return nil, nil
 	}
 
-	path := filepath.Join(d.dir, segFileName(d.shardIdx, d.nextSegID))
-	raw := buildSegmentBytes(d.schema, cols, n, dicts)
-	if err := d.writeSegmentFile(path, raw); err != nil {
+	path := filepath.Join(s.dir, segFileName(s.shardIdx, s.nextSegID))
+	raw := buildSegmentBytes(s.schema, cols, n, dicts)
+	if err := s.writeSegmentFile(path, raw); err != nil {
 		return nil, fmt.Errorf("engine: writing compacted segment: %w", err)
 	}
-	merged, err := openSegment(path, d.schema, 0, d.useMmap)
+	merged, err := openSegment(path, s.schema, 0, s.useMmap)
 	if err != nil {
 		os.Remove(path)
 		return nil, fmt.Errorf("engine: reopening compacted segment: %w", err)
 	}
-	d.nextSegID++
-	for _, seg := range d.segs {
+	s.nextSegID++
+	for _, seg := range s.segs {
 		stalePaths = append(stalePaths, seg.path)
 		if seg.mapped {
 			munmapFile(seg.data)
@@ -110,8 +110,8 @@ func (d *diskStore) compact() (stalePaths []string, err error) {
 		seg.data = nil
 		seg.cols = nil
 	}
-	d.segs = []*segment{merged}
-	d.view.Store(nil)
+	s.segs = []*segment{merged}
+	s.view.Store(nil)
 	return stalePaths, nil
 }
 
@@ -127,19 +127,19 @@ func (t *Table) Compact() error {
 	var firstErr error
 	for si, sh := range t.shards {
 		sh.mu.Lock()
-		ds, ok := sh.store.(*diskStore)
-		if !ok || ds.closed {
+		st := sh.store
+		if st.dir == "" || st.closed {
 			sh.mu.Unlock()
 			continue
 		}
 		err := func() error {
-			if err := ds.seal(); err != nil {
+			if err := st.seal(); err != nil {
 				return err
 			}
 			var stale []string
-			if len(ds.segs) > 1 {
+			if len(st.segs) > 1 {
 				var cerr error
-				stale, cerr = ds.compact()
+				stale, cerr = st.compact()
 				if cerr != nil {
 					return cerr
 				}

@@ -680,7 +680,7 @@ func TestCompactionParity(t *testing.T) {
 	for si, sh := range tbl.shards {
 		sh.mu.RLock()
 		epochs[si] = sh.store.Epoch()
-		if ds, ok := sh.store.(*diskStore); ok && len(ds.segs) > 1 {
+		if len(sh.store.segs) > 1 {
 			multi++
 		}
 		sh.mu.RUnlock()
@@ -693,7 +693,7 @@ func TestCompactionParity(t *testing.T) {
 	}
 	for si, sh := range tbl.shards {
 		sh.mu.RLock()
-		ds := sh.store.(*diskStore)
+		ds := sh.store
 		if len(ds.segs) > 1 {
 			t.Errorf("shard %d still has %d segments after Compact", si, len(ds.segs))
 		}
@@ -740,8 +740,8 @@ func TestCompactionDurableRecover(t *testing.T) {
 	rt, _ := db2.Table("t")
 	for si, sh := range rt.shards {
 		sh.mu.RLock()
-		if ds, ok := sh.store.(*diskStore); ok && len(ds.segs) > 1 {
-			t.Errorf("shard %d recovered %d segments, want <= 1", si, len(ds.segs))
+		if len(sh.store.segs) > 1 {
+			t.Errorf("shard %d recovered %d segments, want <= 1", si, len(sh.store.segs))
 		}
 		sh.mu.RUnlock()
 	}

@@ -17,12 +17,12 @@ import (
 // short-circuiting stay hidden.
 //
 // Column references are resolved to column indexes at compile time, and
-// kernels run over the storage backend's column views (store.go): typed
+// kernels run over the shard store's column views (store.go): typed
 // extents iterated with direct slice indexing — no map lookups, no Record
-// materialization, no interface boxing on the float fast path. The
-// in-memory backend always presents one extent per column, so its kernels
-// compile to the same flat loops as before storage became pluggable; the
-// disk backend presents one extent per mmap'd segment plus the tail.
+// materialization, no interface boxing on the float fast path. A store
+// presents one extent per sealed segment plus one for its tail, so a
+// memory-backed store, which never seals, presents one extent per column
+// and its kernels run one flat loop.
 
 // filterProgram is a compiled WHERE predicate.
 type filterProgram struct {

@@ -315,15 +315,20 @@ func typeErr(c Column, v sqlparse.Value) error {
 	return invalidRowf("column %q expects %s, got %s", c.Name, c.Type, v)
 }
 
-// unknownAttr returns the unknown-column error for an attrs key that is
-// no column of the schema.
+// unknownAttr returns the unknown-column error naming the smallest attrs
+// key that is no column of the schema, so the message does not depend on
+// map iteration order.
 func unknownAttr(schema Schema, attrs map[string]sqlparse.Value) error {
+	var unknown []string
 	for name := range attrs {
 		if !slices.ContainsFunc(schema, func(c Column) bool { return c.Name == name }) {
-			return fmt.Errorf("%w %q", ErrUnknownColumn, name)
+			unknown = append(unknown, name)
 		}
 	}
-	return nil
+	if len(unknown) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w %q", ErrUnknownColumn, slices.Min(unknown))
 }
 
 // stagingBuf is one shard's staging area. mu guards the chunk list and is
@@ -683,7 +688,7 @@ func (t *Table) Flush() error {
 
 // applyChunks applies one drained batch to the shard's store under a
 // single write-lock acquisition, bumping the write epoch at most once.
-// The per-row semantics live in ShardStore.ApplyBatch: first insertion
+// The per-row semantics live in shardStore.ApplyBatch: first insertion
 // fixes the attribute values, later mentions extend the lineage
 // idempotently, conflicting re-reports are recorded as errors (via the
 // hooks) but still counted. own (Insert's private chunk, or nil) applies
@@ -742,8 +747,7 @@ func (t *Table) applyChunks(si int, chunks []*obsChunk, own *obsChunk, pending [
 // drain allocates no closures.
 func (t *Table) stagedApplyHooks() applyHooks {
 	return applyHooks{
-		schema: t.schema,
-		seq:    &t.seq,
+		seq: &t.seq,
 		conflict: func(id string, err error) {
 			t.recordIngestErr(fmt.Errorf("engine: %s: entity %q: %w", t.name, id, err))
 		},

@@ -186,6 +186,29 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownColumnNamesSmallest: of several unknown attributes, Append
+// and Insert always name the lexicographically smallest, whatever the
+// map's iteration order.
+func TestUnknownColumnNamesSmallest(t *testing.T) {
+	tbl, err := NewTable("one", Schema{{Name: "v", Type: TypeFloat}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	const want = `unknown column "aa"`
+	for i := 0; i < 50; i++ {
+		attrs := map[string]sqlparse.Value{"zz": sqlparse.Number(1), "aa": sqlparse.Number(2)}
+		for call, err := range map[string]error{
+			"Append": tbl.Append("e", "s", attrs),
+			"Insert": tbl.Insert("e", "s", attrs),
+		} {
+			if !errors.Is(err, ErrUnknownColumn) || !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("%s: error %v, want one ending %s", call, err, want)
+			}
+		}
+	}
+}
+
 // TestNullAndMissingColumnsThroughStaging checks the defined/valid
 // distinction survives the staging hop (NULL vs not-provided), matching
 // Insert semantics.

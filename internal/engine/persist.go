@@ -179,7 +179,10 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version > snapshotVersion {
 		return fmt.Errorf("engine: snapshot version %d is newer than supported %d", snap.Version, snapshotVersion)
 	}
-	storage := resolveStorage(db.storage)
+	storage, err := checkedStorage(db.storage)
+	if err != nil {
+		return err
+	}
 	durable := storage.Backend == BackendDisk && storage.Durable
 	staged := DB{storage: db.storage}
 	adoptedDisk := make(map[string]bool)

@@ -123,23 +123,19 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 		}
 	}
 	for si := range t.shards {
-		var store ShardStore
+		var store *shardStore
 		if ck := cks[si]; ck != nil {
-			ds, err := openDiskStoreFromCheckpoint(storage, schema, dir, si, ck)
-			if err != nil {
-				closeOpened(si)
-				return nil, err
+			store, err = openStoreFromCheckpoint(storage, schema, dir, si, ck)
+			if err == nil {
+				t.walApplied[si] = ck.walApplied
+				t.ckptRows[si] = store.sealed
 			}
-			t.walApplied[si] = ck.walApplied
-			t.ckptRows[si] = ds.sealed
-			store = ds
 		} else {
-			var err error
 			store, err = newShardStore(storage, schema, dir, si)
-			if err != nil {
-				closeOpened(si)
-				return nil, err
-			}
+		}
+		if err != nil {
+			closeOpened(si)
+			return nil, err
 		}
 		t.shards[si] = &shard{store: store}
 	}
@@ -201,10 +197,8 @@ func recoverTable(name string, storage StorageConfig) (*Table, error) {
 	keep := map[string]bool{manifestName: true}
 	for si, sh := range t.shards {
 		keep[filepath.Base(ckptPath(dir, si))] = true
-		if ds, ok := sh.store.(*diskStore); ok {
-			for _, seg := range ds.segs {
-				keep[filepath.Base(seg.path)] = true
-			}
+		for _, seg := range sh.store.segs {
+			keep[filepath.Base(seg.path)] = true
 		}
 	}
 	sweepOrphans(dir, keep)
@@ -270,7 +264,10 @@ func sweepOrphans(dir string, keep map[string]bool) {
 // sorted. A no-op returning (nil, nil) unless the DB's storage is the
 // disk backend with Durable set.
 func (db *DB) RecoverTables() ([]string, error) {
-	storage := resolveStorage(db.storage)
+	storage, err := checkedStorage(db.storage)
+	if err != nil {
+		return nil, err
+	}
 	if storage.Backend != BackendDisk || !storage.Durable {
 		return nil, nil
 	}

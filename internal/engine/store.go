@@ -1,45 +1,45 @@
 package engine
 
-// Pluggable shard storage. A table's shards used to BE the storage — a
-// concrete struct of typed column vectors, defined/valid bitmaps and
-// per-row lineage arrays. That representation is now behind the
-// ShardStore interface, with two implementations:
+// Shard storage. Each shard's rows live in one shardStore: entity
+// identity, sequence numbers and lineage in storeBase, and the typed
+// column data in an in-memory columnar tail ([]colVector) plus the
+// immutable segments sealed from earlier tails (store_disk.go). Whether a
+// store seals is fixed when it is built: a store with a directory (the
+// disk backend) seals its tail into a segment file once the tail reaches
+// StorageConfig.SegmentRows, then compacts and, in durable mode,
+// checkpoints its segments; a store without one (the memory backend)
+// never touches the disk, so every row stays in the tail.
 //
-//   - memStore (store_mem.go): the original in-memory columnar layout,
-//     the zero-regression default.
-//   - diskStore (store_disk.go): sealed, page-formatted column segments
-//     on disk served through mmap (plain ReadAt fallback where mmap is
-//     unavailable or disabled), with an in-memory columnar tail for rows
-//     not yet sealed.
-//
-// The seam is deliberately narrow and scan-shaped: query kernels never
-// call per-row interface methods. A scan asks the store once for a
+// Scans never call per-row methods: a scan asks the store once for a
 // storeView — typed column extents plus the identity/lineage arrays —
-// and iterates slices, so the in-memory fast path compiles to the same
-// direct indexing as before the extraction.
+// and iterates slices. A store that never sealed has one extent per
+// column, so its kernels run one flat loop.
 //
-// Locking contract: a ShardStore is NOT internally synchronized. The
-// owning shard's RWMutex serializes access exactly as it always did —
-// mutators (ApplyBatch, BumpEpoch, Maintain) run under the shard write
-// lock, readers (View, Value, Lookup, ...) under at least the read lock,
-// and a storeView is only valid while the lock that produced it is held.
+// Locking contract: a shardStore is NOT internally synchronized. The
+// owning shard's RWMutex serializes access: mutators (ApplyBatch,
+// BumpEpoch, Maintain) run under the shard write lock, readers (View,
+// Lookup, ...) under at least the read lock, and a storeView is only
+// valid while the lock that produced it is held.
 //
 // Epoch contract: the store carries the shard's write epoch but never
 // advances it by itself. Callers bump it exactly once per applied batch
 // that changed the store (the one-bump-per-batch contract ApplyBatch
 // reports `changed` for) — which is what keeps the partial and
 // whole-result caches exact (see cache.go) and the delta log complete
-// (delta.go).
+// (delta.go). Sealing and compaction move no epoch: they change where
+// rows live, not what they hold.
 
 import (
 	"fmt"
 	"math/bits"
+	"os"
 	"sync/atomic"
 
 	"repro/internal/sqlparse"
 )
 
-// Backend selects a shard-storage implementation.
+// Backend selects where a table's shard stores keep their column data:
+// in memory only, or sealed into segment files on disk.
 type Backend int
 
 // Available storage backends. The zero value resolves to the process
@@ -142,15 +142,32 @@ func resolveStorage(cfg StorageConfig) StorageConfig {
 	return cfg
 }
 
-// applyHooks carries the table-side state ShardStore.ApplyBatch needs
-// without exposing the Table: the schema, the table's global sequence
-// counter (a new row takes seq.Add(1)), conflict reporting (apply-time
-// value conflicts are recorded for the writer's next Flush, or land in
+// checkedStorage resolves cfg and rejects a configuration no table can be
+// stored with: an unknown backend, or the disk backend without a
+// directory, which would otherwise resolve its table directories against
+// the working directory. Table creation, snapshot loading and durable
+// recovery all resolve their storage here, so a resolved disk
+// configuration always gives its stores a directory and a memory one
+// never does.
+func checkedStorage(cfg StorageConfig) (StorageConfig, error) {
+	cfg = resolveStorage(cfg)
+	switch {
+	case cfg.Backend == BackendDisk && cfg.Dir == "":
+		return cfg, fmt.Errorf("engine: disk storage backend needs a directory (StorageConfig.Dir)")
+	case cfg.Backend != BackendMemory && cfg.Backend != BackendDisk:
+		return cfg, fmt.Errorf("engine: unknown storage backend %v", cfg.Backend)
+	}
+	return cfg, nil
+}
+
+// applyHooks carries the table-side state shardStore.ApplyBatch needs
+// without exposing the Table: the table's global sequence counter (a
+// new row takes seq.Add(1)), conflict reporting (apply-time value
+// conflicts are recorded for the writer's next Flush, or land in
 // conflictOut — Insert's slot for its own row — when that is set) and
 // the shard's delta log, which learns every stored row whose lineage a
 // batch extends.
 type applyHooks struct {
-	schema      Schema
 	seq         *atomic.Uint64
 	conflict    func(entityID string, err error)
 	conflictOut *error
@@ -166,64 +183,349 @@ func (h *applyHooks) reportConflict(entityID string, err error) {
 	h.conflict(entityID, err)
 }
 
-// ShardStore is the storage representation of one shard: the typed column
-// vectors, defined/valid bitmaps, per-row identity/sequence arrays and
-// per-row lineage (source-ID multisets) that every scan, ingest and
-// snapshot path runs against. See the package comment above for the
+// shardStore is the storage of one shard. See the file comment for the
 // locking and epoch contracts.
-type ShardStore interface {
-	// Rows returns the number of applied rows (staged rows are not part
-	// of the store).
-	Rows() int
-	// Obs returns the observation count sum(len(lineage)).
-	Obs() int
-	// Epoch returns the shard write epoch; BumpEpoch advances it (callers
-	// bump exactly once per visible mutation — see the epoch contract).
-	Epoch() uint64
-	BumpEpoch()
+type shardStore struct {
+	storeBase
+	schema Schema
 
-	// Lookup resolves an entity ID to its row.
-	Lookup(entityID string) (row int, ok bool)
-	// EntityID, Seq and Lineage read one row's identity, global insertion
-	// sequence number and sorted source-ID multiset. The returned lineage
-	// slice is live storage — callers must not mutate it and must copy it
-	// before releasing the shard lock.
-	EntityID(row int) string
-	Seq(row int) uint64
-	Lineage(row int) []int32
+	// tail holds the typed cells of rows [sealed, Rows()); segs hold rows
+	// [0, sealed) in order. Only a store with a directory has segments.
+	tail   []colVector
+	segs   []*segment
+	sealed int
 
-	// ApplyBatch applies drained staging chunks under the caller's single
-	// write-lock acquisition — the only way rows enter a store. Per row:
-	// the first insertion fixes the values, later mentions extend the
-	// lineage idempotently (a stored row whose lineage grew goes to
-	// hooks.delta), and a conflicting re-report goes to
-	// hooks.reportConflict but still counts. Returns whether the store
-	// changed; the caller bumps the epoch at most once per batch on true.
-	ApplyBatch(chunks []*obsChunk, hooks applyHooks) (changed bool)
+	// dir is the store's segment directory, "" for a store that never
+	// seals. The rest of this block is only used when dir is set.
+	dir      string
+	shardIdx int
+	segRows  int
+	useMmap  bool
+	durable  bool
+	// compactEvery is the segment-count compaction trigger (0 = off).
+	compactEvery int
+	// nextSegID names the next sealed segment file. Monotonic per shard:
+	// in durable mode it is persisted in the shard checkpoint and never
+	// reused, so a segment path can never be rewritten underneath a
+	// checkpoint (or another process's recovery) that references it.
+	nextSegID int
 
-	// Maintain runs post-mutation housekeeping (the disk backend seals
-	// full tails into segments here). Logical content never changes; a
-	// failure leaves the store fully usable, just less disk-resident.
-	Maintain() error
+	closed bool
+	// view is the lazily built scan view. Mutators (running under the
+	// shard write lock) clear it; readers (under the read lock) rebuild it
+	// on demand. Racing readers may build it twice — both views describe
+	// the same data, so either may win the publish.
+	view atomic.Pointer[storeView]
+}
 
-	// View returns the scan-time columnar view of the store. The view is
-	// immutable and valid only while the shard lock that produced it is
-	// held.
-	View() *storeView
+// newShardStore builds one shard's empty store. dir is the table's
+// storage directory: with one, the store seals its tail into segment
+// files there (cfg's SegmentRows, DisableMmap, Durable and
+// CompactSegments apply); without one ("", the memory backend) it never
+// seals, compacts or checkpoints.
+func newShardStore(cfg StorageConfig, schema Schema, dir string, shardIdx int) (*shardStore, error) {
+	s := &shardStore{storeBase: newStoreBase(), schema: schema, dir: dir, shardIdx: shardIdx}
+	s.tail = newTailCols(schema, s.dict)
+	if dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("engine: disk storage: %w", err)
+	}
+	s.segRows = cfg.SegmentRows
+	if s.segRows <= 0 {
+		s.segRows = defaultSegmentRows
+	}
+	s.useMmap = mmapAvailable && !cfg.DisableMmap
+	s.durable = cfg.Durable
+	s.compactEvery = resolvedCompactEvery(cfg.CompactSegments)
+	return s, nil
+}
 
-	// Dict returns the shard's string dictionary — the append-only intern
-	// table every string column of the store codes into. Unlike the rest
-	// of the store it IS internally synchronized (interning happens on the
-	// staging path, before the shard lock), and the store pointer is
-	// immutable for the table's lifetime, so stagers read it lock-free.
-	Dict() *stringDict
+func (s *shardStore) tailRows() int { return s.Rows() - s.sealed }
 
-	// Backend identifies the implementation (for stats and tooling).
-	Backend() Backend
+// ApplyBatch applies drained staging chunks under the caller's single
+// write-lock acquisition — the only way rows enter a store — staying
+// typed end to end. Per row: the first insertion fixes the values (new
+// rows append to the tail), later mentions extend the lineage
+// idempotently (a stored row whose lineage grew goes to hooks.delta), and
+// a conflicting re-report goes to hooks.reportConflict but still counts.
+// Returns whether the store changed; the caller bumps the epoch at most
+// once per batch on true and runs Maintain afterwards.
+func (s *shardStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
+	changed := false
+	for _, c := range chunks {
+		for i := 0; i < c.n; i++ {
+			id := c.ids[i]
+			row, exists := s.lookup(id, c.hashes[i])
+			if !exists {
+				row = s.appendIdentity(id, c.hashes[i], hooks.seq.Add(1))
+				tr := row - s.sealed
+				for ci := range s.tail {
+					appendStagedCell(&s.tail[ci], &c.cols[ci], i, tr)
+				}
+			}
+			if s.AddLineage(row, c.srcs[i]) {
+				changed = true
+				// Value consistency is only checked when the observation
+				// actually extended the lineage: an idempotent duplicate
+				// (same source again) is not a new report.
+				if exists {
+					hooks.delta.touch(row)
+					if err := s.checkStagedConsistent(row, c, i); err != nil {
+						hooks.reportConflict(id, err)
+					}
+				}
+			}
+		}
+	}
+	if changed {
+		s.view.Store(nil)
+	}
+	return changed
+}
 
-	// Close releases backend resources (mappings, files). The store must
-	// not be used afterwards. Closing twice is a no-op.
-	Close() error
+// checkStagedConsistent checks staged row srcRow of c against stored row
+// row: typed against the tail, boxed only when the row lives in a sealed
+// segment. Both checks give the same verdict and the same message.
+func (s *shardStore) checkStagedConsistent(row int, c *obsChunk, srcRow int) error {
+	if row >= s.sealed {
+		return checkStagedConsistentMem(s.tail, s.schema, row-s.sealed, c, srcRow)
+	}
+	return checkStagedConsistentBoxed(s, s.schema, row, c, srcRow)
+}
+
+// View returns the scan-time columnar view of the store: one extent per
+// sealed segment plus one for the tail. The view is immutable and valid
+// only while the shard lock that produced it is held.
+func (s *shardStore) View() *storeView {
+	if v := s.view.Load(); v != nil {
+		return v
+	}
+	n := s.Rows()
+	tn := s.tailRows()
+	v := &storeView{
+		rows:    n,
+		ids:     s.ids,
+		seqs:    s.seqs,
+		lineage: s.lineage,
+		cols:    make([]colView, len(s.schema)),
+	}
+	for ci := range s.schema {
+		exts := make([]colExtent, 0, len(s.segs)+1)
+		for _, seg := range s.segs {
+			exts = append(exts, seg.cols[ci])
+		}
+		if tn > 0 || len(exts) == 0 {
+			exts = append(exts, s.tail[ci].liveExtent(s.sealed, tn))
+		}
+		v.cols[ci] = colView{typ: s.schema[ci].Type, exts: exts}
+	}
+	s.view.Store(v)
+	return v
+}
+
+// Close unmaps every segment. Files are left in place (they are a cheap
+// working set; removing the directory is the owner's call). The store
+// must not be used afterwards. Closing twice is a no-op.
+func (s *shardStore) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	var firstErr error
+	for _, seg := range s.segs {
+		if seg.mapped {
+			if err := munmapFile(seg.data); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			seg.mapped = false
+		}
+		seg.data = nil
+		seg.cols = nil
+	}
+	s.segs = nil
+	s.view.Store(nil)
+	return firstErr
+}
+
+// value reconstructs the boxed value at (row, column); ok is false when
+// the row never provided the column.
+func (s *shardStore) value(row, ci int) (sqlparse.Value, bool) {
+	if row >= s.sealed {
+		return s.tail[ci].value(row - s.sealed)
+	}
+	seg := s.segmentFor(row)
+	e := &seg.cols[ci]
+	return e.value(s.schema[ci].Type, row-seg.base)
+}
+
+// segmentFor resolves a sealed global row to its segment.
+func (s *shardStore) segmentFor(row int) *segment {
+	lo, hi := 0, len(s.segs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.segs[mid].base+s.segs[mid].nrows <= row {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return s.segs[lo]
+}
+
+// colVector is one shard's tail storage for one column: a typed value
+// vector plus two bitmaps. defined marks rows whose insert provided the
+// column at all; valid marks rows holding a non-NULL value. The
+// distinction preserves the engine's historical predicate semantics:
+// referencing a column a record never provided is an error, while a
+// provided NULL just fails the comparison. String columns store uint32
+// codes into the shard's dict (rows without a value hold dictEmptyCode so
+// every cell stays a valid index).
+type colVector struct {
+	typ     ColumnType
+	floats  []float64
+	codes   []uint32
+	dict    *stringDict // string columns only: the owning shard's dictionary
+	bools   []bool
+	defined bitmap
+	valid   bitmap
+}
+
+// newTailCols builds a fresh colVector set for the schema, wiring string
+// columns to dict (the shard dictionary; compaction passes a local one).
+func newTailCols(schema Schema, dict *stringDict) []colVector {
+	tail := make([]colVector, len(schema))
+	for ci, c := range schema {
+		tail[ci].typ = c.Type
+		if c.Type == TypeString {
+			tail[ci].dict = dict
+		}
+	}
+	return tail
+}
+
+// value reconstructs the sqlparse.Value at row; ok is false when the row
+// never provided the column.
+func (c *colVector) value(row int) (v sqlparse.Value, ok bool) {
+	if !c.defined.get(row) {
+		return sqlparse.Value{}, false
+	}
+	if !c.valid.get(row) {
+		return sqlparse.Null(), true
+	}
+	switch c.typ {
+	case TypeFloat:
+		return sqlparse.Number(c.floats[row]), true
+	case TypeString:
+		return sqlparse.StringValue(c.dict.valsView()[c.codes[row]]), true
+	default:
+		return sqlparse.BoolValue(c.bools[row]), true
+	}
+}
+
+// liveExtent is the colExtent over a live colVector starting at global
+// row base (the store's sealed row count).
+func (c *colVector) liveExtent(base, n int) colExtent {
+	e := colExtent{
+		base:    base,
+		n:       n,
+		floats:  c.floats,
+		codes:   c.codes,
+		bools:   c.bools,
+		defined: bitsView{words: c.defined.words},
+		valid:   bitsView{words: c.valid.words},
+	}
+	if c.dict != nil {
+		// Capture the code -> string table at view-build time: the dictionary
+		// is append-only, so this snapshot covers every code the extent holds.
+		e.dict = c.dict.valsView()
+		e.sdict = c.dict
+	}
+	return e
+}
+
+// appendStagedCell moves one staged cell into a tail column vector.
+func appendStagedCell(col *colVector, sc *stagedCol, srcRow, dstRow int) {
+	switch col.typ {
+	case TypeFloat:
+		col.floats = append(col.floats, sc.floats[srcRow])
+	case TypeString:
+		col.codes = append(col.codes, sc.codes[srcRow])
+	case TypeBool:
+		col.bools = append(col.bools, sc.bools[srcRow])
+	}
+	col.defined.grow(dstRow + 1)
+	col.valid.grow(dstRow + 1)
+	if st := sc.state[srcRow]; st != stagedMissing {
+		col.defined.set(dstRow)
+		if st == stagedValue {
+			col.valid.set(dstRow)
+		}
+	}
+}
+
+// checkStagedConsistentMem is the typed consistency check of a staged row
+// against tail row row: no map or boxed-value traffic. The shard write
+// lock is held.
+func checkStagedConsistentMem(cols []colVector, schema Schema, row int, c *obsChunk, srcRow int) error {
+	for ci := range schema {
+		sc := &c.cols[ci]
+		st := sc.state[srcRow]
+		if st == stagedMissing {
+			continue
+		}
+		col := &cols[ci]
+		if !col.defined.get(row) {
+			continue // the row never provided this column; nothing to conflict with
+		}
+		if !col.valid.get(row) {
+			if st == stagedNull {
+				continue
+			}
+			return stagedConflictErr(schema[ci].Name, cols, sc, ci, row, srcRow)
+		}
+		if st == stagedNull {
+			return stagedConflictErr(schema[ci].Name, cols, sc, ci, row, srcRow)
+		}
+		equal := false
+		switch col.typ {
+		case TypeFloat:
+			equal = sc.floats[srcRow] == col.floats[row]
+		case TypeString:
+			// Staged codes come from the same shard dictionary the tail
+			// indexes, so string equality is exactly code equality.
+			equal = sc.codes[srcRow] == col.codes[row]
+		case TypeBool:
+			equal = sc.bools[srcRow] == col.bools[row]
+		}
+		if !equal {
+			return stagedConflictErr(schema[ci].Name, cols, sc, ci, row, srcRow)
+		}
+	}
+	return nil
+}
+
+// checkStagedConsistentBoxed is the consistency check of a staged row
+// against a row in a sealed segment, comparing boxed cells. Semantics
+// match checkStagedConsistentMem exactly (a missing stored column
+// conflicts with nothing; NULL only equals NULL; floats compare with ==).
+func checkStagedConsistentBoxed(s *shardStore, schema Schema, row int, c *obsChunk, srcRow int) error {
+	for ci := range schema {
+		sc := &c.cols[ci]
+		if sc.state[srcRow] == stagedMissing {
+			continue
+		}
+		prev, ok := s.value(row, ci)
+		if !ok {
+			continue
+		}
+		v, _ := sc.value(srcRow)
+		if prev != v {
+			return fmt.Errorf("%w for column %q: %s vs %s (input not cleaned)", ErrConflict, schema[ci].Name, prev, v)
+		}
+	}
+	return nil
 }
 
 // storeView is the scan-time shape of a shard: identity/lineage arrays
@@ -240,22 +542,21 @@ type storeView struct {
 }
 
 // colView is one column of a storeView: an ordered list of extents
-// covering rows [0, rows). The in-memory backend always produces exactly
-// one extent (the live vectors), so its kernels run the same single flat
-// loop as before the extraction; the disk backend produces one extent per
-// sealed segment plus one for the in-memory tail.
+// covering rows [0, rows), one per sealed segment plus one for the tail.
+// A store that never sealed (always, for the memory backend) has exactly
+// one extent, so its kernels run a single flat loop.
 type colView struct {
 	typ  ColumnType
 	exts []colExtent
 }
 
 // colExtent is one contiguous run of column storage. Exactly one of the
-// representations per type is populated: live Go slices (memory backend
-// and the disk tail) or the segment views. Strings are always
+// representations per type is populated: live Go slices (the tail) or
+// the segment views. Strings are always
 // dictionary-coded (v1 segment files are transcoded when opened). Bit i
 // of defined/valid is extent-relative; base is any global row, and the
 // word kernels read and write the global bitmaps through loadWord and
-// orWord. The memory backend's single extent starts at row 0. On disk
+// orWord. A store that never sealed has one extent, at row 0. Otherwise
 // only the first segment is sure to start on a word boundary: a seal
 // writes the whole tail, whose length is whatever the last batch left,
 // so under live ingest the tail and every later segment start at an
@@ -365,8 +666,8 @@ func (e *colExtent) value(typ ColumnType, i int) (sqlparse.Value, bool) {
 }
 
 // extentAt resolves a global row to its extent and extent-relative index.
-// The single-extent case — always, for the memory backend — is a direct
-// return; multi-extent views binary-search the (few) extents.
+// The single-extent case — always, for a store that never sealed — is a
+// direct return; multi-extent views binary-search the (few) extents.
 func (v *colView) extentAt(row int) (*colExtent, int) {
 	if len(v.exts) == 1 {
 		return &v.exts[0], row
@@ -396,9 +697,9 @@ type bitsView struct{ words []uint64 }
 
 func (b bitsView) get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// storeBase is the bookkeeping shared by both backends: row identity,
-// entity index, insertion sequence numbers and lineage. Lineage stays
-// memory-resident in every backend — it is mutable for the row's whole
+// storeBase is a store's row bookkeeping: identity, entity index,
+// insertion sequence numbers and lineage. Lineage stays memory-resident
+// even on disk — it is mutable for the row's whole
 // lifetime (any later source can mention the entity), small (a handful of
 // int32s per row) and needed on every insert for entity resolution, so
 // it is owned here rather than paged.
@@ -410,10 +711,9 @@ type storeBase struct {
 	nObs    int
 	epoch   uint64
 
-	// dict is the shard's string dictionary (see dict.go). Owned here so
-	// both backends share one per shard: the memStore column vectors, the
-	// disk tail and the staging path all intern into it, and staged codes
-	// stay meaningful across seals and compactions.
+	// dict is the shard's string dictionary (see dict.go): the tail and
+	// the staging path both intern into it, and staged codes stay
+	// meaningful across seals and compactions.
 	dict *stringDict
 }
 
@@ -435,10 +735,16 @@ func (s *storeBase) lookup(entityID string, h uint64) (int, bool) {
 	return s.index.find(s.ids, entityID, h)
 }
 
-func (s *storeBase) EntityID(row int) string { return s.ids[row] }
-func (s *storeBase) Seq(row int) uint64      { return s.seqs[row] }
+// Lineage returns the row's sorted source-ID multiset. The slice is live
+// storage: callers must not mutate it and must copy it before releasing
+// the shard lock.
 func (s *storeBase) Lineage(row int) []int32 { return s.lineage[row] }
-func (s *storeBase) Dict() *stringDict       { return s.dict }
+
+// Dict returns the shard's string dictionary. Unlike the rest of the
+// store it IS internally synchronized (interning happens on the staging
+// path, before the shard lock), and the store pointer is fixed for the
+// table's lifetime, so stagers read it lock-free.
+func (s *storeBase) Dict() *stringDict { return s.dict }
 
 // appendIdentity registers a new row's identity bookkeeping and returns
 // its index; the concrete store appends the column cells. h is id's
@@ -555,17 +861,4 @@ func (s *storeBase) AddLineage(row int, sid int32) bool {
 	s.lineage[row] = srcs
 	s.nObs++
 	return true
-}
-
-// newShardStore builds one shard's store for a resolved configuration.
-// dir is the table's storage directory (disk backend only).
-func newShardStore(cfg StorageConfig, schema Schema, dir string, shardIdx int) (ShardStore, error) {
-	switch cfg.Backend {
-	case BackendMemory:
-		return newMemStore(schema), nil
-	case BackendDisk:
-		return newDiskStore(cfg, schema, dir, shardIdx)
-	default:
-		return nil, fmt.Errorf("engine: unresolved storage backend %v", cfg.Backend)
-	}
 }

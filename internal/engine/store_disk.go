@@ -1,14 +1,14 @@
 package engine
 
-// diskStore is the disk-backed ShardStore: rows are appended to an
-// in-memory columnar tail (the same colVector layout as memStore) and,
-// once the tail reaches the configured segment size, sealed into an
-// immutable on-disk segment laid out in a fixed binary page format.
-// Sealed segments are served zero-copy through a read-only mmap of the
-// whole file — float vectors and defined/valid bitmap words are
-// reinterpreted in place at page-aligned offsets — with an aligned-heap
-// ReadAt fallback (DisableMmap, or platforms without mmap) that keeps the
-// scan path byte-identical, just not page-cache-resident.
+// Sealed segments: the on-disk half of a shardStore with a directory.
+// Once a store's in-memory tail reaches the configured segment size, it
+// is sealed into an immutable segment file laid out in a fixed binary
+// page format. Sealed segments are served zero-copy through a read-only
+// mmap of the whole file — float vectors, string codes and defined/valid
+// bitmap words are reinterpreted in place at page-aligned offsets — with
+// an aligned-heap ReadAt fallback (DisableMmap, or platforms without
+// mmap) that keeps the scan path byte-identical, just not
+// page-cache-resident.
 //
 // What is paged and what is not: the typed column data — the bulk of an
 // integrated data set — lives in segments. Identity (entity IDs, the
@@ -65,10 +65,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"unsafe"
-
-	"repro/internal/sqlparse"
 )
 
 const (
@@ -97,169 +94,46 @@ type segment struct {
 	cols   []colExtent
 }
 
-type diskStore struct {
-	storeBase
-	schema   Schema
-	dir      string
-	shardIdx int
-	segRows  int
-	useMmap  bool
-	durable  bool
-	// compactEvery is the segment-count compaction trigger (0 = off).
-	compactEvery int
-	// nextSegID names the next sealed segment file. Monotonic per shard:
-	// in durable mode it is persisted in the shard checkpoint and never
-	// reused, so a segment path can never be rewritten underneath a
-	// checkpoint (or another process's recovery) that references it.
-	nextSegID int
-
-	segs   []*segment
-	sealed int // rows covered by sealed segments
-	tail   []colVector
-
-	closed bool
-	view   atomic.Pointer[storeView]
-}
-
-func newDiskStore(cfg StorageConfig, schema Schema, dir string, shardIdx int) (*diskStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("engine: disk storage backend needs a directory (StorageConfig.Dir)")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("engine: disk storage: %w", err)
-	}
-	segRows := cfg.SegmentRows
-	if segRows <= 0 {
-		segRows = defaultSegmentRows
-	}
-	d := &diskStore{
-		storeBase:    newStoreBase(),
-		schema:       schema,
-		dir:          dir,
-		shardIdx:     shardIdx,
-		segRows:      segRows,
-		useMmap:      mmapAvailable && !cfg.DisableMmap,
-		durable:      cfg.Durable,
-		compactEvery: resolvedCompactEvery(cfg.CompactSegments),
-	}
-	d.tail = newTailCols(schema, d.dict)
-	return d, nil
-}
-
-// newTailCols builds a fresh colVector set for the schema, wiring string
-// columns to dict (the shard dictionary; compaction passes a local one).
-func newTailCols(schema Schema, dict *stringDict) []colVector {
-	tail := make([]colVector, len(schema))
-	for ci, c := range schema {
-		tail[ci].typ = c.Type
-		if c.Type == TypeString {
-			tail[ci].dict = dict
-		}
-	}
-	return tail
-}
-
-func (d *diskStore) tailRows() int { return d.Rows() - d.sealed }
-
-// value reconstructs the boxed value at (row, column); ok is false when
-// the row never provided the column.
-func (d *diskStore) value(row, ci int) (sqlparse.Value, bool) {
-	if row >= d.sealed {
-		return d.tail[ci].value(row - d.sealed)
-	}
-	seg := d.segmentFor(row)
-	e := &seg.cols[ci]
-	return e.value(d.schema[ci].Type, row-seg.base)
-}
-
-// segmentFor resolves a sealed global row to its segment.
-func (d *diskStore) segmentFor(row int) *segment {
-	lo, hi := 0, len(d.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.segs[mid].base+d.segs[mid].nrows <= row {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return d.segs[lo]
-}
-
-// ApplyBatch mirrors memStore.ApplyBatch: new rows append (typed) to the
-// in-memory tail; consistency checks against already-stored rows go
-// through the boxed Value accessor because the prior value may live in a
-// sealed segment. The caller bumps the epoch once iff the batch changed
-// the store and runs Maintain afterwards to seal a full tail.
-func (d *diskStore) ApplyBatch(chunks []*obsChunk, hooks applyHooks) bool {
-	changed := false
-	for _, c := range chunks {
-		for i := 0; i < c.n; i++ {
-			id := c.ids[i]
-			row, exists := d.lookup(id, c.hashes[i])
-			if !exists {
-				row = d.appendIdentity(id, c.hashes[i], hooks.seq.Add(1))
-				tr := row - d.sealed
-				for ci := range d.tail {
-					appendStagedCell(&d.tail[ci], &c.cols[ci], i, tr)
-				}
-			}
-			if d.AddLineage(row, c.srcs[i]) {
-				changed = true
-				if exists {
-					hooks.delta.touch(row)
-					if err := checkStagedConsistentBoxed(d, hooks.schema, row, c, i); err != nil {
-						hooks.reportConflict(id, err)
-					}
-				}
-			}
-		}
-	}
-	if changed {
-		d.view.Store(nil)
-	}
-	return changed
-}
-
-// Maintain seals the tail into an on-disk segment once it crosses the
-// configured segment size. Sealing never changes logical content: the
-// same rows are simply served from the segment instead of the tail, so no
-// epoch movement is involved. On error the tail stays in memory and the
-// store remains fully usable.
-func (d *diskStore) Maintain() error {
-	if d.tailRows() < d.segRows {
+// Maintain runs post-apply housekeeping: it seals the tail into a segment
+// once it reaches the configured segment size. Sealing never changes
+// logical content: the same rows are simply served from the segment
+// instead of the tail, so no epoch movement is involved. On error the
+// tail stays in memory and the store remains fully usable.
+func (s *shardStore) Maintain() error {
+	if s.tailRows() < s.segRows {
 		return nil
 	}
-	return d.seal()
+	return s.seal()
 }
 
 // seal writes the whole current tail as one segment (segments may hold
 // more than segRows rows when a large batch landed between Maintain
-// calls; the format records nrows per segment).
-func (d *diskStore) seal() error {
-	n := d.tailRows()
-	if n == 0 {
+// calls; the format records nrows per segment). A store without a
+// directory never seals: for it, seal and Maintain do nothing.
+func (s *shardStore) seal() error {
+	n := s.tailRows()
+	if n == 0 || s.dir == "" {
 		return nil
 	}
-	dicts, err := planSegDicts(d.schema, d.tail, n)
+	dicts, err := planSegDicts(s.schema, s.tail, n)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(d.dir, segFileName(d.shardIdx, d.nextSegID))
-	raw := buildSegmentBytes(d.schema, d.tail, n, dicts)
-	if err := d.writeSegmentFile(path, raw); err != nil {
+	path := filepath.Join(s.dir, segFileName(s.shardIdx, s.nextSegID))
+	raw := buildSegmentBytes(s.schema, s.tail, n, dicts)
+	if err := s.writeSegmentFile(path, raw); err != nil {
 		return fmt.Errorf("engine: sealing shard segment: %w", err)
 	}
-	seg, err := openSegment(path, d.schema, d.sealed, d.useMmap)
+	seg, err := openSegment(path, s.schema, s.sealed, s.useMmap)
 	if err != nil {
 		os.Remove(path) // best-effort: the tail still holds the rows
 		return fmt.Errorf("engine: reopening sealed segment: %w", err)
 	}
-	d.nextSegID++
-	d.segs = append(d.segs, seg)
-	d.sealed += n
-	d.tail = newTailCols(d.schema, d.dict)
-	d.view.Store(nil)
+	s.nextSegID++
+	s.segs = append(s.segs, seg)
+	s.sealed += n
+	s.tail = newTailCols(s.schema, s.dict)
+	s.view.Store(nil)
 	return nil
 }
 
@@ -292,148 +166,73 @@ func segFileName(shardIdx, segID int) string {
 // writeSegmentFile writes segment bytes; in durable mode the file (and
 // its directory entry) are fsynced before the segment becomes part of
 // any checkpointable state.
-func (d *diskStore) writeSegmentFile(path string, raw []byte) error {
-	if !d.durable {
+func (s *shardStore) writeSegmentFile(path string, raw []byte) error {
+	if !s.durable {
 		return os.WriteFile(path, raw, 0o644)
 	}
 	if err := writeFileSync(path, raw); err != nil {
 		return err
 	}
-	syncDir(d.dir)
+	syncDir(s.dir)
 	return nil
 }
 
 // shouldCompact reports whether the shard accumulated enough sealed
 // segment files to trigger a compaction rewrite.
-func (d *diskStore) shouldCompact() bool {
-	return d.compactEvery > 0 && len(d.segs) >= d.compactEvery
+func (s *shardStore) shouldCompact() bool {
+	return s.compactEvery > 0 && len(s.segs) >= s.compactEvery
 }
 
-func (d *diskStore) View() *storeView {
-	if v := d.view.Load(); v != nil {
-		return v
-	}
-	n := d.Rows()
-	tn := d.tailRows()
-	v := &storeView{
-		rows:    n,
-		ids:     d.ids,
-		seqs:    d.seqs,
-		lineage: d.lineage,
-		cols:    make([]colView, len(d.schema)),
-	}
-	for ci := range d.schema {
-		exts := make([]colExtent, 0, len(d.segs)+1)
-		for _, seg := range d.segs {
-			exts = append(exts, seg.cols[ci])
-		}
-		if tn > 0 || len(exts) == 0 {
-			exts = append(exts, d.tail[ci].liveExtent(d.sealed, tn))
-		}
-		v.cols[ci] = colView{typ: d.schema[ci].Type, exts: exts}
-	}
-	d.view.Store(v)
-	return v
-}
-
-func (d *diskStore) Backend() Backend { return BackendDisk }
-
-// Close unmaps every segment. Files are left in place (they are a cheap
-// working set; removing the directory is the owner's call).
-func (d *diskStore) Close() error {
-	if d.closed {
-		return nil
-	}
-	d.closed = true
-	var firstErr error
-	for _, seg := range d.segs {
-		if seg.mapped {
-			if err := munmapFile(seg.data); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			seg.mapped = false
-		}
-		seg.data = nil
-		seg.cols = nil
-	}
-	d.segs = nil
-	d.view.Store(nil)
-	return firstErr
-}
-
-// openDiskStoreFromCheckpoint rebuilds a shard store from its durable
+// openStoreFromCheckpoint rebuilds a shard store from its durable
 // checkpoint: the referenced segment files are re-opened (adopted) in
 // place — no row is re-inserted — and the identity/lineage columns come
 // straight from the checkpoint. The checkpoint covers exactly the sealed
 // rows (checkpoints are never written with a nonzero tail), so adopted
 // stores start with an empty tail; WAL replay then re-stages anything
 // newer.
-func openDiskStoreFromCheckpoint(cfg StorageConfig, schema Schema, dir string, shardIdx int, ck *shardCheckpoint) (*diskStore, error) {
-	d, err := newDiskStore(cfg, schema, dir, shardIdx)
+func openStoreFromCheckpoint(cfg StorageConfig, schema Schema, dir string, shardIdx int, ck *shardCheckpoint) (*shardStore, error) {
+	s, err := newShardStore(cfg, schema, dir, shardIdx)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*diskStore, error) {
-		d.Close()
+	fail := func(err error) (*shardStore, error) {
+		s.Close()
 		return nil, err
 	}
 	base := 0
 	for _, ref := range ck.segs {
-		seg, err := openSegment(filepath.Join(dir, ref.name), schema, base, d.useMmap)
+		seg, err := openSegment(filepath.Join(dir, ref.name), schema, base, s.useMmap)
 		if err != nil {
 			return fail(fmt.Errorf("engine: shard %d: adopting segment %s: %w", shardIdx, ref.name, err))
 		}
 		if seg.nrows != ref.nrows {
-			d.segs = append(d.segs, seg) // let Close unmap it
+			s.segs = append(s.segs, seg) // let Close unmap it
 			return fail(fmt.Errorf("engine: shard %d: segment %s holds %d rows, checkpoint says %d",
 				shardIdx, ref.name, seg.nrows, ref.nrows))
 		}
-		d.segs = append(d.segs, seg)
+		s.segs = append(s.segs, seg)
 		base += seg.nrows
 	}
 	if len(ck.ids) != base {
 		return fail(fmt.Errorf("engine: shard %d: checkpoint has %d identities for %d sealed rows",
 			shardIdx, len(ck.ids), base))
 	}
-	d.sealed = base
-	d.nextSegID = ck.nextSegID
-	d.ids = ck.ids
-	d.seqs = ck.seqs
-	d.lineage = ck.lineage
+	s.sealed = base
+	s.nextSegID = ck.nextSegID
+	s.ids = ck.ids
+	s.seqs = ck.seqs
+	s.lineage = ck.lineage
 	nObs := 0
 	for i, id := range ck.ids {
 		h := hashEntity(id)
-		if _, dup := d.lookup(id, h); dup {
+		if _, dup := s.lookup(id, h); dup {
 			return fail(fmt.Errorf("engine: shard %d: checkpoint repeats entity %q", shardIdx, id))
 		}
-		d.index.add(ck.ids, h, i)
+		s.index.add(ck.ids, h, i)
 		nObs += len(ck.lineage[i])
 	}
-	d.nObs = nObs
-	return d, nil
-}
-
-// checkStagedConsistentBoxed is the disk store's consistency check of a
-// staged row against stored values: the stored side may live in a sealed
-// segment, so cells are compared boxed. Semantics match the typed
-// memStore check exactly (missing stored column conflicts with nothing;
-// NULL only equals NULL).
-func checkStagedConsistentBoxed(d *diskStore, schema Schema, row int, c *obsChunk, srcRow int) error {
-	for ci := range schema {
-		sc := &c.cols[ci]
-		if sc.state[srcRow] == stagedMissing {
-			continue
-		}
-		prev, ok := d.value(row, ci)
-		if !ok {
-			continue
-		}
-		v, _ := sc.value(srcRow)
-		if prev != v {
-			return fmt.Errorf("%w for column %q: %s vs %s (input not cleaned)", ErrConflict, schema[ci].Name, prev, v)
-		}
-	}
-	return nil
+	s.nObs = nObs
+	return s, nil
 }
 
 // --- segment encoding ---

@@ -72,7 +72,7 @@ func TestDiskStoreSealsSegments(t *testing.T) {
 
 	sealed := 0
 	for _, sh := range tbl.shards {
-		ds := sh.store.(*diskStore)
+		ds := sh.store
 		sealed += ds.sealed
 		if ds.sealed > 0 && len(ds.segs) == 0 {
 			t.Fatal("sealed rows without segments")

@@ -1,6 +1,6 @@
 package engine
 
-// Cross-backend parity: the disk-backed ShardStore must be query-surface
+// Cross-backend parity: a disk-backed shard store must be query-surface
 // indistinguishable from the in-memory store. The suite reuses the
 // metamorphic machinery (metamorphic_test.go): the same observation
 // multiset is built on an explicitly in-memory reference and on

@@ -7,11 +7,12 @@
 // upper bound, and coverage warnings.
 //
 // Storage is columnar and sharded: each table hashes entities across
-// fixed shards, and each shard's representation — typed column vectors
-// ([]float64, []string, []bool) with defined/valid bitmaps plus a
-// parallel lineage array (the per-entity source multiset) — lives behind
-// the ShardStore interface (store.go), with an in-memory default
-// (store_mem.go) and an mmap'd disk-backed backend (store_disk.go).
+// fixed shards, and each shard's store (store.go) holds typed column
+// vectors (float64s, dictionary-coded strings, bools) with defined/valid
+// bitmaps plus a parallel lineage array (the per-entity source
+// multiset). On the disk backend the store seals its column data into
+// mmap'd segment files (store_disk.go); on the memory backend it never
+// seals.
 // Ingestion locks only the target entity's shard, and query scans run
 // shard-parallel with predicates compiled once into vectorized filters
 // over the store's column views (see filter.go). Every write — Insert,
@@ -94,13 +95,13 @@ func (r Record) Column(name string) (sqlparse.Value, bool) {
 // and a single entity's lineage always lives in exactly one shard.
 const numShards = 16
 
-// shard is one horizontal slice of a table: a lock, the pluggable
-// storage behind it, and the batched-ingestion staging area. All storage
-// access — reads and writes alike — goes through store under mu, per the
-// ShardStore locking contract (store.go).
+// shard is one horizontal slice of a table: a lock, the store behind it,
+// and the batched-ingestion staging area. All storage access — reads and
+// writes alike — goes through store under mu, per the store's locking
+// contract (store.go).
 type shard struct {
 	mu    sync.RWMutex
-	store ShardStore
+	store *shardStore
 
 	// staging holds observations appended through the batched ingestion
 	// path that have not been applied to the store yet; staged rows are
@@ -135,7 +136,7 @@ type Table struct {
 
 	// id is process-unique, so DB-level caches keyed by it can never
 	// confuse a dropped table with a later one created under the same
-	// name. cache holds the table's compiled-filter and selection-bitmap
+	// name. cache holds the table's compiled-filter and sample-partial
 	// caches (see cache.go).
 	id    uint64
 	cache *scanCache
@@ -208,7 +209,10 @@ func NewTableWithStorage(name string, schema Schema, storage StorageConfig) (*Ta
 		}
 		colIdx[c.Name] = i
 	}
-	storage = resolveStorage(storage)
+	storage, err := checkedStorage(storage)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		name:    name,
 		schema:  schema,
@@ -290,15 +294,13 @@ func (t *Table) Close() error {
 	var firstErr error
 	for si, sh := range t.shards {
 		sh.mu.Lock()
-		if t.wal != nil {
-			if ds, ok := sh.store.(*diskStore); ok && !ds.closed {
-				if err := ds.seal(); err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("engine: %s: closing shard %d: %w", t.name, si, err)
-					}
-				} else {
-					t.checkpointShardLocked(sh, si, true)
+		if t.wal != nil && !sh.store.closed {
+			if err := sh.store.seal(); err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("engine: %s: closing shard %d: %w", t.name, si, err)
 				}
+			} else {
+				t.checkpointShardLocked(sh, si, true)
 			}
 		}
 		if err := sh.store.Close(); err != nil && firstErr == nil {
@@ -315,25 +317,22 @@ func (t *Table) Close() error {
 }
 
 // maintainShardLocked runs post-apply housekeeping under the caller's
-// shard write lock: the store's own Maintain (disk-segment sealing),
+// shard write lock: the store's own Maintain (segment sealing),
 // compaction when the shard accumulated enough small segments, and — in
 // durable mode — the shard checkpoint plus WAL-space release that makes
-// the new sealed state the recovery point. Stale segment files replaced
-// by a compaction are deleted only once the checkpoint referencing the
-// merged file is durable (non-durable mode deletes immediately; nothing
-// references files across restarts there).
+// the new sealed state the recovery point. A store without a directory
+// does none of this. Stale segment files replaced by a compaction are
+// deleted only once the checkpoint referencing the merged file is
+// durable (non-durable mode deletes immediately; nothing references
+// files across restarts there).
 func (t *Table) maintainShardLocked(sh *shard, si int) {
 	if err := sh.store.Maintain(); err != nil {
 		t.recordIngestErr(fmt.Errorf("engine: %s: %w", t.name, err))
 	}
-	ds, ok := sh.store.(*diskStore)
-	if !ok {
-		return
-	}
 	var stale []string
-	if ds.shouldCompact() {
+	if sh.store.shouldCompact() {
 		var err error
-		stale, err = ds.compact()
+		stale, err = sh.store.compact()
 		if err != nil {
 			t.recordIngestErr(fmt.Errorf("engine: %s: compacting shard %d: %w", t.name, si, err))
 		}
@@ -355,42 +354,42 @@ func (t *Table) checkpointShardLocked(sh *shard, si int, force bool) bool {
 	if t.wal == nil {
 		return true
 	}
-	ds, ok := sh.store.(*diskStore)
-	if !ok || ds.closed {
+	st := sh.store
+	if st.closed {
 		return true
 	}
-	if !force && ds.sealed == t.ckptRows[si] {
+	if !force && st.sealed == t.ckptRows[si] {
 		return true
 	}
-	if ds.tailRows() != 0 {
+	if st.tailRows() != 0 {
 		// A failed seal left applied rows in the tail: the checkpoint
 		// format covers sealed rows only, and the previous checkpoint plus
 		// the retained WAL still cover everything, so skip rather than
 		// write an inconsistent state.
 		if force {
-			t.recordIngestErr(fmt.Errorf("engine: %s: shard %d checkpoint skipped: %d unsealed tail rows", t.name, si, ds.tailRows()))
+			t.recordIngestErr(fmt.Errorf("engine: %s: shard %d checkpoint skipped: %d unsealed tail rows", t.name, si, st.tailRows()))
 		}
 		return false
 	}
 	safe := t.walSafeApplied(si)
 	ck := &shardCheckpoint{
 		walApplied: safe,
-		nextSegID:  ds.nextSegID,
+		nextSegID:  st.nextSegID,
 		tableSeq:   t.seq.Load(),
-		segs:       make([]segRef, len(ds.segs)),
+		segs:       make([]segRef, len(st.segs)),
 		srcNames:   t.sourceNameTable(),
-		ids:        ds.ids,
-		seqs:       ds.seqs,
-		lineage:    ds.lineage,
+		ids:        st.ids,
+		seqs:       st.seqs,
+		lineage:    st.lineage,
 	}
-	for i, seg := range ds.segs {
+	for i, seg := range st.segs {
 		ck.segs[i] = segRef{name: filepath.Base(seg.path), nrows: seg.nrows}
 	}
 	if err := writeShardCheckpoint(t.storageDir, si, ck); err != nil {
 		t.recordIngestErr(fmt.Errorf("engine: %s: %w", t.name, err))
 		return false
 	}
-	t.ckptRows[si] = ds.sealed
+	t.ckptRows[si] = st.sealed
 	t.wal.shard(si).checkpoint(safe)
 	return true
 }
@@ -699,7 +698,7 @@ type rowData struct {
 // rowsSnapshot returns every row (attrs, sorted sources) in insertion
 // order, under per-shard read locks. It is backend-agnostic — the walk
 // goes through the store views — so snapshots serialize identically from
-// any ShardStore implementation.
+// either backend.
 func (t *Table) rowsSnapshot() []rowData {
 	type seqRow struct {
 		seq uint64

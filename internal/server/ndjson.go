@@ -63,9 +63,10 @@ type ingestBatch struct {
 	// The current line's state. bad lists its attributes whose value no
 	// column can hold (an object, an array or an out-of-range number);
 	// such a value rejects the line unless a later attribute of the same
-	// name replaces it. unknown is its first attribute name that is no
-	// column (nil if none; the name may be empty), and fieldErr its first
-	// row field of the wrong JSON type.
+	// name replaces it. unknown is its smallest attribute name that is no
+	// column (nil if none; the name may be empty), the one the engine's
+	// error names too, and fieldErr its first row field of the wrong JSON
+	// type.
 	bad      []badAttr
 	unknown  *string
 	fieldErr error
@@ -380,7 +381,7 @@ func (b *ingestBatch) attrValue(c *cursor, key []byte, plain bool, lo int) {
 	var name string
 	if col < 0 {
 		name = string(text(key, plain))
-		if b.unknown == nil {
+		if b.unknown == nil || name < *b.unknown {
 			b.unknown = &name
 		}
 	}

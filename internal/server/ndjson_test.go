@@ -140,20 +140,6 @@ func validate(t testing.TB, schema engine.Schema, r decodedRow, n int) error {
 	return nil
 }
 
-// unknownColumnErrs returns the engine's error for each attribute of row
-// n that is no column of the schema: the engine names whichever of them
-// its map iteration meets first.
-func unknownColumnErrs(t testing.TB, schema engine.Schema, r decodedRow, n int) []error {
-	var errs []error
-	for name, v := range r.attrs {
-		one := decodedRow{r.entity, r.source, map[string]sqlparse.Value{name: v}}
-		if err := validate(t, schema, one, n); errors.Is(err, engine.ErrUnknownColumn) {
-			errs = append(errs, err)
-		}
-	}
-	return errs
-}
-
 // referenceLine is the reflective decode of line n plus the engine's
 // schema check of a row that names its entity and source.
 func referenceLine(t testing.TB, schema engine.Schema, line []byte, n int) (decodedRow, error) {
@@ -231,21 +217,15 @@ func sameError(line []byte, want, got error) bool {
 	return sameAttrErrLine(want, got) && ambiguousAttrErr(line)
 }
 
-// sameSchemaErr reports whether got is an error the engine could give row
-// r (line n) for the schema in place of want: the same error, or, for an
-// unknown column, the one for another of r's unknown attributes. Either
-// way it must be classified as want is.
-func sameSchemaErr(t testing.TB, schema engine.Schema, r decodedRow, n int, want, got error) bool {
+// sameKind reports whether two errors are classified alike: both or
+// neither an engine.ErrInvalidRow, and likewise engine.ErrUnknownColumn.
+func sameKind(want, got error) bool {
 	for _, kind := range []error{engine.ErrInvalidRow, engine.ErrUnknownColumn} {
 		if errors.Is(want, kind) != errors.Is(got, kind) {
 			return false
 		}
 	}
-	if want.Error() == got.Error() {
-		return true
-	}
-	return errors.Is(want, engine.ErrUnknownColumn) &&
-		slices.ContainsFunc(unknownColumnErrs(t, schema, r, n), func(e error) bool { return e.Error() == got.Error() })
+	return true
 }
 
 // lineSchemas returns the schemas line is checked against: paritySchema,
@@ -272,7 +252,7 @@ func checkLineParity(t *testing.T, line []byte) {
 		case (werr == nil) != (gerr == nil):
 			t.Fatalf("%q %v: reference err %v, cursor err %v", line, schema, werr, gerr)
 		case werr != nil:
-			if !sameError(line, werr, gerr) && !sameSchemaErr(t, schema, want, 7, werr, gerr) {
+			if !sameError(line, werr, gerr) || !sameKind(werr, gerr) {
 				t.Fatalf("%q %v: reference error %q, cursor error %q", line, schema, werr, gerr)
 			}
 		case !sameRow(columnsOf(want, schema), got):
@@ -326,11 +306,9 @@ func checkBodyParity(t *testing.T, schema engine.Schema, body []byte) {
 	if err := missingIdentity(want); err != nil {
 		werr = err
 	}
-	bad := -1
 	if werr == nil {
 		for i, r := range want {
 			if werr = validate(t, schema, r, i+1); werr != nil {
-				bad = i
 				break
 			}
 		}
@@ -343,8 +321,7 @@ func checkBodyParity(t *testing.T, schema engine.Schema, body []byte) {
 	case (werr == nil) != (gerr == nil):
 		t.Fatalf("%q %v: reference err %v, cursor err %v", body, schema, werr, gerr)
 	case werr != nil:
-		if werr.Error() == gerr.Error() || sameAttrErrLine(werr, gerr) ||
-			bad >= 0 && sameSchemaErr(t, schema, want[bad], bad+1, werr, gerr) {
+		if (werr.Error() == gerr.Error() || sameAttrErrLine(werr, gerr)) && sameKind(werr, gerr) {
 			return
 		}
 		t.Fatalf("%q %v: reference error %q, cursor error %q", body, schema, werr, gerr)

@@ -617,6 +617,9 @@ func TestIngestClientErrors(t *testing.T) {
 		{`{"entity": "e1", "source": "s0", "attrs": {"v": "oops"}}`, "bad_request", `line 2: engine: obs: entity "e1": column "v" expects FLOAT`, http.StatusBadRequest},
 		{`{"entity": "e1", "source": "s0", "attrs": {"name": true}}`, "bad_request", `line 2: engine: obs: entity "e1": column "name" expects STRING`, http.StatusBadRequest},
 		{`{"entity": "e1", "source": "s0", "attrs": {"ghost": 1}}`, "unknown_column", `line 2: engine: obs: entity "e1": unknown column "ghost"`, http.StatusNotFound},
+		// Of several unknown attributes the smallest is named, as the engine
+		// names it, whatever their order in the line.
+		{`{"entity": "e1", "source": "s0", "attrs": {"zz": 1, "aa": 2}}`, "unknown_column", `line 2: engine: obs: entity "e1": unknown column "aa"`, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		status, er := postIngest(t, ts.URL, "default", "obs", ok+tc.line+"\n")
