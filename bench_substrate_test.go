@@ -68,7 +68,8 @@ func BenchmarkCSVIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := csvio.LoadSample(bytes.NewReader(data), csvio.Options{}); err != nil {
+		var c Collector
+		if _, err := c.ObserveCSV(bytes.NewReader(data), CSVOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -123,21 +123,3 @@ func WriteObservations(w io.Writer, obs []freqstats.Observation, opts Options) e
 	cw.Flush()
 	return cw.Error()
 }
-
-// LoadSample reads a CSV observation file straight into a sample. Value
-// conflicts (unclean input) are collected rather than fatal, matching the
-// Sample.Add contract; the returned conflict count lets callers decide.
-func LoadSample(r io.Reader, opts Options) (*freqstats.Sample, int, error) {
-	obs, err := ReadObservations(r, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	s := freqstats.NewSample()
-	conflicts := 0
-	for _, o := range obs {
-		if err := s.Add(o); err != nil {
-			conflicts++
-		}
-	}
-	return s, conflicts, nil
-}

@@ -89,29 +89,3 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestLoadSample(t *testing.T) {
-	in := "entity,value,source\na,1,s1\na,1,s2\nb,2,s1\na,999,s3\n"
-	s, conflicts, err := LoadSample(strings.NewReader(in), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conflicts != 1 {
-		t.Errorf("conflicts = %d, want 1 (a reported as 999)", conflicts)
-	}
-	if s.N() != 4 || s.C() != 2 {
-		t.Errorf("n=%d c=%d", s.N(), s.C())
-	}
-	if v, _ := s.Value("a"); v != 1 {
-		t.Errorf("a's value = %g, want first value 1", v)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLoadSampleBadInput(t *testing.T) {
-	if _, _, err := LoadSample(strings.NewReader("garbage"), Options{}); err == nil {
-		t.Error("bad input not reported")
-	}
-}

@@ -3,17 +3,13 @@ package engine
 import "math/bits"
 
 // bitmap is a dense selection vector over the rows of one shard. Filter
-// compilation produces one bit per row; logical connectives become word-wide
-// AND/OR/AND-NOT sweeps instead of per-row branches, which is what makes the
+// compilation produces one bit per row; logical connectives become
+// whole-bitmap OR and AND-NOT sweeps instead of per-row branches (AND
+// narrows the selection its right side evaluates), which is what makes the
 // predicate path vectorized.
 type bitmap struct {
 	words []uint64
 	n     int // number of valid bits
-}
-
-// newBitmap returns an all-zero bitmap of n bits.
-func newBitmap(n int) *bitmap {
-	return &bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
 // reset resizes the bitmap to n bits and clears it, reusing the backing
@@ -40,9 +36,6 @@ func (b *bitmap) grow(n int) {
 	}
 	b.n = n
 }
-
-// setAll sets every valid bit.
-func (b *bitmap) setAll() { b.setFrom(0) }
 
 // setFrom sets every valid bit from lo on; the bits below lo are left as
 // they are.
@@ -81,13 +74,6 @@ func (b *bitmap) count() int {
 	return c
 }
 
-// and sets b = b & other.
-func (b *bitmap) and(other *bitmap) {
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
-}
-
 // or sets b = b | other.
 func (b *bitmap) or(other *bitmap) {
 	for i := range b.words {
@@ -100,108 +86,6 @@ func (b *bitmap) andNot(other *bitmap) {
 	for i := range b.words {
 		b.words[i] &^= other.words[i]
 	}
-}
-
-// clampRange clips [lo, hi) to the bitmap's valid bits.
-func (b *bitmap) clampRange(lo, hi int) (int, int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	return lo, hi
-}
-
-// rangeBounds resolves a clipped non-empty [lo, hi) to its first and last
-// word index plus the partial-word masks at each boundary: headMask keeps
-// the bits of word w0 at or above lo, tailMask keeps the bits of word w1
-// below hi. For a range within one word the effective mask is their
-// intersection.
-func rangeBounds(lo, hi int) (w0, w1 int, headMask, tailMask uint64) {
-	w0, w1 = lo>>6, (hi-1)>>6
-	headMask = ^uint64(0) << (uint(lo) & 63)
-	tailMask = ^uint64(0)
-	if t := uint(hi) & 63; t != 0 {
-		tailMask = (uint64(1) << t) - 1
-	}
-	return w0, w1, headMask, tailMask
-}
-
-// andWords sets b = b & other over bits [lo, hi) only; bits outside the
-// range are untouched. Boundary words are masked (inside the mask the
-// combine applies, outside the original bit survives), interior words are
-// single whole-word operations — the word-at-a-time combine contract the
-// scan kernels build on.
-func (b *bitmap) andWords(other *bitmap, lo, hi int) {
-	lo, hi = b.clampRange(lo, hi)
-	if lo >= hi {
-		return
-	}
-	w0, w1, head, tail := rangeBounds(lo, hi)
-	if w0 == w1 {
-		m := head & tail
-		b.words[w0] &= other.words[w0] | ^m
-		return
-	}
-	b.words[w0] &= other.words[w0] | ^head
-	for w := w0 + 1; w < w1; w++ {
-		b.words[w] &= other.words[w]
-	}
-	b.words[w1] &= other.words[w1] | ^tail
-}
-
-// orWords sets b = b | other over bits [lo, hi) only.
-func (b *bitmap) orWords(other *bitmap, lo, hi int) {
-	lo, hi = b.clampRange(lo, hi)
-	if lo >= hi {
-		return
-	}
-	w0, w1, head, tail := rangeBounds(lo, hi)
-	if w0 == w1 {
-		b.words[w0] |= other.words[w0] & head & tail
-		return
-	}
-	b.words[w0] |= other.words[w0] & head
-	for w := w0 + 1; w < w1; w++ {
-		b.words[w] |= other.words[w]
-	}
-	b.words[w1] |= other.words[w1] & tail
-}
-
-// andNotWords sets b = b &^ other over bits [lo, hi) only.
-func (b *bitmap) andNotWords(other *bitmap, lo, hi int) {
-	lo, hi = b.clampRange(lo, hi)
-	if lo >= hi {
-		return
-	}
-	w0, w1, head, tail := rangeBounds(lo, hi)
-	if w0 == w1 {
-		b.words[w0] &^= other.words[w0] & head & tail
-		return
-	}
-	b.words[w0] &^= other.words[w0] & head
-	for w := w0 + 1; w < w1; w++ {
-		b.words[w] &^= other.words[w]
-	}
-	b.words[w1] &^= other.words[w1] & tail
-}
-
-// countRange returns the number of set bits in [lo, hi).
-func (b *bitmap) countRange(lo, hi int) int {
-	lo, hi = b.clampRange(lo, hi)
-	if lo >= hi {
-		return 0
-	}
-	w0, w1, head, tail := rangeBounds(lo, hi)
-	if w0 == w1 {
-		return bits.OnesCount64(b.words[w0] & head & tail)
-	}
-	c := bits.OnesCount64(b.words[w0] & head)
-	for w := w0 + 1; w < w1; w++ {
-		c += bits.OnesCount64(b.words[w])
-	}
-	return c + bits.OnesCount64(b.words[w1]&tail)
 }
 
 // forEachSet calls fn for every set bit in ascending order, with a dense

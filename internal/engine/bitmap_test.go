@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// newBitmap returns an all-zero bitmap of n bits.
+func newBitmap(n int) *bitmap {
+	return &bitmap{words: make([]uint64, (n+63)/64), n: n}
+}
+
+// setAll sets every valid bit.
+func (b *bitmap) setAll() { b.setFrom(0) }
+
 // buildBitmap fabricates an n-bit bitmap with deterministic pseudo-random
 // contents.
 func buildBitmap(seed uint64, n int) *bitmap {
@@ -19,10 +27,10 @@ func buildBitmap(seed uint64, n int) *bitmap {
 	return b
 }
 
-// rangeCases covers the boundary geometries the word-combine layer has
-// to get right: empty, single bit, within one word, exact word spans,
-// straddling words with lo/hi off the 64-bit grid, and out-of-range
-// inputs that must clamp.
+// rangeCases covers the boundary geometries a range walk has to get
+// right: empty, single bit, within one word, exact word spans, straddling
+// words with lo/hi off the 64-bit grid, and out-of-range inputs that must
+// clamp.
 func rangeCases(n int) [][2]int {
 	return [][2]int{
 		{0, 0}, {5, 5}, {7, 8}, {0, n}, {-3, n + 9},
@@ -32,58 +40,32 @@ func rangeCases(n int) [][2]int {
 	}
 }
 
-// TestBitmapWordCombineParity checks andWords/orWords/andNotWords against
-// a per-bit reference: inside [lo, hi) the combine applies, outside it
-// the original bit must survive untouched.
+// TestBitmapWordCombineParity checks the whole-bitmap or/andNot the filter
+// connectives combine with against a per-bit reference, on lengths that
+// end inside, on and past a word edge.
 func TestBitmapWordCombineParity(t *testing.T) {
-	const n = 300
 	combos := []struct {
 		name  string
-		words func(b, o *bitmap, lo, hi int)
+		words func(b, o *bitmap)
 		bit   func(a, b bool) bool
 	}{
-		{"and", func(b, o *bitmap, lo, hi int) { b.andWords(o, lo, hi) }, func(a, b bool) bool { return a && b }},
-		{"or", func(b, o *bitmap, lo, hi int) { b.orWords(o, lo, hi) }, func(a, b bool) bool { return a || b }},
-		{"andNot", func(b, o *bitmap, lo, hi int) { b.andNotWords(o, lo, hi) }, func(a, b bool) bool { return a && !b }},
+		{"or", (*bitmap).or, func(a, b bool) bool { return a || b }},
+		{"andNot", (*bitmap).andNot, func(a, b bool) bool { return a && !b }},
 	}
 	for _, cb := range combos {
-		for ci, r := range rangeCases(n) {
-			a := buildBitmap(uint64(ci)+1, n)
-			o := buildBitmap(uint64(ci)+1000, n)
+		for _, n := range []int{0, 1, 63, 64, 65, 300} {
+			a := buildBitmap(uint64(n)+1, n)
+			o := buildBitmap(uint64(n)+1000, n)
 			want := make([]bool, n)
-			lo, hi := a.clampRange(r[0], r[1])
-			for i := 0; i < n; i++ {
-				if i >= lo && i < hi {
-					want[i] = cb.bit(a.get(i), o.get(i))
-				} else {
-					want[i] = a.get(i)
-				}
+			for i := range want {
+				want[i] = cb.bit(a.get(i), o.get(i))
 			}
-			cb.words(a, o, r[0], r[1])
-			for i := 0; i < n; i++ {
+			cb.words(a, o)
+			for i := range want {
 				if a.get(i) != want[i] {
-					t.Fatalf("%s [%d,%d): bit %d = %v, want %v", cb.name, r[0], r[1], i, a.get(i), want[i])
+					t.Fatalf("%s n=%d: bit %d = %v, want %v", cb.name, n, i, a.get(i), want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestBitmapCountRange checks countRange against a per-bit count over the
-// same range geometries.
-func TestBitmapCountRange(t *testing.T) {
-	const n = 300
-	b := buildBitmap(77, n)
-	for _, r := range rangeCases(n) {
-		want := 0
-		lo, hi := b.clampRange(r[0], r[1])
-		for i := lo; i < hi; i++ {
-			if b.get(i) {
-				want++
-			}
-		}
-		if got := b.countRange(r[0], r[1]); got != want {
-			t.Errorf("countRange(%d,%d) = %d, want %d", r[0], r[1], got, want)
 		}
 	}
 }
@@ -95,8 +77,7 @@ func TestBitmapForEachRangeParity(t *testing.T) {
 	for bi, b := range []*bitmap{buildBitmap(5, n), func() *bitmap { d := newBitmap(n); d.setAll(); return d }()} {
 		for _, r := range rangeCases(n) {
 			var got, want []int
-			lo, hi := b.clampRange(r[0], r[1])
-			for i := lo; i < hi; i++ {
+			for i := max(r[0], 0); i < min(r[1], n); i++ {
 				if b.get(i) {
 					want = append(want, i)
 				}

@@ -168,16 +168,6 @@ func newScanCache(maxProgs, maxPartBytes int) *scanCache {
 	}
 }
 
-// setLimits reconfigures the bounds; zero disables (and clears) the
-// respective layer.
-func (c *scanCache) setLimits(maxProgs, maxPartBytes int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxProgs = maxProgs
-	c.maxPartBytes = maxPartBytes
-	c.evictLocked()
-}
-
 // lookupProgram returns the cached compiled program for a predicate key.
 func (c *scanCache) lookupProgram(key string) (*filterProgram, bool) {
 	c.mu.Lock()

@@ -10,6 +10,16 @@ import (
 	"repro/internal/sqlparse"
 )
 
+// setLimits reconfigures the bounds; zero disables (and clears) the
+// respective layer.
+func (c *scanCache) setLimits(maxProgs, maxPartBytes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.maxProgs = maxProgs
+	c.maxPartBytes = maxPartBytes
+	c.evictLocked()
+}
+
 // buildCacheTable fills a table with n entities spread over every shard;
 // entity i carries v = i and is reported by 1 + i%3 sources.
 func buildCacheTable(t testing.TB, n int, opts ...Option) (*DB, *Table) {

@@ -21,6 +21,12 @@ import (
 	"repro/internal/sqlparse"
 )
 
+// shardIndexFor is shardFor returning the shard index too.
+func (t *Table) shardIndexFor(entityID string) (int, *shard) {
+	si := shardOf(hashEntity(entityID))
+	return si, t.shards[si]
+}
+
 // durableCfg is the durable disk configuration the suite uses: tiny
 // segments so shards cross seal boundaries, per-record WAL fsync so the
 // tests exercise the sync path too.

@@ -342,7 +342,7 @@ func (db *DB) ExecuteContext(ctx context.Context, q *sqlparse.Query) (*Result, e
 		}
 		res := &Result{Query: q, Groups: make([]GroupResult, len(groups))}
 		// Groups are independent: estimate them in parallel. Each group
-		// additionally fans its estimators out, but nested parallelFor
+		// additionally fans its estimators out, but nested parallelForCtx
 		// calls draw from one shared slot pool, so total engine
 		// parallelism stays ~GOMAXPROCS. (A MonteCarlo estimator's own
 		// Workers bound is separate — its grid cells run inside the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -173,6 +175,10 @@ func TestGroupByMinMaxMedian(t *testing.T) {
 	}
 }
 
+// TestGroupByNumericKeysOrdered: numeric group keys are grouped by exact
+// value and come out in ascending numeric order — negative keys, keys
+// that differ past the sixth decimal and huge magnitudes included. -0 and
+// 0 are one group (keyed 0), and every NaN lands in one group after +Inf.
 func TestGroupByNumericKeysOrdered(t *testing.T) {
 	var db DB
 	tbl, err := db.CreateTable("t", Schema{
@@ -182,9 +188,11 @@ func TestGroupByNumericKeysOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range []float64{30, 10, 20, 10, 30} {
-		if err := tbl.Insert(string(rune('a'+i)), "s1", map[string]sqlparse.Value{
-			"bucket": sqlparse.Number(g),
+	keys := []float64{30, 10, 20, 10, 30, -10, -5, 1, 0.1234561, 0.1234562, 2.5,
+		math.Copysign(0, -1), 0, math.NaN(), 1e300, math.Inf(1), -math.NaN()}
+	for i, k := range keys {
+		if err := tbl.Insert(fmt.Sprintf("e%02d", i), "s1", map[string]sqlparse.Value{
+			"bucket": sqlparse.Number(k),
 			"v":      sqlparse.Number(float64(i)),
 		}); err != nil {
 			t.Fatal(err)
@@ -194,12 +202,27 @@ func TestGroupByNumericKeysOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 3 {
-		t.Fatalf("groups = %d", len(res.Groups))
+	want := []struct {
+		key float64
+		n   int
+	}{{-10, 1}, {-5, 1}, {0, 2}, {0.1234561, 1}, {0.1234562, 1}, {1, 1}, {2.5, 1},
+		{10, 2}, {20, 1}, {30, 2}, {1e300, 1}, {math.Inf(1), 1}, {math.NaN(), 2}}
+	if len(res.Groups) != len(want) {
+		got := make([]float64, len(res.Groups))
+		for i, g := range res.Groups {
+			got[i] = g.Key.Num
+		}
+		t.Fatalf("group keys %v, want %d groups", got, len(want))
 	}
-	for i, want := range []float64{10, 20, 30} {
-		if res.Groups[i].Key.Num != want {
-			t.Errorf("group %d key = %g, want %g", i, res.Groups[i].Key.Num, want)
+	for i, w := range want {
+		g := res.Groups[i]
+		sameKey := math.Float64bits(g.Key.Num) == math.Float64bits(w.key) ||
+			math.IsNaN(g.Key.Num) && math.IsNaN(w.key)
+		if !sameKey {
+			t.Errorf("group %d key = %g, want %g", i, g.Key.Num, w.key)
+		}
+		if n := g.Result.Sample.C(); n != w.n {
+			t.Errorf("group %d (key %g) holds %d entities, want %d", i, w.key, n, w.n)
 		}
 	}
 }

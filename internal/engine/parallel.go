@@ -15,7 +15,7 @@ import (
 // work, across all concurrent and nested fan-outs.
 var maxQueryWorkers = runtime.GOMAXPROCS(0)
 
-// workerSlots is the shared pool of spare workers. parallelFor calls nest
+// workerSlots is the shared pool of spare workers. parallelForCtx calls nest
 // (per-group execution fans out estimators, scans fan out shards): each
 // level borrows slots only if any are free and the calling goroutine
 // always works too, so total engine parallelism stays ~GOMAXPROCS instead
@@ -27,21 +27,15 @@ var workerSlots = make(chan struct{}, maxQueryWorkers)
 // keep single-query latency flat.
 const parallelScanThreshold = 1024
 
-// parallelFor runs fn(0..n-1) on the calling goroutine plus however many
-// shared worker slots are free, and returns the error of the smallest
+// parallelForCtx runs fn(0..n-1) on the calling goroutine plus however
+// many shared worker slots are free, and returns the error of the smallest
 // failing index (deterministic under races between failing tasks). With
-// no free slots it degrades to a plain sequential loop.
-func parallelFor(n int, fn func(i int) error) error {
-	return parallelForCtx(context.Background(), n, fn)
-}
-
-// parallelForCtx is parallelFor under a context: every worker checks the
-// context before claiming its next task, so cancellation is observed at
-// task granularity — a task that already started runs to completion (the
-// engine's cache-publication safety leans on tasks being all-or-nothing),
-// and remaining tasks are skipped with ctx.Err() recorded at the first
-// skipped index. The Background context of plain parallelFor makes the
-// check a constant nil load.
+// no free slots it degrades to a plain sequential loop. Every worker
+// checks the context before claiming its next task, so cancellation is
+// observed at task granularity — a task that already started runs to
+// completion (the engine's cache-publication safety leans on tasks being
+// all-or-nothing), and remaining tasks are skipped with ctx.Err() recorded
+// at the first skipped index.
 func parallelForCtx(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

@@ -23,6 +23,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -520,12 +521,6 @@ func (t *Table) shardFor(entityID string) *shard {
 	return t.shards[shardOf(hashEntity(entityID))]
 }
 
-// shardIndexFor is shardFor returning the shard index too.
-func (t *Table) shardIndexFor(entityID string) (int, *shard) {
-	si := shardOf(hashEntity(entityID))
-	return si, t.shards[si]
-}
-
 // rlockAll acquires every shard's read lock in index order and returns
 // the matching release. Multi-shard reads (counts, records, scans,
 // snapshots) hold all shards at once so they observe a point-in-time cut
@@ -608,36 +603,12 @@ func (t *Table) Insert(entityID, source string, attrs map[string]sqlparse.Value)
 	return t.drainShard(si, c)
 }
 
-// record materializes the user-visible Record at a view row.
-func (t *Table) record(v *storeView, row int) Record {
-	attrs := make(map[string]sqlparse.Value, len(t.schema))
-	for ci := range v.cols {
-		if val, ok := v.cols[ci].value(row); ok {
-			attrs[t.schema[ci].Name] = val
-		}
-	}
-	return Record{EntityID: v.ids[row], Attrs: attrs}
-}
-
 // Records returns the user-visible records in insertion order.
 func (t *Table) Records() []Record {
-	type seqRecord struct {
-		seq uint64
-		rec Record
-	}
-	var all []seqRecord
-	release := t.rlockAll()
-	for _, sh := range t.shards {
-		v := sh.store.View()
-		for row := 0; row < v.rows; row++ {
-			all = append(all, seqRecord{v.seqs[row], t.record(v, row)})
-		}
-	}
-	release()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]Record, len(all))
-	for i, sr := range all {
-		out[i] = sr.rec
+	rows := t.rowsSnapshot()
+	out := make([]Record, len(rows))
+	for i, r := range rows {
+		out[i] = Record{EntityID: r.ID, Attrs: r.Attrs}
 	}
 	return out
 }
@@ -696,7 +667,8 @@ type rowData struct {
 }
 
 // rowsSnapshot returns every row (attrs, sorted sources) in insertion
-// order, under per-shard read locks. It is backend-agnostic — the walk
+// order, under per-shard read locks: the one row walk behind Records and
+// snapshot persistence. It is backend-agnostic — the walk
 // goes through the store views — so snapshots serialize identically from
 // either backend.
 func (t *Table) rowsSnapshot() []rowData {
@@ -710,13 +682,18 @@ func (t *Table) rowsSnapshot() []rowData {
 	for _, sh := range t.shards {
 		v := sh.store.View()
 		for row := 0; row < v.rows; row++ {
-			rec := t.record(v, row)
+			attrs := make(map[string]sqlparse.Value, len(t.schema))
+			for ci := range v.cols {
+				if val, ok := v.cols[ci].value(row); ok {
+					attrs[t.schema[ci].Name] = val
+				}
+			}
 			srcs := make([]string, len(v.lineage[row]))
 			for i, sid := range v.lineage[row] {
 				srcs[i] = names[sid]
 			}
 			sort.Strings(srcs)
-			all = append(all, seqRow{v.seqs[row], rowData{ID: rec.EntityID, Attrs: rec.Attrs, Sources: srcs}})
+			all = append(all, seqRow{v.seqs[row], rowData{ID: v.ids[row], Attrs: attrs, Sources: srcs}})
 		}
 	}
 	release()
@@ -1199,6 +1176,7 @@ func (t *Table) scanShardGrouped(sh *shard, attrCol, groupCol int, prog *filterP
 			if !ok {
 				gk = sqlparse.Null()
 			}
+			gk.Num += 0 // the group of -0 and 0 reports key 0
 			keyStr := groupKeyString(gk)
 			var exists bool
 			gp, exists = groups[keyStr]
@@ -1223,11 +1201,22 @@ func (t *Table) scanShardGrouped(sh *shard, attrCol, groupCol int, prog *filterP
 }
 
 // groupKeyString renders a group key with a kind prefix so sorted output
-// is deterministic and kinds never interleave.
+// is deterministic and kinds never interleave. A number is its exact
+// IEEE bits, sign-flipped so the hex digits sort in numeric order: -0
+// folds into 0, and every NaN is one group above +Inf.
 func groupKeyString(v sqlparse.Value) string {
 	switch v.Kind {
 	case sqlparse.ValueNumber:
-		return fmt.Sprintf("0:%032.6f", v.Num)
+		u := math.Float64bits(v.Num + 0) // -0 + 0 is +0
+		switch {
+		case math.IsNaN(v.Num):
+			u = math.MaxUint64
+		case u>>63 != 0:
+			u = ^u
+		default:
+			u |= 1 << 63
+		}
+		return fmt.Sprintf("0:%016x", u)
 	case sqlparse.ValueString:
 		return "1:" + v.Str
 	case sqlparse.ValueBool:

@@ -106,9 +106,3 @@ func averageSeries(reps int, build func(rep int) ([]Series, error)) ([]Series, e
 	}
 	return acc, nil
 }
-
-// prefixSample returns the sample for the first k observations of a
-// stream.
-func prefixSample(stream *sim.Stream, k int) (*freqstats.Sample, error) {
-	return stream.Prefix(k)
-}

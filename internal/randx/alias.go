@@ -1,9 +1,6 @@
 package randx
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // AliasSampler draws from a fixed discrete distribution in O(1) per draw
 // using Vose's alias method (after O(n) preprocessing). The Monte-Carlo
@@ -79,16 +76,4 @@ func (a *AliasSampler) Draw(rng *rand.Rand) int {
 		return i
 	}
 	return a.alias[i]
-}
-
-// DrawN returns k independent draws (with replacement).
-func (a *AliasSampler) DrawN(rng *rand.Rand, k int) ([]int, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("randx: negative draw count %d", k)
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = a.Draw(rng)
-	}
-	return out, nil
 }

@@ -1,7 +1,9 @@
 package randx
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -155,4 +157,39 @@ func TestSpearmanRank(t *testing.T) {
 	if err != nil || math.Abs(r+1) > 1e-12 {
 		t.Errorf("perfect anti-correlation: r = %g, err = %v", r, err)
 	}
+}
+
+// SpearmanRank returns the Spearman rank correlation coefficient between xs
+// and ys (ties broken by index): the oracle the CorrelateValues tests check
+// the requested correlation structure with.
+func SpearmanRank(xs, ys []float64) (float64, error) {
+	if len(xs) != len(ys) {
+		return 0, fmt.Errorf("randx: spearman length mismatch: %d vs %d", len(xs), len(ys))
+	}
+	n := len(xs)
+	if n < 2 {
+		return 0, fmt.Errorf("randx: spearman needs at least 2 points, got %d", n)
+	}
+	rx := ranks(xs)
+	ry := ranks(ys)
+	var d2 float64
+	for i := range rx {
+		d := rx[i] - ry[i]
+		d2 += d * d
+	}
+	nf := float64(n)
+	return 1 - 6*d2/(nf*(nf*nf-1)), nil
+}
+
+func ranks(xs []float64) []float64 {
+	idx := make([]int, len(xs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	r := make([]float64, len(xs))
+	for rank, i := range idx {
+		r[i] = float64(rank)
+	}
+	return r
 }

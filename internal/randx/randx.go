@@ -17,7 +17,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // New returns a rand.Rand seeded deterministically.
@@ -77,18 +76,6 @@ func FillExponentialWeights(w []float64, lambda float64) {
 	}
 }
 
-// UniformWeights returns n equal weights.
-func UniformWeights(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // ZipfWeights returns n weights proportional to 1/(i+1)^s, a heavy-tailed
 // alternative publicity model used by ablation experiments.
 func ZipfWeights(n int, s float64) []float64 {
@@ -100,24 +87,6 @@ func ZipfWeights(n int, s float64) []float64 {
 		w[i] = 1 / math.Pow(float64(i+1), s)
 	}
 	return w
-}
-
-// SampleWithReplacement draws k indices from [0, len(weights)) with
-// probability proportional to the weights, independently with replacement.
-func SampleWithReplacement(rng *rand.Rand, weights []float64, k int) ([]int, error) {
-	if err := validateWeights(weights); err != nil {
-		return nil, err
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("randx: negative sample size %d", k)
-	}
-	cum := cumulative(weights)
-	total := cum[len(cum)-1]
-	out := make([]int, k)
-	for i := range out {
-		out[i] = searchCumulative(cum, rng.Float64()*total)
-	}
-	return out, nil
 }
 
 // SampleWithoutReplacement draws k distinct indices from
@@ -377,26 +346,4 @@ func validateWeights(weights []float64) error {
 		return fmt.Errorf("randx: all weights are zero")
 	}
 	return nil
-}
-
-func cumulative(weights []float64) []float64 {
-	cum := make([]float64, len(weights))
-	var s float64
-	for i, w := range weights {
-		s += w
-		cum[i] = s
-	}
-	return cum
-}
-
-// searchCumulative returns the smallest index i with cum[i] > target.
-func searchCumulative(cum []float64, target float64) int {
-	idx := sort.SearchFloat64s(cum, target)
-	// sort.SearchFloat64s returns the first i with cum[i] >= target; when
-	// target lands exactly on a boundary this is still a valid draw. Clamp
-	// for the target == total edge case.
-	if idx >= len(cum) {
-		idx = len(cum) - 1
-	}
-	return idx
 }

@@ -50,11 +50,14 @@ func TestExponentialWeights(t *testing.T) {
 }
 
 func TestUniformAndZipfWeights(t *testing.T) {
-	if w := UniformWeights(0); w != nil {
-		t.Error("UniformWeights(0) should be nil")
-	}
 	if w := ZipfWeights(0, 1); w != nil {
 		t.Error("ZipfWeights(0) should be nil")
+	}
+	// Exponent 0 is the uniform publicity model.
+	for i, w := range ZipfWeights(5, 0) {
+		if w != 1 {
+			t.Errorf("zipf s=0 [%d] = %g, want 1", i, w)
+		}
 	}
 	w := ZipfWeights(4, 1)
 	want := []float64{1, 0.5, 1.0 / 3.0, 0.25}
@@ -62,59 +65,6 @@ func TestUniformAndZipfWeights(t *testing.T) {
 		if math.Abs(w[i]-want[i]) > 1e-12 {
 			t.Errorf("zipf[%d] = %g, want %g", i, w[i], want[i])
 		}
-	}
-}
-
-func TestSampleWithReplacementBasics(t *testing.T) {
-	rng := New(1)
-	w := UniformWeights(10)
-	s, err := SampleWithReplacement(rng, w, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 100 {
-		t.Fatalf("len = %d, want 100", len(s))
-	}
-	for _, idx := range s {
-		if idx < 0 || idx >= 10 {
-			t.Fatalf("index %d out of range", idx)
-		}
-	}
-}
-
-func TestSampleWithReplacementErrors(t *testing.T) {
-	rng := New(1)
-	if _, err := SampleWithReplacement(rng, nil, 5); err == nil {
-		t.Error("empty weights not reported")
-	}
-	if _, err := SampleWithReplacement(rng, []float64{1}, -1); err == nil {
-		t.Error("negative k not reported")
-	}
-	if _, err := SampleWithReplacement(rng, []float64{-1, 2}, 1); err == nil {
-		t.Error("negative weight not reported")
-	}
-	if _, err := SampleWithReplacement(rng, []float64{0, 0}, 1); err == nil {
-		t.Error("all-zero weights not reported")
-	}
-	if _, err := SampleWithReplacement(rng, []float64{math.NaN()}, 1); err == nil {
-		t.Error("NaN weight not reported")
-	}
-}
-
-func TestSampleWithReplacementRespectsWeights(t *testing.T) {
-	rng := New(42)
-	w := []float64{9, 1}
-	counts := [2]int{}
-	s, err := SampleWithReplacement(rng, w, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, idx := range s {
-		counts[idx]++
-	}
-	frac := float64(counts[0]) / 10000
-	if frac < 0.87 || frac > 0.93 {
-		t.Errorf("heavy item drawn %.3f of the time, want ~0.9", frac)
 	}
 }
 
@@ -311,7 +261,7 @@ func (constSource) Seed(int64)     {}
 func TestSampleWithoutReplacementTiesGoToLowestIndex(t *testing.T) {
 	for _, src := range []constSource{0, 12345 << 31} {
 		rng := rand.New(src)
-		w := UniformWeights(20)
+		w := slices.Repeat([]float64{1}, 20)
 		w[3] = 0 // skipped, not counted as a tie
 		got, err := SampleWithoutReplacement(rng, w, 6)
 		if err != nil {

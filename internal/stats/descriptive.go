@@ -45,28 +45,9 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// PopVariance returns the population variance of xs (dividing by n).
-func PopVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
-}
-
-// PopStdDev returns the population standard deviation of xs.
-func PopStdDev(xs []float64) float64 {
-	return math.Sqrt(PopVariance(xs))
 }
 
 // Min returns the minimum of xs and true, or (0, false) for an empty slice.
@@ -134,18 +115,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// CoefficientOfVariation returns the ratio of the population standard
-// deviation to the mean, the dispersion measure the paper calls CV (gamma).
-// A zero mean yields 0 to avoid division by zero; callers that care can
-// check Mean themselves.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return PopStdDev(xs) / m
 }
 
 // Normalize scales xs so the elements sum to 1 and returns the result as a

@@ -57,24 +57,20 @@ func TestMean(t *testing.T) {
 
 func TestVariance(t *testing.T) {
 	tests := []struct {
-		name    string
-		in      []float64
-		want    float64
-		wantPop float64
+		name string
+		in   []float64
+		want float64
 	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{5}, 0, 0},
-		{"pair", []float64{1, 3}, 2, 1},
-		{"constant", []float64{4, 4, 4, 4}, 0, 0},
-		{"spread", []float64{2, 4, 4, 4, 5, 5, 7, 9}, 32.0 / 7.0, 4},
+		{"empty", nil, 0},
+		{"single", []float64{5}, 0},
+		{"pair", []float64{1, 3}, 2},
+		{"constant", []float64{4, 4, 4, 4}, 0},
+		{"spread", []float64{2, 4, 4, 4, 5, 5, 7, 9}, 32.0 / 7.0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Variance(tt.in); !almostEqual(got, tt.want, 1e-9) {
 				t.Errorf("Variance(%v) = %g, want %g", tt.in, got, tt.want)
-			}
-			if got := PopVariance(tt.in); !almostEqual(got, tt.wantPop, 1e-9) {
-				t.Errorf("PopVariance(%v) = %g, want %g", tt.in, got, tt.wantPop)
 			}
 		})
 	}
@@ -82,9 +78,6 @@ func TestVariance(t *testing.T) {
 
 func TestStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := PopStdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("PopStdDev = %g, want 2", got)
-	}
 	if got := StdDev(xs); !almostEqual(got, math.Sqrt(32.0/7.0), 1e-12) {
 		t.Errorf("StdDev = %g, want %g", got, math.Sqrt(32.0/7.0))
 	}
@@ -147,23 +140,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Quantile mutated its input: %v", xs)
-	}
-}
-
-func TestCoefficientOfVariation(t *testing.T) {
-	if got := CoefficientOfVariation([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("CV of constant = %g, want 0", got)
-	}
-	if got := CoefficientOfVariation(nil); got != 0 {
-		t.Errorf("CV of empty = %g, want 0", got)
-	}
-	if got := CoefficientOfVariation([]float64{-1, 1}); got != 0 {
-		t.Errorf("CV with zero mean = %g, want 0", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	want := 2.0 / 5.0 // pop stddev 2, mean 5
-	if got := CoefficientOfVariation(xs); !almostEqual(got, want, 1e-12) {
-		t.Errorf("CV = %g, want %g", got, want)
 	}
 }
 
@@ -244,7 +220,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 			}
 			xs = append(xs, x)
 		}
-		return Variance(xs) >= 0 && PopVariance(xs) >= 0
+		return Variance(xs) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,53 +1,9 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// Polynomial holds coefficients of a one-dimensional polynomial
-// c[0] + c[1]*x + c[2]*x^2 + ...
-type Polynomial []float64
-
-// Eval evaluates the polynomial at x using Horner's rule.
-func (p Polynomial) Eval(x float64) float64 {
-	var y float64
-	for i := len(p) - 1; i >= 0; i-- {
-		y = y*x + p[i]
-	}
-	return y
-}
-
-// PolyFit fits a polynomial of the given degree to the points (xs[i], ys[i])
-// by least squares. degree must be >= 0 and len(xs) must be at least
-// degree+1.
-func PolyFit(xs, ys []float64, degree int) (Polynomial, error) {
-	if degree < 0 {
-		return nil, errors.New("stats: negative polynomial degree")
-	}
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("stats: polyfit length mismatch: %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < degree+1 {
-		return nil, fmt.Errorf("stats: polyfit needs %d points for degree %d, got %d", degree+1, degree, len(xs))
-	}
-	design := make([][]float64, len(xs))
-	for i, x := range xs {
-		row := make([]float64, degree+1)
-		v := 1.0
-		for d := 0; d <= degree; d++ {
-			row[d] = v
-			v *= x
-		}
-		design[i] = row
-	}
-	coef, err := LeastSquares(design, ys)
-	if err != nil {
-		return nil, err
-	}
-	return Polynomial(coef), nil
-}
 
 // QuadSurface is a two-dimensional quadratic surface
 //

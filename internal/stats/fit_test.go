@@ -92,40 +92,6 @@ func TestSolveLinearRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPolyFitExact(t *testing.T) {
-	// y = 1 + 2x + 3x^2 through enough points recovers exactly.
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 1 + 2*x + 3*x*x
-	}
-	p, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(p[i], want[i], 1e-8) {
-			t.Errorf("coef[%d] = %g, want %g", i, p[i], want[i])
-		}
-	}
-	if got := p.Eval(5); !almostEqual(got, 86, 1e-7) {
-		t.Errorf("Eval(5) = %g, want 86", got)
-	}
-}
-
-func TestPolyFitValidation(t *testing.T) {
-	if _, err := PolyFit([]float64{1}, []float64{1}, -1); err == nil {
-		t.Error("negative degree not reported")
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1}, 1); err == nil {
-		t.Error("length mismatch not reported")
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("underdetermined fit not reported")
-	}
-}
-
 func TestFitQuadSurfaceExactRecovery(t *testing.T) {
 	truth := QuadSurface{C0: 2, Cu: -1, Cv: 0.5, Cuu: 3, Cvv: 1.5, Cuv: -0.25}
 	var us, vs, zs []float64

@@ -5,68 +5,6 @@ import (
 	"sort"
 )
 
-// Histogram is an equi-width histogram over a closed value range. It is used
-// by the engine's diagnostics and by the static-bucket estimators' tests to
-// reason about value distributions.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds an equi-width histogram with bins buckets over
-// [lo, hi]. Values outside the range are clamped into the boundary bins,
-// matching how the bucket estimators treat the observed value range as
-// exhaustive. bins must be >= 1 and hi >= lo.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs at least 1 bin, got %d", bins)
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("stats: histogram range inverted: [%g, %g]", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records a single observation.
-func (h *Histogram) Add(x float64) {
-	h.Counts[h.BinFor(x)]++
-}
-
-// BinFor returns the bin index for x, clamped to [0, bins-1].
-func (h *Histogram) BinFor(x float64) int {
-	bins := len(h.Counts)
-	if h.Hi == h.Lo {
-		return 0
-	}
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		return 0
-	}
-	if idx >= bins {
-		return bins - 1
-	}
-	return idx
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinEdges returns the bins+1 edges of the histogram.
-func (h *Histogram) BinEdges() []float64 {
-	bins := len(h.Counts)
-	edges := make([]float64, bins+1)
-	for i := 0; i <= bins; i++ {
-		edges[i] = h.Lo + (h.Hi-h.Lo)*float64(i)/float64(bins)
-	}
-	return edges
-}
-
 // EquiHeightEdges returns bucket boundaries that divide the sorted values
 // into k groups of (as close as possible) equal size. The returned slice has
 // k+1 edges; the first is the minimum value and the last the maximum. Used

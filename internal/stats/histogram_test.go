@@ -6,70 +6,6 @@ import (
 	"testing"
 )
 
-func TestNewHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins not reported")
-	}
-	if _, err := NewHistogram(2, 1, 4); err == nil {
-		t.Error("inverted range not reported")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		x    float64
-		want int
-	}{
-		{0, 0}, {1.9, 0}, {2, 1}, {9.99, 4},
-		{10, 4},  // top edge clamps into last bin
-		{-5, 0},  // below range clamps
-		{100, 4}, // above range clamps
-	}
-	for _, tt := range tests {
-		if got := h.BinFor(tt.x); got != tt.want {
-			t.Errorf("BinFor(%g) = %d, want %d", tt.x, got, tt.want)
-		}
-	}
-	for _, x := range []float64{0, 1, 2, 3, 9, 10} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-}
-
-func TestHistogramDegenerateRange(t *testing.T) {
-	h, err := NewHistogram(5, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.BinFor(5); got != 0 {
-		t.Errorf("BinFor on degenerate range = %d, want 0", got)
-	}
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramBinEdges(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 4)
-	edges := h.BinEdges()
-	want := []float64{0, 2.5, 5, 7.5, 10}
-	if len(edges) != len(want) {
-		t.Fatalf("edges = %v", edges)
-	}
-	for i := range want {
-		if !almostEqual(edges[i], want[i], 1e-12) {
-			t.Errorf("edge[%d] = %g, want %g", i, edges[i], want[i])
-		}
-	}
-}
-
 func TestEquiHeightEdges(t *testing.T) {
 	values := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	edges, err := EquiHeightEdges(values, 4)

@@ -76,25 +76,3 @@ func smoothZeros(xs []float64, eps float64) []float64 {
 	}
 	return out
 }
-
-// JensenShannon returns the Jensen-Shannon divergence between p and q, a
-// symmetric, always-finite companion to KL used by tests to sanity-check the
-// Monte-Carlo distance landscape. The result is in [0, ln 2].
-func JensenShannon(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("stats: JS divergence length mismatch: %d vs %d", len(p), len(q))
-	}
-	m := make([]float64, len(p))
-	for i := range p {
-		m[i] = (p[i] + q[i]) / 2
-	}
-	dp, err := KLDivergence(p, m)
-	if err != nil {
-		return 0, err
-	}
-	dq, err := KLDivergence(q, m)
-	if err != nil {
-		return 0, err
-	}
-	return (dp + dq) / 2, nil
-}

@@ -101,30 +101,6 @@ func TestKLNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestJensenShannonBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		p := Normalize(randomVector(rng, n))
-		q := Normalize(randomVector(rng, n))
-		d, err := JensenShannon(p, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d < -1e-12 || d > math.Log(2)+1e-12 {
-			t.Fatalf("trial %d: JS = %g outside [0, ln2]", trial, d)
-		}
-		// Symmetry.
-		d2, err := JensenShannon(q, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(d, d2, 1e-9) {
-			t.Fatalf("trial %d: JS asymmetric: %g vs %g", trial, d, d2)
-		}
-	}
-}
-
 func randomVector(rng *rand.Rand, n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
