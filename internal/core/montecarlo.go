@@ -50,10 +50,13 @@ import (
 // contract: one ExpFloat64 key per positive weight in index order, the k
 // smallest (key, index) pairs winning. The counts do not depend on the
 // winners' order, so each draw takes them in index order from
-// KeySampler.SampleSet, a linear-time radix select on the keys' bits with
-// no sort. Each grid worker keeps one set of weight, sampler, RNG and
-// count buffers for all its cells and runs, and the simulated profile is
-// counting-sorted; none of this moves a bit of the estimate.
+// KeySampler.SampleSet, which selects them, with no sort, among the few
+// keys under a threshold that the worker's sampler learns from its
+// earlier draws, so that a draw costs little more than its keys. Each
+// grid worker keeps one set of weight, sampler, RNG and count buffers for
+// all its cells and runs, the simulated profile is counting-sorted, and
+// the KL distance takes one log per run of equal cells; none of this
+// moves a bit of the estimate.
 //
 // The zero value is ready to use with the paper's defaults.
 type MonteCarlo struct {
@@ -270,8 +273,10 @@ func sortedProfile(counts, hist, dst []int) []int {
 //
 // It computes stats.SmoothedKLDivergence(fs, fq, 0) on the padded profiles
 // with the same float operations in the same order, without materializing
-// them. Smoothed cells are positive, so neither Normalize's uniform
-// fallback nor KLDivergence's negative-entry error can apply.
+// them, except that a run of cells with the same (observed, simulated)
+// pair takes its p and log(p/q) once: one log per run, not per cell.
+// Smoothed cells are positive, so neither Normalize's uniform fallback nor
+// KLDivergence's negative-entry error can apply.
 func profileDistance(observed, simulated []int) float64 {
 	width := max(len(observed), len(simulated))
 	if width == 0 {
@@ -282,17 +287,24 @@ func profileDistance(observed, simulated []int) float64 {
 		sumS += smoothedCell(observed, i)
 		sumQ += smoothedCell(simulated, i)
 	}
-	var d float64
+	// Both profiles descend through few distinct values, so a cell
+	// mostly repeats its predecessor's pair, and with it p and the log.
+	var d, p, lg float64
+	prevS, prevQ := -1.0, -1.0
 	for i := 0; i < width; i++ {
-		p := smoothedCell(observed, i) / sumS
-		q := smoothedCell(simulated, i) / sumQ
+		if cs, cq := smoothedCell(observed, i), smoothedCell(simulated, i); cs != prevS || cq != prevQ {
+			prevS, prevQ = cs, cq
+			p = cs / sumS
+			q := cq / sumQ
+			if p != 0 && q == 0 {
+				return math.Inf(1)
+			}
+			lg = math.Log(p / q)
+		}
 		if p == 0 {
 			continue
 		}
-		if q == 0 {
-			return math.Inf(1)
-		}
-		d += p * math.Log(p/q)
+		d += p * lg
 	}
 	if d < 0 && d > -1e-12 {
 		d = 0

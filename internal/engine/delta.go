@@ -34,10 +34,10 @@ const (
 
 // deltaLog records, for one shard, what each recently applied batch did
 // to the rows already stored. Batch k of the log moved the shard's epoch
-// from from+k to from+k+1. Its buffers are allocated once, by the first
-// batch, and reused, so logging adds no allocation to a drain (touched
-// grows past its first size only under heavy re-reporting, and never past
-// deltaLogRows).
+// from from+k to from+k+1. Its buffers grow on demand, to at most
+// deltaLogBatches batches and deltaLogRows touched rows, and are reused
+// once grown, so a steady drain adds no allocation; a shard whose batches
+// only add rows never allocates touched.
 type deltaLog struct {
 	from    uint64       // epoch before the oldest logged batch
 	batches []deltaBatch // oldest first
@@ -56,11 +56,6 @@ type deltaBatch struct {
 // row count. The epoch moves only when a batch commits, so the log always
 // ends at the current epoch (since checks it all the same).
 func (l *deltaLog) begin(rows int) {
-	if l.batches == nil {
-		// Sized once: a fresh table's first batches grow nothing.
-		l.batches = make([]deltaBatch, 0, deltaLogBatches)
-		l.touched = make([]int32, 0, deltaLogRows/8)
-	}
 	drop := 0
 	if len(l.batches) == deltaLogBatches {
 		drop = deltaLogBatches / 2

@@ -591,6 +591,33 @@ func TestDeltaLogBounds(t *testing.T) {
 	}
 }
 
+// A table's first flush of only new rows logs one batch per shard that
+// received rows and allocates no touched buffer: the log grows on demand.
+func TestDeltaLogFirstFlushAllocatesNoTouched(t *testing.T) {
+	_, tbl := metaTable(t)
+	for i := range 200 {
+		if err := tbl.Insert(fmt.Sprintf("e%d", i), "s0", map[string]sqlparse.Value{"v": sqlparse.Number(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for si, sh := range tbl.shards {
+		sh.mu.RLock()
+		batches, touched := len(sh.delta.batches), cap(sh.delta.touched)
+		sh.mu.RUnlock()
+		logged += batches
+		if touched != 0 {
+			t.Errorf("shard %d: first flush of new rows allocated %d touched rows", si, touched)
+		}
+	}
+	if logged == 0 {
+		t.Fatal("the flush logged no batch")
+	}
+}
+
 // TestDeltaRecoverFallback: a reopened durable table starts with an empty
 // partial cache, so its first query scans; catch-ups resume after the
 // next batch and stay exact against fresh scans.

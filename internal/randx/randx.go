@@ -120,14 +120,23 @@ func SampleWithoutReplacement(rng *rand.Rand, weights []float64, k int) ([]int, 
 // SampleSet on a Stream, whose values are those of a rand.Rand of the same
 // seed.
 //
-// A draw costs O(n) whatever k is: the keys' bit patterns are stored, the
+// Sample costs O(n) whatever k is: the keys' bit patterns are stored, the
 // k-th smallest is found by an MSD radix select on those bits, and one
-// index-ordered pass emits the winners. A KeySampler is not safe for
-// concurrent use, and the weights must not change while it is in use.
+// index-ordered pass emits the winners. SampleSet draws the same n keys
+// but selects among far fewer: see its comment. A KeySampler is not safe
+// for concurrent use, and the weights must not change while it is in use.
 type KeySampler struct {
 	weights []float64
-	bits    []uint64 // math.Float64bits of each index's key
-	cand    []uint64 // radix-select candidates after the first round
+	pos     int     // positive weights
+	minW    float64 // smallest positive weight
+	meanW   float64 // mean positive weight
+	// ratio is SampleSet's running estimate of a draw's k-th key over the
+	// model's (see threshold); 0 means no estimate yet.
+	ratio float64
+	exps  []float64   // SampleSet: each index's Exp(1) draw
+	bits  []uint64    // key bit patterns, aligned with the candidate indices
+	cand  []uint64    // radix-select candidates after the first round
+	hist  [256]uint32 // radix-select histogram
 }
 
 // infBits is the bit pattern of +Inf, the key of a zero weight. Keys are
@@ -145,12 +154,23 @@ func NewKeySampler(weights []float64) (*KeySampler, error) {
 }
 
 // Reset validates and binds a new weight vector, keeping the buffers of
-// earlier draws. On error the sampler is unchanged.
+// earlier draws and SampleSet's key-size estimate, which the model scales
+// to the new weights. On error the sampler is unchanged.
 func (s *KeySampler) Reset(weights []float64) error {
 	if err := validateWeights(weights); err != nil {
 		return err
 	}
-	s.weights = weights
+	pos, minW, sum := 0, math.Inf(1), 0.0
+	for _, w := range weights {
+		if w > 0 {
+			pos++
+			if w < minW {
+				minW = w
+			}
+			sum += w
+		}
+	}
+	s.weights, s.pos, s.minW, s.meanW = weights, pos, minW, sum/float64(pos)
 	return nil
 }
 
@@ -161,7 +181,11 @@ func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("randx: negative sample size %d", k)
 	}
-	keys := s.keyBuf()
+	n := len(s.weights)
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
+	keys := grow(&s.bits, n)
 	lo, hi := uint64(infBits), uint64(0)
 	finite := 0
 	for i, w := range s.weights {
@@ -173,12 +197,17 @@ func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
 				lo, hi = min(lo, u), max(hi, u)
 			}
 		}
-		keys[i] = u
+		keys[i], out[i] = u, i
 	}
-	start := len(dst)
-	dst = s.selectSet(k, lo, hi, finite, dst)
-	// Winners arrive in index order, so a stable sort on the key bits
-	// leaves exact ties in index order.
+	// A weight so small that its key overflows is never drawn, like a
+	// zero weight.
+	if k = min(k, finite); k == 0 {
+		return dst[:start], nil
+	}
+	thr, take, equal := s.kthSmallest(keys, k, lo, hi)
+	dst = dst[:start+emit(out, keys, thr, take, equal)]
+	// Winners arrive in index order and keys is still indexed by index, so
+	// a stable sort on the key bits leaves exact ties in index order.
 	slices.SortStableFunc(dst[start:], func(a, b int) int {
 		return cmp.Compare(keys[a], keys[b])
 	})
@@ -189,112 +218,223 @@ func (s *KeySampler) Sample(rng *rand.Rand, k int, dst []int) ([]int, error) {
 // of the same seed, leaves the Stream where Sample leaves the rand.Rand,
 // and appends the same k winners to dst, but in ascending index order.
 // Callers that only count the winners need no other order. It may grow
-// dst's capacity by up to len(weights), the room its branch-free emission
-// pass writes through.
+// dst's capacity by up to len(weights), the room its branch-free passes
+// write through.
 //
-// The key loop keeps the Stream's indices in locals and inlines both the
-// generator step and the ziggurat's fast path, which takes about 98% of
-// draws; only the rest calls out of line.
+// The key loop (drawKeys) stores each Exp(1) draw e and keeps,
+// branch-free and in index order, the candidates whose key e/w can be at
+// most a threshold τ: e <= τ·(1+2⁻⁴⁸)·w, a multiply whose margin covers
+// its own and the division's rounding as long as the product is normal
+// (otherwise τ is +Inf). Only candidates divide. If at least k of their
+// keys are finite and at most τ, every key that can win is among them,
+// and the winners are the k smallest (key, index) pairs of the
+// candidates. Otherwise every positive weight becomes a candidate, which
+// is Sample's full select. τ is a hint (see threshold): any τ gives the
+// same winners and leaves the Stream in the same place; a good one leaves
+// about k+3√k candidates, a select sized to them and a rare full select.
 func (s *KeySampler) SampleSet(rng *Stream, k int, dst []int) ([]int, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("randx: negative sample size %d", k)
 	}
-	keys := s.keyBuf()
-	vec, feed, tap := &rng.vec, rng.feed, rng.tap
-	lo, hi := uint64(infBits), uint64(0)
-	finite := 0
-	for i, w := range s.weights {
-		u := uint64(infBits)
-		if w > 0 {
-			var x uint64
-			x, feed, tap = step(vec, feed, tap)
-			j := uint32(x >> 31) // rand.Rand.Uint32
-			var e float64
-			if b := j & 0xFF; j < ke[b] {
-				e = float64(j) * float64(we[b])
-			} else {
-				rng.feed, rng.tap = feed, tap
-				e = rng.expFrom(j)
-				feed, tap = rng.feed, rng.tap
-			}
-			u = math.Float64bits(e / w)
-			if u < infBits {
-				finite++
-				lo, hi = min(lo, u), max(hi, u)
+	n := len(s.weights)
+	start := len(dst)
+	dst = slices.Grow(dst, n)[:start+n]
+	out := dst[start:]
+	grow(&s.exps, n)
+	tau := s.threshold(k)
+	tw := tau * (1 + 0x1p-48)
+	if !(tw >= 0x1p-1022 && tw*s.minW >= 0x1p-1022) {
+		tau, tw = math.Inf(1), math.Inf(1)
+	}
+	m := s.drawKeys(rng, tw, out)
+
+	keys := grow(&s.bits, n)
+	lo, hi, finite, under := s.candidateKeys(out[:m], keys, tau)
+	if under < k && !math.IsInf(tau, 1) {
+		m = 0
+		for i, w := range s.weights {
+			out[m] = i
+			if w > 0 {
+				m++
 			}
 		}
-		keys[i] = u
+		lo, hi, finite, _ = s.candidateKeys(out[:m], keys, tau)
 	}
-	rng.feed, rng.tap = feed, tap
-	return s.selectSet(k, lo, hi, finite, dst), nil
+	if k = min(k, finite); k == 0 {
+		return dst[:start], nil
+	}
+	thr, take, equal := s.kthSmallest(keys[:m], k, lo, hi)
+	// The hint learns: ratio moves halfway to this draw's k-th key over
+	// the model's.
+	if r := math.Float64frombits(thr) / s.model(k); r > 0 && r <= math.MaxFloat64 {
+		s.ratio = cmp.Or(s.ratio, r)/2 + r/2
+	}
+	return dst[:start+emit(out[:m], keys[:m], thr, take, equal)], nil
 }
 
-// keyBuf returns s.bits resized to one key per weight.
-func (s *KeySampler) keyBuf() []uint64 {
-	n := len(s.weights)
-	s.bits = slices.Grow(s.bits[:0], n)[:n]
-	return s.bits
+// drawKeys draws one Exp(1) per positive weight into s.exps, in index
+// order, and writes to out, in index order, the indices whose draw e is at
+// most tw·w, returning their count. It keeps the Stream's indices in
+// locals and steps the generator in segments in which neither index
+// wraps, so a draw is two loads, an add and a store; it inlines the
+// ziggurat's fast path, which takes about 98% of draws, and leaves the
+// loop for the rest, so that the call out of line does not make the loop
+// spill.
+func (s *KeySampler) drawKeys(rng *Stream, tw float64, out []int) int {
+	ws := s.weights
+	exps := s.exps[:len(ws)]
+	vec, feed, tap := &rng.vec, rng.feed, rng.tap
+	i, m := 0, 0
+	for i < len(ws) {
+		if feed == 0 {
+			feed = rngLen
+		}
+		if tap == 0 {
+			tap = rngLen
+		}
+		var j uint32
+		slow := false
+		for seg := min(feed, tap); i < len(ws) && seg > 0; i++ {
+			w := ws[i]
+			if w <= 0 {
+				continue
+			}
+			feed, tap, seg = feed-1, tap-1, seg-1
+			x := vec[feed] + vec[tap]
+			vec[feed] = x
+			j = uint32(uint64(x) >> 31) // rand.Rand.Uint32
+			b := j & 0xFF
+			if j >= ke[b] {
+				slow = true
+				break
+			}
+			e := float64(j) * float64(we[b])
+			exps[i] = e
+			out[m] = i
+			if e <= tw*w {
+				m++
+			}
+		}
+		if slow {
+			rng.feed, rng.tap = feed, tap
+			e := rng.expFrom(j)
+			feed, tap = rng.feed, rng.tap
+			exps[i] = e
+			out[m] = i
+			if e <= tw*ws[i] {
+				m++
+			}
+			i++
+		}
+	}
+	rng.feed, rng.tap = feed%rngLen, tap%rngLen
+	return m
 }
 
-// selectSet appends to dst, in index order, the indices of the k smallest
-// (key, index) pairs among the keys in s.bits, given the range [lo, hi]
-// of the finite ones and their count. It is the select and emit half of
-// both Sample and SampleSet.
-func (s *KeySampler) selectSet(k int, lo, hi uint64, finite int, dst []int) []int {
-	keys := s.bits
-	// A weight so small that its key overflows is never drawn, like a
-	// zero weight.
-	k = min(k, finite)
-	if k == 0 {
-		return dst
-	}
-	thr, take := s.kthSmallest(k, lo, hi)
+// hintMargin is the threshold's margin in standard deviations of a k-th
+// key, whose relative spread is about 1/√k.
+const hintMargin = 3
 
-	// Emit every index whose key is at most thr, in index order, without a
-	// branch per key: each index is written, and kept by advancing j.
-	n := len(keys)
-	start := len(dst)
-	dst = slices.Grow(dst, n)
-	out := dst[start : start+n]
+// model approximates the k-th smallest key of pos equal weights of the
+// mean weight, for 0 < k < pos: about −ln(1−p)/mean for p = k/(pos+1),
+// here its rational approximation p(1−p/2)/(1−p), within 1% of it for
+// p ≤ 0.2. Skewed weights shift the true value by a factor that the
+// running ratio learns.
+func (s *KeySampler) model(k int) float64 {
+	p := float64(k) / float64(s.pos+1)
+	return p * (1 - p/2) / ((1 - p) * s.meanW)
+}
+
+// threshold is SampleSet's hint τ for a draw of k: the model scaled by
+// the ratio earlier draws' k-th keys bore to it, plus the margin. It is
+// +Inf when there is no ratio yet, when k is 0 or leaves no positive
+// weight out, and when the product is not a positive number.
+func (s *KeySampler) threshold(k int) float64 {
+	if s.ratio == 0 || k >= s.pos {
+		return math.Inf(1)
+	}
+	tau := s.ratio * s.model(k) * (1 + hintMargin/math.Sqrt(float64(k)))
+	if !(tau > 0) {
+		return math.Inf(1)
+	}
+	return tau
+}
+
+// candidateKeys stores the keys of the candidate indices cand, aligned
+// with them, in keys and returns the range [lo, hi] and count of the
+// finite ones and how many keys are at most tau.
+func (s *KeySampler) candidateKeys(cand []int, keys []uint64, tau float64) (lo, hi uint64, finite, under int) {
+	tb := math.Float64bits(tau)
+	lo = infBits
+	keys = keys[:len(cand)]
+	for c, i := range cand {
+		u := math.Float64bits(s.exps[i] / s.weights[i])
+		keys[c] = u
+		if u < infBits {
+			finite++
+			lo, hi = min(lo, u), max(hi, u)
+		}
+		if u <= tb {
+			under++
+		}
+	}
+	return lo, hi, finite, under
+}
+
+// grow returns *buf resized to n, reusing its array when it is large
+// enough. The contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// emit keeps, in place and in order, the entries of idx whose aligned key
+// is among the k smallest (key, index) pairs, given the k-th smallest key
+// thr, how many keys equal to it are among the k smallest (take) and how
+// many there are (equal): every key below thr and the first take of those
+// equal to it. It returns how many it kept. When take is equal, it keeps
+// every key at most thr without a branch per key: each entry is written,
+// and kept by advancing j.
+func emit(idx []int, keys []uint64, thr uint64, take, equal int) int {
+	keys = keys[:len(idx)]
 	j := 0
-	for i, u := range keys {
-		out[j] = i
-		if u <= thr {
+	if take == equal {
+		for c, u := range keys {
+			idx[j] = idx[c]
+			if u <= thr {
+				j++
+			}
+		}
+		return j
+	}
+	for c, u := range keys {
+		if u < thr || u == thr && take > 0 {
+			if u == thr {
+				take--
+			}
+			idx[j] = idx[c]
 			j++
 		}
 	}
-	if j > k {
-		// More keys equal thr than rank k admits: keep the first take of
-		// them, so an exact tie goes to the lower index.
-		kept := 0
-		for _, i := range out[:j] {
-			if keys[i] == thr {
-				if take == 0 {
-					continue
-				}
-				take--
-			}
-			out[kept] = i
-			kept++
-		}
-		j = kept
-	}
-	return dst[:start+j]
+	return j
 }
 
-// kthSmallest returns the k-th smallest finite key bit pattern, given the
-// range [lo, hi] of the finite ones, and take, how many keys equal to it
-// are among the k smallest. Each round histograms the candidates in
-// [lo, hi] into at most 256 bins of (u-lo)>>shift, keeps only the
-// candidates in the bin holding rank k, and shrinks [lo, hi] to their
-// range, so every round removes at least 8 bits of it; the loop ends when
-// one value is left.
-func (s *KeySampler) kthSmallest(k int, lo, hi uint64) (thr uint64, take int) {
-	cand := s.bits // +Inf keys fall outside [lo, hi] in the first round
+// kthSmallest returns the k-th smallest of the finite keys, given their
+// range [lo, hi], with take, how many keys equal to it are among the k
+// smallest, and equal, how many keys equal it; keys outside [lo, hi]
+// (+Inf) are ignored. Each round histograms the candidates in [lo, hi]
+// into bins of (u-lo)>>shift, sized to the candidates (at most 256, so
+// every round removes at least log₂ of their count in bits of the range),
+// keeps only the candidates in the bin holding rank k, and shrinks
+// [lo, hi] to their range; the loop ends when one value is left.
+func (s *KeySampler) kthSmallest(keys []uint64, k int, lo, hi uint64) (thr uint64, take, equal int) {
+	cand := keys
 	s.cand = slices.Grow(s.cand[:0], len(cand))
-	for lo < hi {
-		shift := max(bits.Len64(hi-lo)-8, 0)
-		var hist [256]int32
+	for {
+		width := min(bits.Len(uint(len(cand))), 8)
+		shift := max(bits.Len64(hi-lo)-width, 0)
+		hist := s.hist[:1<<width]
+		clear(hist)
 		for _, u := range cand {
 			if d := u - lo; d <= hi-lo {
 				hist[d>>shift]++
@@ -320,8 +460,10 @@ func (s *KeySampler) kthSmallest(k int, lo, hi uint64) (thr uint64, take int) {
 		}
 		cand = next[:j]
 		lo, hi = slices.Min(cand), slices.Max(cand)
+		if lo == hi {
+			return lo, k, len(cand)
+		}
 	}
-	return lo, k
 }
 
 // Shuffle permutes xs in place.

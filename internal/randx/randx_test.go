@@ -185,38 +185,69 @@ func referenceSampleWithoutReplacement(rng *rand.Rand, weights []float64, k int)
 // newStream is nil). Sample must give the same indices in the same order,
 // SampleSet the same indices in index order; both must match the
 // reference's error outcome and consume the same number of RNG draws.
+// SampleSet runs on one fresh KeySampler under each of hints in turn.
 func checkAgainstReference(t *testing.T, newRNG func() *rand.Rand, newStream func() *Stream, weights []float64, k int) {
 	t.Helper()
 	rngWant := newRNG()
 	want, wantErr := referenceSampleWithoutReplacement(rngWant, weights, k)
 	next := rngWant.Int63()
-	check := func(method string, got []int, gotErr error, rngGot interface{ Int63() int64 }, want []int) {
-		t.Helper()
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s n=%d k=%d: error %v, reference error %v", method, len(weights), k, gotErr, wantErr)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s n=%d k=%d:\n got %v\nwant %v", method, len(weights), k, got, want)
-		}
-		if rngGot.Int63() != next {
-			t.Fatalf("%s n=%d k=%d: RNG stream consumed differently from the reference", method, len(weights), k)
-		}
-	}
 
 	rngGot := newRNG()
 	got, gotErr := SampleWithoutReplacement(rngGot, weights, k)
-	check("Sample", got, gotErr, rngGot, want)
+	checkDraw(t, fmt.Sprintf("Sample n=%d k=%d", len(weights), k), got, gotErr, rngGot, want, wantErr, next)
 
 	if newStream == nil {
 		return
 	}
-	stream := newStream()
+	s, err := NewKeySampler(weights)
+	for _, h := range hints {
+		if err == nil {
+			h.set(s, k)
+		}
+		checkSampleSet(t, fmt.Sprintf("SampleSet/%s n=%d k=%d", h.name, len(weights), k), s, err, newStream(), k, want, wantErr, next)
+	}
+}
+
+// checkSampleSet checks one SampleSet draw of k on s, or s's construction
+// error newErr, against the reference's winners and error and the value
+// next that the reference's rand.Rand drew after them.
+func checkSampleSet(t *testing.T, method string, s *KeySampler, newErr error, stream *Stream, k int, want []int, wantErr error, next int64) {
+	t.Helper()
 	var set []int
-	s, gotErr := NewKeySampler(weights)
+	gotErr := newErr
 	if gotErr == nil {
 		set, gotErr = s.SampleSet(stream, k, nil)
 	}
-	check("SampleSet", set, gotErr, stream, slices.Sorted(slices.Values(want)))
+	checkDraw(t, method, set, gotErr, stream, slices.Sorted(slices.Values(want)), wantErr, next)
+}
+
+// checkDraw compares a draw's winners and error with the reference's, and
+// the generator's next value with next.
+func checkDraw(t *testing.T, method string, got []int, gotErr error, rng interface{ Int63() int64 }, want []int, wantErr error, next int64) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error %v, reference error %v", method, gotErr, wantErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s:\n got %v\nwant %v", method, got, want)
+	}
+	if rng.Int63() != next {
+		t.Fatalf("%s: RNG stream consumed differently from the reference", method)
+	}
+}
+
+// hints are the threshold states SampleSet is checked under: learned from
+// one earlier draw of the same k, so that most draws select among
+// candidates; far too tight, so that every draw with k > 0 falls back to
+// the full select; and +Inf, which makes every positive weight a
+// candidate.
+var hints = []struct {
+	name string
+	set  func(s *KeySampler, k int)
+}{
+	{"learned", func(s *KeySampler, k int) { _, _ = s.SampleSet(newStream(-1), k, nil) }},
+	{"tight", func(s *KeySampler, _ int) { s.ratio = 0x1p-40 }},
+	{"inf", func(s *KeySampler, _ int) { s.ratio = math.Inf(1) }},
 }
 
 // seeded returns a constructor of identical seeded streams.
@@ -310,7 +341,9 @@ func TestKeySamplerReuseMatchesFreshCalls(t *testing.T) {
 // set, every ExpFloat64 draw is 0 (a constSource(0) rand.Rand and the zero
 // Stream), so every finite key is 0 and the radix select starts and ends
 // at lo == hi. A large lambda makes tail weights subnormal, whose keys
-// overflow to +Inf.
+// overflow to +Inf. After the check under each fixed hint, one
+// KeySampler makes several draws of varying k, each on its own seed, so
+// that the hint it carries from draw to draw is fuzzed too.
 func FuzzSampleWithoutReplacement(f *testing.F) {
 	f.Add(int64(1), uint16(50), int16(10), 0.2, uint64(0), false)
 	f.Add(int64(2), uint16(1), int16(0), -0.4, uint64(0), false)
@@ -321,6 +354,7 @@ func FuzzSampleWithoutReplacement(f *testing.F) {
 	f.Add(int64(7), uint16(50), int16(10), 0.3, uint64(0), true)
 	f.Add(int64(8), uint16(64), int16(60), 80.0, uint64(0x5), true)
 	f.Add(int64(9), uint16(50), int16(49), 0.0, uint64(0), true)
+	f.Add(int64(10), uint16(256), int16(32), -0.4, uint64(0), false)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, k int16, lambda float64, zeroMask uint64, ties bool) {
 		if n == 0 || n > 5000 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
 			return
@@ -331,13 +365,108 @@ func FuzzSampleWithoutReplacement(f *testing.F) {
 				w[i] = 0
 			}
 		}
-		newRNG, newStream := seeded(seed), seededStream(seed)
-		if ties {
-			newRNG = func() *rand.Rand { return rand.New(constSource(0)) }
-			newStream = func() *Stream { return new(Stream) }
+		draw := func(d int64) (func() *rand.Rand, func() *Stream) {
+			if ties {
+				return func() *rand.Rand { return rand.New(constSource(0)) }, func() *Stream { return new(Stream) }
+			}
+			return seeded(seed + d), seededStream(seed + d)
 		}
+		newRNG, newStream := draw(0)
 		checkAgainstReference(t, newRNG, newStream, w, int(k))
+
+		s, newErr := NewKeySampler(w)
+		for d, kd := range []int{int(k), int(k) / 2, int(k) + 3, int(k) / 4, int(k) * 2, int(k)} {
+			newRNG, newStream := draw(int64(d) + 1)
+			rng := newRNG()
+			want, wantErr := referenceSampleWithoutReplacement(rng, w, kd)
+			checkSampleSet(t, fmt.Sprintf("SampleSet/carried/draw %d k=%d", d, kd), s, newErr, newStream(), kd, want, wantErr, rng.Int63())
+		}
 	})
+}
+
+// SampleSet keeps the winners through every selection path: candidates
+// under a learned hint, the fallback under a tight one and every positive
+// weight under +Inf (checkAgainstReference runs each), on k at or past the
+// number of finite keys, zero weights, keys that overflow to +Inf and
+// exact key ties.
+func TestSampleSetSelectionPaths(t *testing.T) {
+	skew := ExponentialWeights(256, 0.4)
+	zeros := slices.Clone(skew)
+	for i := 0; i < len(zeros); i += 3 {
+		zeros[i] = 0
+	}
+	// The tail is subnormal or zero: keys overflow from about index 57.
+	overflow := ExponentialWeights(64, 80)
+	finite := 0
+	for _, w := range overflow {
+		if w >= 0x1p-1020 {
+			finite++
+		}
+	}
+	ties := slices.Repeat([]float64{1}, 40)
+	for _, c := range []struct {
+		name string
+		w    []float64
+		ks   []int
+	}{
+		{"uniform", ExponentialWeights(256, 0), []int{1, 32, 128}},
+		{"skewed", skew, []int{1, 5, 32, 200, 255}},
+		{"k past positives", zeros, []int{170, 171, 172, 200}},
+		{"zero weights", zeros, []int{1, 20, 100}},
+		{"overflow", overflow, []int{1, finite - 1, finite, finite + 1, 60, 64}},
+	} {
+		for _, k := range c.ks {
+			seed := Derive(int64(len(c.w)), int64(k))
+			t.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(t *testing.T) {
+				checkAgainstReference(t, seeded(seed), seededStream(seed), c.w, k)
+			})
+		}
+	}
+	// Every key is 0: the winners are the lowest indices.
+	for _, k := range []int{1, 6, 40, 41} {
+		checkAgainstReference(t, func() *rand.Rand { return rand.New(constSource(0)) },
+			func() *Stream { return new(Stream) }, ties, k)
+	}
+}
+
+// A learned hint makes almost every draw select among candidates, and a
+// tight one makes every draw fall back. Whether a draw could take the
+// candidate path is read off the reference's keys: at least k of them at
+// most the threshold the sampler holds before the draw.
+func TestSampleSetHintQuality(t *testing.T) {
+	const n, k, draws = 256, 32, 200
+	for _, lambda := range []float64{-0.4, 0, 0.4} {
+		w := ExponentialWeights(n, lambda)
+		s, err := NewKeySampler(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast := 0
+		for d := range int64(draws) {
+			tau := s.threshold(k)
+			rng := New(d)
+			under := 0
+			for _, wi := range w {
+				if rng.ExpFloat64()/wi <= tau {
+					under++
+				}
+			}
+			if under >= k {
+				fast++
+			}
+			if _, err := s.SampleSet(newStream(d), k, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t.Logf("lambda=%g: %d of %d draws could select among candidates", lambda, fast, draws)
+		if fast < draws*9/10 {
+			t.Errorf("lambda=%g: only %d of %d draws could select among candidates", lambda, fast, draws)
+		}
+		s.ratio = 0x1p-40
+		if tau := s.threshold(k); tau > 1e-6 {
+			t.Errorf("lambda=%g: tight hint gives threshold %g", lambda, tau)
+		}
+	}
 }
 
 func TestShuffle(t *testing.T) {
@@ -402,41 +531,54 @@ func TestDeriveIndependentStreams(t *testing.T) {
 // keySink keeps the benchmarked draws from being optimized away.
 var keySink float64
 
-// BenchmarkKeySampler times one n=500, k=50 draw on the Monte-Carlo grid's
-// lambda range. The draws sub-benchmark only draws the 500 keys from a
-// Stream, the floor set by the RNG-stream contract; the gap to SampleSet,
-// which draws the same keys in its fused loop, is the selection. Sample
-// draws them from a rand.Rand and also sorts the k winners.
+// BenchmarkKeySampler times one draw on the Monte-Carlo grid's lambda
+// range, at n=500, k=50 and at crowd-sum's shape, N-hat=256 and n_j=32.
+// The draws sub-benchmark only draws the n keys from a Stream, the floor
+// set by the RNG-stream contract; the gap to SampleSet, which draws the
+// same keys in its fused loop, is the selection. SampleSet/fallback
+// spoils the threshold hint before every draw, so every draw takes the
+// full select. Sample draws the keys from a rand.Rand and also sorts the
+// k winners.
 func BenchmarkKeySampler(b *testing.B) {
-	const n, k = 500, 50
-	for _, lambda := range []float64{-0.4, 0, 0.4} {
-		w := ExponentialWeights(n, lambda)
-		s, err := NewKeySampler(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng, stream := New(1), newStream(1)
-		var dst []int
-		b.Run(fmt.Sprintf("lambda=%g/draws", lambda), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				for _, wi := range w {
-					keySink += stream.ExpFloat64() / wi
+	for _, shape := range [][2]int{{500, 50}, {256, 32}} {
+		n, k := shape[0], shape[1]
+		for _, lambda := range []float64{-0.4, 0, 0.4} {
+			w := ExponentialWeights(n, lambda)
+			s, err := NewKeySampler(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng, stream := New(1), newStream(1)
+			var dst []int
+			name := fmt.Sprintf("n=%d,k=%d/lambda=%g", n, k, lambda)
+			b.Run(name+"/draws", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, wi := range w {
+						keySink += stream.ExpFloat64() / wi
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("lambda=%g/SampleSet", lambda), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				dst, _ = s.SampleSet(stream, k, dst[:0])
-			}
-		})
-		b.Run(fmt.Sprintf("lambda=%g/Sample", lambda), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				dst, _ = s.Sample(rng, k, dst[:0])
-			}
-		})
+			})
+			b.Run(name+"/SampleSet", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					dst, _ = s.SampleSet(stream, k, dst[:0])
+				}
+			})
+			b.Run(name+"/SampleSetFallback", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					s.ratio = 0x1p-30
+					dst, _ = s.SampleSet(stream, k, dst[:0])
+				}
+			})
+			b.Run(name+"/Sample", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					dst, _ = s.Sample(rng, k, dst[:0])
+				}
+			})
+		}
 	}
 }
 

@@ -128,6 +128,13 @@ func (r *Stream) ExpFloat64() float64 { return r.expFrom(r.uint32()) }
 // expFrom is rand.Rand.ExpFloat64's ziggurat loop, entered with its first
 // 32-bit draw j already taken. KeySampler.SampleSet inlines the fast path,
 // j < ke[j&0xFF], and calls expFrom for the rest.
+//
+// In a wedge, math/rand accepts x when its uniform y lies below e^(−x),
+// rounded to float32. Two lines bound e^(−x) over the strip (see wedge),
+// so y is compared with them first, and math.Exp runs only when y falls
+// between them. The squeeze draws the same uniform and decides as
+// math/rand's comparison would, which runs unchanged, as the same
+// expression, when the squeeze cannot decide.
 func (r *Stream) expFrom(j uint32) float64 {
 	for {
 		i := j & 0xFF
@@ -138,9 +145,37 @@ func (r *Stream) expFrom(j uint32) float64 {
 		if i == 0 {
 			return re - math.Log(r.Float64())
 		}
-		if fe[i]+float32(r.Float64())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
+		f := r.Float64()
+		w := &wedge[i]
+		switch y := float64(fe[i] + float32(f)*(fe[i-1]-fe[i])); {
+		case y < float64(w.tA-float64(w.tB*x)): // below the tangent
+			return x
+		case y > float64(w.cA-float64(w.cB*x)): // above the chord: draw again
+		case fe[i]+float32(f)*(fe[i-1]-fe[i]) < float32(math.Exp(-x)):
 			return x
 		}
 		j = r.uint32()
 	}
 }
+
+// wedge holds, for each ziggurat strip i ≥ 1, two lines around e^(−x) over
+// the strip's wedge, the x = j·we[i] with ke[i] ≤ j < 2³², as
+// a − b·x: the tangent at the wedge's midpoint, below e^(−x) because it is
+// convex, scaled down by 2⁻²⁰, and the chord between the wedge's ends,
+// above it, scaled up by 2⁻²⁰. The margin covers the rounding of the
+// lines, of math.Exp, of the float32 uniform (whose fusion may differ
+// from math/rand's) and of the float32 rounding of e^(−x) itself, so a y
+// below the first line is below float32(math.Exp(−x)) and a y above the
+// second is not.
+var wedge = func() (t [256]struct{ tA, tB, cA, cB float64 }) {
+	for i := 1; i < len(t); i++ {
+		lo, hi := float64(ke[i])*float64(we[i]), float64(1<<32-1)*float64(we[i])
+		mid := (lo + hi) / 2
+		em := math.Exp(-mid)
+		t[i].tA, t[i].tB = em*(1+mid)*(1-0x1p-20), em*(1-0x1p-20)
+		elo, ehi := math.Exp(-lo), math.Exp(-hi)
+		slope := (elo - ehi) / (hi - lo)
+		t[i].cA, t[i].cB = (elo+slope*lo)*(1+0x1p-20), slope*(1+0x1p-20)
+	}
+	return t
+}()

@@ -3,7 +3,6 @@ package randx
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -71,10 +70,19 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
+// Squeeze outcomes of a wedge test, counted per layer by zigguratReplay.
+const (
+	squeezeAccept = iota
+	squeezeReject
+	squeezeExact
+)
+
 // zigguratReplay is a third copy of math/rand's ExpFloat64 on a raw
-// Source that counts which exits it takes: slow[i] counts the wedge tests
-// of layer i ≥ 1, and slow[0] the i == 0 tail draws.
-func zigguratReplay(src rand.Source, slow *[256]int) float64 {
+// Source that counts which exits it takes: slow[0][0] counts the i == 0
+// tail draws, and slow[i] for i ≥ 1 the wedge tests of layer i by how
+// Stream's squeeze decides them. It fails t when a squeeze decision
+// disagrees with math/rand's comparison, which decides the replay.
+func zigguratReplay(t *testing.T, src rand.Source, slow *[256][3]int) float64 {
 	uniform := func() float64 {
 		for {
 			if f := float64(src.Int63()) / (1 << 63); f != 1 {
@@ -89,34 +97,90 @@ func zigguratReplay(src rand.Source, slow *[256]int) float64 {
 		if j < ke[i] {
 			return x
 		}
-		slow[i]++
 		if i == 0 {
+			slow[0][0]++
 			return re - math.Log(uniform())
 		}
-		if fe[i]+float32(uniform())*(fe[i-1]-fe[i]) < float32(math.Exp(-x)) {
+		f := uniform()
+		accept := fe[i]+float32(f)*(fe[i-1]-fe[i]) < float32(math.Exp(-x))
+		y := fe[i] + float32(f)*(fe[i-1]-fe[i])
+		w := &wedge[i]
+		switch {
+		case float64(y) < w.tA-w.tB*x:
+			slow[i][squeezeAccept]++
+			if !accept {
+				t.Fatalf("layer %d, x=%v, y=%v: squeeze accepts, math/rand rejects", i, x, y)
+			}
+		case float64(y) > w.cA-w.cB*x:
+			slow[i][squeezeReject]++
+			if accept {
+				t.Fatalf("layer %d, x=%v, y=%v: squeeze rejects, math/rand accepts", i, x, y)
+			}
+		default:
+			slow[i][squeezeExact]++
+		}
+		if accept {
 			return x
 		}
 	}
 }
 
 // A long ExpFloat64 run on one seed matches math/rand, with the replay's
-// counts showing that every layer's slow path and the tail were taken.
+// counts showing that the tail and every layer's wedge test were taken,
+// and that the wedge squeeze accepted, rejected and fell through to
+// math.Exp, each at least once.
 func TestStreamExpFloat64SlowPaths(t *testing.T) {
 	const seed, draws = 20161026, 20_000_000
 	got, want, replay := newStream(seed), rand.New(rand.NewSource(seed)), rand.NewSource(seed)
-	var slow [256]int
+	var slow [256][3]int
 	for d := range draws {
-		g, w, r := got.ExpFloat64(), want.ExpFloat64(), zigguratReplay(replay, &slow)
+		g, w, r := got.ExpFloat64(), want.ExpFloat64(), zigguratReplay(t, replay, &slow)
 		if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(r) != math.Float64bits(w) {
 			t.Fatalf("draw %d: Stream %v, math/rand %v, replay %v", d, g, w, r)
 		}
 	}
-	for i, n := range slow {
-		if n == 0 {
-			t.Errorf("layer %d: slow path never taken in %d draws", i, draws)
+	if slow[0][0] == 0 {
+		t.Errorf("tail never taken in %d draws", draws)
+	}
+	var total [3]int
+	for i := 1; i < len(slow); i++ {
+		c := slow[i]
+		if c[squeezeAccept]+c[squeezeReject]+c[squeezeExact] == 0 {
+			t.Errorf("layer %d: wedge test never taken in %d draws", i, draws)
+		}
+		t.Logf("layer %3d: squeeze accepts %5d, rejects %5d, math.Exp %4d", i, c[squeezeAccept], c[squeezeReject], c[squeezeExact])
+		for o, n := range c {
+			total[o] += n
 		}
 	}
-	t.Logf("%d tail draws; fewest wedge tests in a layer: %d", slow[0], slices.Min(slow[1:]))
+	for o, name := range []string{"accepted", "rejected", "fell through to math.Exp"} {
+		if total[o] == 0 {
+			t.Errorf("the wedge squeeze never %s in %d draws", name, draws)
+		}
+	}
+	t.Logf("%d tail draws; wedge tests: %d squeeze accepts, %d squeeze rejects, %d math.Exp",
+		slow[0][0], total[squeezeAccept], total[squeezeReject], total[squeezeExact])
+}
+
+// The squeeze lines keep their margin around e^(−x) over each layer's
+// whole wedge: at both ends, where the chord meets the curve, at the
+// midpoint, where the tangent does, and between.
+func TestWedgeSqueezeBounds(t *testing.T) {
+	for i := 1; i < len(wedge); i++ {
+		w := &wedge[i]
+		lo := uint64(ke[i])
+		for s := range uint64(65) {
+			j := lo + (1<<32-1-lo)*s/64
+			x := float64(uint32(j)) * float64(we[i])
+			e := math.Exp(-x)
+			if tangent := w.tA - w.tB*x; tangent > e*(1-0x1p-21) {
+				t.Errorf("layer %d, x=%v: tangent line %v not below e^(-x) = %v by the margin", i, x, tangent, e)
+			}
+			if chord := w.cA - w.cB*x; chord < e*(1+0x1p-21) {
+				t.Errorf("layer %d, x=%v: chord line %v not above e^(-x) = %v by the margin", i, x, chord, e)
+			}
+		}
+	}
 }
 
 // FuzzStreamMatchesMathRand drives a Stream and a rand.Rand of the same
